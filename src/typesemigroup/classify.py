@@ -69,7 +69,7 @@ _SKELETON_CAVEAT = (
 class ClassifyBudgets:
     search: SearchBudget = SearchBudget()
     unperforation_coeff: int = 4
-    unperforation_mult: int = 4
+    unperforation_mult: int = 4  # the sweep result does not depend on it
     unperforation_max_pairs: int = 5000
 
 

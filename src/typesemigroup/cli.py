@@ -481,6 +481,9 @@ def _cmd_stabilize_test(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+_MULT_BOUND_HELP = "accepted for compatibility; the sweep result does not depend on it"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="typesemi",
@@ -500,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="dichotomy classification with certificates")
     common(sp)
     sp.add_argument("--coeff-bound", type=int, default=4)
-    sp.add_argument("--mult-bound", type=int, default=4)
+    sp.add_argument("--mult-bound", type=int, default=4, help=_MULT_BOUND_HELP)
     sp.set_defaults(handler=_cmd_classify)
 
     sp = sub.add_parser("equiv", help="decide class equality of two vectors")
@@ -534,7 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("unperforation", help="bounded almost-unperforation sweep")
     common(sp)
     sp.add_argument("--coeff-bound", type=int, default=4)
-    sp.add_argument("--mult-bound", type=int, default=4)
+    sp.add_argument("--mult-bound", type=int, default=4, help=_MULT_BOUND_HELP)
     sp.set_defaults(handler=_cmd_unperforation)
 
     sp = sub.add_parser("oracle-compare", help="cross-check the three deciders on an action")

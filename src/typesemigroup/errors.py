@@ -6,6 +6,7 @@ from typing import Any
 
 DIMENSION_MISMATCH = "DIMENSION_MISMATCH"
 NEGATIVE_ENTRY = "NEGATIVE_ENTRY"
+NON_INTEGRAL_ENTRY = "NON_INTEGRAL_ENTRY"
 STEP_NOT_APPLICABLE = "STEP_NOT_APPLICABLE"
 CERTIFICATE_MISMATCH = "CERTIFICATE_MISMATCH"
 INVALID_PAIR = "INVALID_PAIR"

@@ -11,10 +11,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 
-def vec_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 

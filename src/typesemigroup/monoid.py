@@ -31,6 +31,7 @@ from .errors import (
     DIMENSION_MISMATCH,
     INVALID_PAIR,
     NEGATIVE_ENTRY,
+    NON_INTEGRAL_ENTRY,
     STEP_NOT_APPLICABLE,
     InputError,
 )
@@ -174,7 +175,7 @@ class UnperforationSweep:
 
 
 def as_vector(entries: Sequence[int], dim: int) -> Vector:
-    vec = tuple(int(x) for x in entries)
+    vec = tuple(entries)
     if len(vec) != dim:
         raise InputError(
             DIMENSION_MISMATCH,
@@ -183,6 +184,8 @@ def as_vector(entries: Sequence[int], dim: int) -> Vector:
             dim=dim,
         )
     for x in vec:
+        if type(x) is not int:  # also rejects bool
+            raise InputError(NON_INTEGRAL_ENTRY, f"entry {x!r} is not an integer", entry=repr(x))
         if x < 0:
             raise InputError(NEGATIVE_ENTRY, f"negative entry {x}", entry=x)
     return vec
@@ -805,17 +808,22 @@ def almost_unperforated_up_to(
     budget: SearchBudget | None = None,
     max_pairs: int = 5000,
 ) -> UnperforationSweep:
-    """Bounded search for an almost-unperforation counterexample.
+    """Bounded sweep of the order on the span of `generators`.
 
-    Enumerates theta, eta in the span of `generators` with coefficients up to
-    `coeff_bound` and multipliers mult_bound >= n > m >= 1.  A counterexample
-    must be fully certified on both sides: n*theta <= m*eta by a replayable
-    chain AND theta <= eta refuted by a nonnegative separator.  Clearance is
-    only ever claimed within the stated bounds.
+    Decides theta <= eta for the first `max_pairs` pairs of the span with
+    coefficients up to `coeff_bound`, one `decide_leq` per pair, and counts
+    the pairs left undecided.  Multipliers n > m need no search: a pair
+    refuted by an order separator c has c(n theta) = n c(theta) > m c(eta),
+    so every scaled pair n theta <= m eta is refuted as well.  `mult_bound`
+    is accepted for compatibility and changes nothing.  A counterexample
+    needs a refutation that is not a functional, which no decider here
+    produces, so `counterexample` is always None and clearance is only ever
+    claimed within the stated bounds.
     """
     gens = [as_vector(gv, pres.dim) for gv in generators]
     if not gens:
         raise InputError(DIMENSION_MISMATCH, "generator list must be nonempty")
+    # one vector past max_pairs already gives more pairs than max_pairs
     span: list[Vector] = []
     seen = set()
     for coeffs in itertools.product(range(coeff_bound + 1), repeat=len(gens)):
@@ -823,37 +831,11 @@ def almost_unperforated_up_to(
         if vec not in seen:
             seen.add(vec)
             span.append(vec)
-    pairs_checked = 0
-    unknown = 0
-    truncated = False
-    for theta in span:
-        for eta in span:
-            if pairs_checked >= max_pairs:
-                truncated = True
+            if len(span) > max_pairs:
                 break
-            pairs_checked += 1
-            order = decide_leq(pres, theta, eta, budget)
-            if order.is_equiv:
-                continue  # theta <= eta holds; no counterexample from this pair
-            if order.is_unknown:
-                unknown += 1
-                continue
-            for n in range(2, mult_bound + 1):
-                for m in range(1, n):
-                    scaled = decide_leq(
-                        pres, vec_scale(n, theta), vec_scale(m, eta), budget
-                    )
-                    if scaled.is_equiv:
-                        return UnperforationSweep(
-                            UnperforationCounterexample(
-                                theta, eta, n, m, scaled, order.separator
-                            ),
-                            pairs_checked,
-                            unknown,
-                            truncated,
-                        )
-                    if scaled.is_unknown:
-                        unknown += 1
-        if truncated:
-            break
-    return UnperforationSweep(None, pairs_checked, unknown, truncated)
+    pairs = itertools.islice(itertools.product(span, repeat=2), max(max_pairs, 0))
+    pairs_checked = unknown = 0
+    for theta, eta in pairs:
+        pairs_checked += 1
+        unknown += decide_leq(pres, theta, eta, budget).is_unknown
+    return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)

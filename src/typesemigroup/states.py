@@ -3,8 +3,9 @@
 A state certificate assigns each vertex a value in [0, oo]: finite values
 form an exact-rational vector c with A_i c = c on the finite support, every
 vertex outside the support escapes to infinity through each matrix, and the
-normalization c . target = 1 holds exactly.  Support enumeration replaces
-extended arithmetic inside the linear programs, which stay purely rational.
+normalization c . target = 1 holds exactly.  Fixing the finite support
+first replaces extended arithmetic inside the linear program, which stays
+purely rational.
 
 The coboundary check decides whether the integer lattice spanned by the
 columns of the operators (I - A_i^t) meets the positive cone nontrivially;
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import DIMENSION_MISMATCH, ZERO_TARGET, InputError
+from .errors import DIMENSION_MISMATCH, ZERO_TARGET, ConsistencyError, InputError
 from .graphs import KGraphModel, presentation_from_kgraph
 from .monoid import INFINITY, Vector
 from .simplex import OPTIMAL, LinearProgram
@@ -75,40 +76,30 @@ def _out_closure(model: KGraphModel, seed: frozenset[int]) -> frozenset[int]:
     return frozenset(closed)
 
 
-def _is_out_closed(model: KGraphModel, F: frozenset[int]) -> bool:
-    for v in F:
-        for mat in model.matrices:
-            for w in range(model.dim):
-                if mat[v][w] > 0 and w not in F:
-                    return False
-    return True
+def _trapped(model: KGraphModel, F: frozenset[int]) -> frozenset[int]:
+    """Vertices outside F that, for some matrix, have no out-neighbour outside F."""
+    return frozenset(
+        v
+        for v in range(model.dim)
+        if v not in F
+        and any(not any(mat[v][w] > 0 and w not in F for w in range(model.dim)) for mat in model.matrices)
+    )
 
 
-def _complement_escapes(model: KGraphModel, F: frozenset[int]) -> bool:
-    """Every vertex outside F has, for each matrix, an out-neighbour outside F."""
-    for v in range(model.dim):
-        if v in F:
-            continue
-        for mat in model.matrices:
-            if not any(mat[v][w] > 0 and w not in F for w in range(model.dim)):
-                return False
-    return True
+def _least_admissible_support(model: KGraphModel, seed: frozenset[int]) -> frozenset[int]:
+    """The admissible support contained in every admissible support containing `seed`.
 
-
-def _candidate_supports(model: KGraphModel, seed: frozenset[int]):
-    """Admissible finite supports containing `seed`, by size then lex order."""
-    base = _out_closure(model, seed)
-    rest = sorted(set(range(model.dim)) - base)
-    from itertools import combinations
-
-    options = []
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            options.append(frozenset(base | set(extra)))
-    options.sort(key=lambda F: (len(F), tuple(sorted(F))))
-    for F in options:
-        if _is_out_closed(model, F) and _complement_escapes(model, F):
-            yield F
+    An admissible F is out-closed and lets every vertex outside it escape
+    through each matrix.  So F contains the out-closure of the seed, and every
+    vertex that cannot escape that closure, and the out-closure of those, and
+    so on; the fixpoint is itself admissible.
+    """
+    F = _out_closure(model, seed)
+    while True:
+        trapped = _trapped(model, F)
+        if not trapped:
+            return F
+        F = _out_closure(model, F | trapped)
 
 
 def _invariance_lp(model: KGraphModel, F: frozenset[int]) -> tuple[LinearProgram, dict[int, str]]:
@@ -131,8 +122,12 @@ def _invariance_lp(model: KGraphModel, F: frozenset[int]) -> tuple[LinearProgram
 def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificate | None:
     """First normalized invariant extended vector at `target`, or None.
 
-    Supports are enumerated exhaustively (smallest first, then lexicographic),
-    so None is a complete negative answer over all admissible supports.
+    "First" is over admissible finite supports ordered by size, then
+    lexicographically.  Every admissible support contains the least one, F,
+    which comes first; F is out-closed, so a solution on any admissible
+    support restricts to one on F.  One LP on F therefore decides: a
+    solution on F is the answer, and infeasibility on F is a complete
+    negative answer over all admissible supports.
     """
     target = tuple(int(x) for x in target)
     if len(target) != model.dim:
@@ -140,16 +135,14 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     seed = frozenset(v for v, x in enumerate(target) if x)
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")
-    for F in _candidate_supports(model, seed):
-        lp, names = _invariance_lp(model, F)
-        lp.constrain({names[v]: target[v] for v in sorted(F) if target[v]}, "==", 1)
-        sol = lp.solve()
-        if sol.status == OPTIMAL:
-            values = tuple(
-                sol.values[names[v]] if v in F else INFINITY for v in range(model.dim)
-            )
-            return StateCertificate(values=values, target=target, support=tuple(sorted(F)))
-    return None
+    F = _least_admissible_support(model, seed)
+    lp, names = _invariance_lp(model, F)
+    lp.constrain({names[v]: target[v] for v in sorted(F) if target[v]}, "==", 1)
+    sol = lp.solve()
+    if sol.status != OPTIMAL:
+        return None
+    values = tuple(sol.values[names[v]] if v in F else INFINITY for v in range(model.dim))
+    return StateCertificate(values=values, target=target, support=tuple(sorted(F)))
 
 
 def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool:
@@ -213,7 +206,8 @@ def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
             return None
         maximizers.append([sol.values[names[w]] for w in range(n)])
     avg = tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
-    assert all(x > 0 for x in avg) and sum(avg) == 1
+    if not (all(x > 0 for x in avg) and sum(avg) == 1):
+        raise ConsistencyError("averaged faithful state is not positive and normalized")
     return avg
 
 
@@ -255,7 +249,8 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
         for i in range(model.k)
     )
     result = CoboundaryResult(holds=False, witness_y=y, witness_z=z)
-    assert verify_coboundary_witness(model, result)
+    if not verify_coboundary_witness(model, result):
+        raise ConsistencyError("scaled coboundary witness fails substitution")
     return result
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,18 @@ class TestBuildPresentation:
         with pytest.raises(ts.InputError) as e:
             pres(1, [((-1,), (1,))])
         assert e.value.code == "NEGATIVE_ENTRY"
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", Fraction(1)])
+    def test_non_integral_entry_rejected(self, bad):
+        with pytest.raises(ts.InputError) as e:
+            ts.decide_equiv(TWO_LOOPS, (bad,), (1,))
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+        with pytest.raises(ts.InputError) as e:
+            pres(1, [((1,), (bad,))])
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+
+    def test_integer_entries_accepted_from_any_sequence(self):
+        assert ts.decide_equiv(TWO_LOOPS, [1], range(2, 3)).is_equiv
 
     def test_move_order_preserved(self):
         p = pres(1, [((1,), (2,)), ((1,), (3,))])
@@ -212,6 +226,53 @@ class TestKlParadoxical:
         assert all(e >= 2 * t for e, t in zip(end, total))
 
 
+def random_presentation(rng, min_moves):
+    dim = rng.randint(1, 3)
+    moves = [
+        (
+            tuple(rng.randint(0, 2) for _ in range(dim)),
+            tuple(rng.randint(0, 2) for _ in range(dim)),
+        )
+        for _ in range(rng.randint(min_moves, 3))
+    ]
+    return pres(dim, moves)
+
+
+def _span(p, gens, coeff_bound):
+    """Distinct combinations of `gens` with coefficients up to coeff_bound,
+    in the sweep's order."""
+    return list(dict.fromkeys(
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(p.dim))
+        for coeffs in itertools.product(range(coeff_bound + 1), repeat=len(gens))
+    ))
+
+
+def _reference_sweep(p, gens, coeff_bound, mult_bound, budget, max_pairs):
+    """The sweep as first written: full span, then a search over every
+    multiplier pair n > m of each refuted pair."""
+    span = _span(p, gens, coeff_bound)
+    pairs_checked = unknown = 0
+    for theta in span:
+        for eta in span:
+            if pairs_checked >= max_pairs:
+                return (None, pairs_checked, unknown, True)
+            pairs_checked += 1
+            order = ts.decide_leq(p, theta, eta, budget)
+            if order.is_unknown:
+                unknown += 1
+            if not order.is_not_equiv:
+                continue
+            for n in range(2, mult_bound + 1):
+                for m in range(1, n):
+                    scaled = ts.decide_leq(
+                        p, tuple(n * x for x in theta), tuple(m * x for x in eta), budget
+                    )
+                    if scaled.is_equiv:
+                        return ((theta, eta, n, m), pairs_checked, unknown, False)
+                    unknown += scaled.is_unknown
+    return (None, pairs_checked, unknown, False)
+
+
 class TestAlmostUnperforated:
     def test_free_monoid_clear(self):
         sweep = ts.almost_unperforated_up_to(FREE_1, [(1,)], 4, 4)
@@ -225,21 +286,65 @@ class TestAlmostUnperforated:
         sweep = ts.almost_unperforated_up_to(FREE_2, [(1, 0), (0, 1)], 3, 3)
         assert sweep.clear and sweep.unknown_pairs == 0
 
-    def test_counterexample_is_fully_certified(self):
-        # x <-> 2y makes 2*[y] = [x] <= [2y] = [x] while [y] is not below [x]:
-        # n=2, m=1 with theta=y, eta=... construct a perforated quotient:
-        # moves: (2, 0) <-> (0, 1): two x's equal one y; then 2*[x] <= 1*[y]
-        # but [x] is not below [y]... sweep must certify both sides if it
-        # reports anything; here we only check a found counterexample's
-        # evidence replays
-        p = pres(2, [((2, 0), (0, 1))])
-        sweep = ts.almost_unperforated_up_to(p, [(1, 0), (0, 1)], 2, 2)
-        if sweep.counterexample is not None:
-            ce = sweep.counterexample
-            scaled_f = tuple(ce.n * x for x in ce.theta)
-            scaled_g = tuple(ce.m * x for x in ce.eta)
-            assert ts.verify_leq_outcome(p, scaled_f, scaled_g, ce.scaled_leq)
-            assert ts.verify_separator(p, ce.order_separator, ce.theta, ce.eta, order=True)
+    def test_refuted_pairs_stay_refuted_under_scaling(self):
+        # the sweep makes one decide_leq per pair because a separator c that
+        # refutes theta <= eta also refutes n*theta <= m*eta for n > m >= 1
+        rng = random.Random(31)
+        presentations = [pres(2, [((2, 0), (0, 1))])]
+        presentations += [random_presentation(rng, 0) for _ in range(12)]
+        budget = ts.SearchBudget(2000, 24)
+        refuted = 0
+        for p in presentations:
+            gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
+            span = _span(p, gens, 2)
+            for theta in span:
+                for eta in span:
+                    out = ts.decide_leq(p, theta, eta, budget)
+                    if not out.is_not_equiv:
+                        continue
+                    refuted += 1
+                    for n in range(2, 5):
+                        for m in range(1, n):
+                            assert ts.verify_separator(
+                                p, out.separator,
+                                tuple(n * x for x in theta), tuple(m * x for x in eta),
+                                order=True,
+                            )
+            sweep = ts.almost_unperforated_up_to(p, gens, 2, 4, budget)
+            assert sweep.counterexample is None
+        assert refuted > 50
+
+    def test_matches_reference_sweep(self):
+        rng = random.Random(47)
+        budget = ts.SearchBudget(2000, 24)
+        for _ in range(10):
+            p = random_presentation(rng, 1)
+            gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
+            max_pairs = rng.choice((1, 7, 30, 5000))
+            sweep = ts.almost_unperforated_up_to(p, gens, 2, 3, budget, max_pairs)
+            expected = _reference_sweep(p, gens, 2, 3, budget, max_pairs)
+            assert (sweep.counterexample, sweep.pairs_checked, sweep.unknown_pairs,
+                    sweep.truncated) == expected
+
+    def test_large_dimension_max_pairs_one(self):
+        # a full span would have (10**6 + 1)**12 vectors; only two are built
+        sweep = ts.almost_unperforated_up_to(
+            pres(12, []), [ts.unit_vector(12, i) for i in range(12)], 10**6, 4, max_pairs=1
+        )
+        assert sweep.pairs_checked == 1 and sweep.truncated and sweep.unknown_pairs == 0
+
+    @pytest.mark.parametrize("p, gens, coeff_bound, span_size", [
+        (TWO_LOOPS, [(1,)], 4, 5),
+        (FREE_2, [(1, 0), (0, 1)], 4, 25),
+        (FREE_2, [(1, 0)], 0, 1),
+    ])
+    def test_truncation_at_span_boundaries(self, p, gens, coeff_bound, span_size):
+        pairs = span_size ** 2
+        for max_pairs in (0, 1, span_size - 1, span_size, span_size + 1,
+                          pairs - 1, pairs, pairs + 1):
+            sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, max_pairs=max_pairs)
+            assert sweep.pairs_checked == min(max_pairs, pairs)
+            assert sweep.truncated is (max_pairs < pairs)
 
 
 class TestUnitFastPathAgreesWithSearch:
