@@ -35,6 +35,7 @@ from .graphs import (
 )
 from .monoid import (
     DecisionOutcome,
+    MonoidPresentation,
     SearchBudget,
     UnperforationSweep,
     almost_unperforated_up_to,
@@ -91,8 +92,7 @@ class ClassificationReport:
     notes: tuple[str, ...]
 
 
-def _paradox_sweep(model: KGraphModel, budget: SearchBudget):
-    pres = presentation_from_kgraph(model)
+def _paradox_sweep(model: KGraphModel, pres: MonoidPresentation, budget: SearchBudget):
     results = []
     for vi, v in enumerate(model.vertices):
         outcome = kl_paradoxical(pres, unit_vector(model.dim, vi), 2, 1, budget)
@@ -122,7 +122,7 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
 
     if not proxies_ok:
         if state is None:
-            paradoxes = _paradox_sweep(model, budgets.search)
+            paradoxes = _paradox_sweep(model, presentation_from_kgraph(model), budgets.search)
         verdict = HYPOTHESES_NOT_MET
         if state is not None:
             notes.append(
@@ -136,11 +136,11 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
             "algebra is quasidiagonal as well"
         )
     else:
-        paradoxes = _paradox_sweep(model, budgets.search)
+        pres = presentation_from_kgraph(model)
+        paradoxes = _paradox_sweep(model, pres, budgets.search)
         if all(outcome.is_equiv for (_, outcome) in paradoxes):
             verdict = PURELY_INFINITE
         else:
-            pres = presentation_from_kgraph(model)
             state_results = tuple(
                 (v, solve_state_at(model, unit_vector(model.dim, vi)))
                 for vi, v in enumerate(model.vertices)

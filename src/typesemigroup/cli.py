@@ -6,6 +6,10 @@ Model files are JSON with a "kind" discriminator:
   {"kind": "kgraph", "vertices": [...], "matrices": [[[...row...], ...], ...]}
   {"kind": "action", "points": [...], "generators": [[one-line images], ...]}
 
+`main` rejects negative --budget-states, --budget-coord and --coeff-bound,
+loads the model once, and hands it to the subcommand's handler; the report
+is {"command", "model", **fields returned by the handler}.
+
 Exit codes: 0 definite verdict, 2 invalid input, 3 budget exhausted /
 inconclusive, 1 internal error or consistency-check failure.  Identical
 invocations produce byte-identical output.
@@ -255,6 +259,20 @@ def _presentation(kind: str, model):
     return presentation_from_kgraph(_as_kgraph(kind, model))
 
 
+def _load(args) -> tuple[dict, str, Any]:
+    """Check the budget flags, then parse and build the model file."""
+    for flag in ("budget_states", "budget_coord", "coeff_bound"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            name = "--" + flag.replace("_", "-")
+            raise InputError(
+                SCHEMA_VIOLATION, f"{name} must be nonnegative", flag=name, value=value
+            )
+    raw = parse_model(args.model)
+    kind, model = _build_model(raw)
+    return raw, kind, model
+
+
 def _model_summary(kind: str, model, raw: dict) -> dict:
     summary: dict[str, Any] = {"kind": kind}
     if "name" in raw:
@@ -288,110 +306,74 @@ def _parse_vector(text: str, dim: int, what: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (payload, exit_code)
+# command handlers; each gets the loaded model and returns (fields, exit_code),
+# the fields following "command" and "model" in the payload
 
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(max_states=args.budget_states, max_coord=args.budget_coord)
 
 
-def _cmd_classify(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
-    kmodel = _as_kgraph(kind, model)
+def _cmd_classify(args, kind: str, model) -> tuple[dict, int]:
     budgets = ClassifyBudgets(
         search=_budget(args),
         unperforation_coeff=args.coeff_bound,
         unperforation_mult=args.mult_bound,
     )
-    report = classify(kmodel, budgets)
-    payload = {
-        "command": "classify",
-        "model": _model_summary(kind, model, raw),
-        "report": _report_dict(report),
-    }
-    return payload, EXIT_UNKNOWN if report.verdict == INCONCLUSIVE else EXIT_OK
+    report = classify(_as_kgraph(kind, model), budgets)
+    code = EXIT_UNKNOWN if report.verdict == INCONCLUSIVE else EXIT_OK
+    return {"report": _report_dict(report)}, code
 
 
-def _decision_command(args, name: str) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
+def _cmd_decide(args, kind: str, model) -> tuple[dict, int]:
     pres = _presentation(kind, model)
     lhs = _parse_vector(args.lhs, pres.dim, "--lhs")
     rhs = _parse_vector(args.rhs, pres.dim, "--rhs")
-    fn = decide_equiv if name == "equiv" else decide_leq
-    outcome = fn(pres, lhs, rhs, _budget(args))
+    order = args.command == "leq"
+    outcome = (decide_leq if order else decide_equiv)(pres, lhs, rhs, _budget(args))
     if outcome.is_equiv:
-        if name == "equiv":
-            ok = verify_certificate(pres, outcome.certificate) and outcome.certificate.end == rhs
-        else:
+        if order:
             ok = verify_leq_outcome(pres, lhs, rhs, outcome)
+        else:
+            ok = verify_certificate(pres, outcome.certificate) and outcome.certificate.end == rhs
     elif outcome.is_not_equiv:
-        ok = verify_separator(pres, outcome.separator, lhs, rhs, order=(name == "leq"))
+        ok = verify_separator(pres, outcome.separator, lhs, rhs, order=order)
     else:
         ok = True
     if not ok:
-        raise ConsistencyError(f"{name}: emitted evidence failed independent verification")
-    payload = {
-        "command": name,
-        "model": _model_summary(kind, model, raw),
-        "lhs": list(lhs),
-        "rhs": list(rhs),
-        "outcome": _outcome_dict(outcome),
-    }
-    return payload, EXIT_UNKNOWN if outcome.is_unknown else EXIT_OK
+        raise ConsistencyError(f"{args.command}: emitted evidence failed independent verification")
+    fields = {"lhs": list(lhs), "rhs": list(rhs), "outcome": _outcome_dict(outcome)}
+    return fields, EXIT_UNKNOWN if outcome.is_unknown else EXIT_OK
 
 
-def _cmd_paradox(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
+def _cmd_paradox(args, kind: str, model) -> tuple[dict, int]:
     pres = _presentation(kind, model)
     target = _parse_vector(args.target, pres.dim, "--target")
     outcome = kl_paradoxical(pres, target, args.k, args.l, _budget(args))
-    payload = {
-        "command": "paradox",
-        "model": _model_summary(kind, model, raw),
+    fields = {
         "target": list(target),
         "k": args.k,
         "l": args.l,
         "paradoxical": outcome.is_equiv,
         "outcome": _outcome_dict(outcome),
     }
-    return payload, EXIT_UNKNOWN if outcome.is_unknown else EXIT_OK
+    return fields, EXIT_UNKNOWN if outcome.is_unknown else EXIT_OK
 
 
-def _cmd_state(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
+def _cmd_state(args, kind: str, model) -> tuple[dict, int]:
     kmodel = _as_kgraph(kind, model)
     target = _parse_vector(args.target, kmodel.dim, "--target")
     cert = solve_state_at(kmodel, target)
-    payload = {
-        "command": "state",
-        "model": _model_summary(kind, model, raw),
-        "target": list(target),
-        "state": _state_dict(cert),
-        "no_state": cert is None,
-    }
-    return payload, EXIT_OK
+    fields = {"target": list(target), "state": _state_dict(cert), "no_state": cert is None}
+    return fields, EXIT_OK
 
 
-def _cmd_coboundary(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
-    kmodel = _as_kgraph(kind, model)
-    res = coboundary_check(kmodel)
-    payload = {
-        "command": "coboundary",
-        "model": _model_summary(kind, model, raw),
-        "coboundary": _coboundary_dict(res),
-    }
-    return payload, EXIT_OK
+def _cmd_coboundary(args, kind: str, model) -> tuple[dict, int]:
+    res = coboundary_check(_as_kgraph(kind, model))
+    return {"coboundary": _coboundary_dict(res)}, EXIT_OK
 
 
-def _cmd_unperforation(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
+def _cmd_unperforation(args, kind: str, model) -> tuple[dict, int]:
     pres = _presentation(kind, model)
     gens = [unit_vector(pres.dim, i) for i in range(pres.dim)]
     sweep = almost_unperforated_up_to(
@@ -401,9 +383,7 @@ def _cmd_unperforation(args) -> tuple[dict, int]:
         mult_bound=args.mult_bound,
         budget=_budget(args),
     )
-    payload = {
-        "command": "unperforation",
-        "model": _model_summary(kind, model, raw),
+    fields = {
         "coeff_bound": args.coeff_bound,
         "mult_bound": args.mult_bound,
         "sweep": _sweep_dict(sweep),
@@ -411,12 +391,10 @@ def _cmd_unperforation(args) -> tuple[dict, int]:
     code = EXIT_OK
     if sweep.clear and (sweep.truncated or sweep.unknown_pairs):
         code = EXIT_UNKNOWN
-    return payload, code
+    return fields, code
 
 
-def _cmd_oracle_compare(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
+def _cmd_oracle_compare(args, kind: str, model) -> tuple[dict, int]:
     if kind != "action":
         raise InputError(UNSUPPORTED_MODEL, "oracle-compare requires an action model", kind=kind)
     pres = transformation_presentation(model)
@@ -445,20 +423,16 @@ def _cmd_oracle_compare(args) -> tuple[dict, int]:
                 "engine": engine.verdict.value,
             }
             break
-    payload = {
-        "command": "oracle-compare",
-        "model": _model_summary(kind, model, raw),
+    fields = {
         "samples": checked,
         "seed": args.seed,
         "agreement": disagreement is None,
         "disagreement": disagreement,
     }
-    return payload, EXIT_OK if disagreement is None else EXIT_INTERNAL
+    return fields, EXIT_OK if disagreement is None else EXIT_INTERNAL
 
 
-def _cmd_stabilize_test(args) -> tuple[dict, int]:
-    raw = parse_model(args.model)
-    kind, model = _build_model(raw)
+def _cmd_stabilize_test(args, kind: str, model) -> tuple[dict, int]:
     if kind != "action":
         raise InputError(UNSUPPORTED_MODEL, "stabilize-test requires an action model", kind=kind)
     base = orbit_fingerprint(model)
@@ -468,14 +442,8 @@ def _cmd_stabilize_test(args) -> tuple[dict, int]:
         fp = orbit_fingerprint(stabilize(model, i))
         rows.append({"n": i, "fingerprint": fp})
         ok = ok and fp == base
-    payload = {
-        "command": "stabilize-test",
-        "model": _model_summary(kind, model, raw),
-        "fingerprint": base,
-        "stabilized": rows,
-        "invariant": ok,
-    }
-    return payload, EXIT_OK if ok else EXIT_INTERNAL
+    fields = {"fingerprint": base, "stabilized": rows, "invariant": ok}
+    return fields, EXIT_OK if ok else EXIT_INTERNAL
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +474,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mult-bound", type=int, default=4, help=_MULT_BOUND_HELP)
     sp.set_defaults(handler=_cmd_classify)
 
-    sp = sub.add_parser("equiv", help="decide class equality of two vectors")
-    common(sp)
-    sp.add_argument("--lhs", required=True)
-    sp.add_argument("--rhs", required=True)
-    sp.set_defaults(handler=lambda a: _decision_command(a, "equiv"))
-
-    sp = sub.add_parser("leq", help="decide the algebraic order between two vectors")
-    common(sp)
-    sp.add_argument("--lhs", required=True)
-    sp.add_argument("--rhs", required=True)
-    sp.set_defaults(handler=lambda a: _decision_command(a, "leq"))
+    for name, help_text in (
+        ("equiv", "decide class equality of two vectors"),
+        ("leq", "decide the algebraic order between two vectors"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        common(sp)
+        sp.add_argument("--lhs", required=True)
+        sp.add_argument("--rhs", required=True)
+        sp.set_defaults(handler=_cmd_decide)
 
     sp = sub.add_parser("paradox", help="(k,l)-paradoxicality of a class")
     common(sp)
@@ -558,7 +524,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:
-        payload, code = args.handler(args)
+        raw, kind, model = _load(args)
+        fields, code = args.handler(args, kind, model)
     except InputError as e:
         diagnostic = {"error": {"code": e.code, "message": str(e), "details": e.details}}
         sys.stdout.write(_render(diagnostic, fmt))
@@ -567,6 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         diagnostic = {"error": {"code": "CONSISTENCY_FAILURE", "message": str(e)}}
         sys.stdout.write(_render(diagnostic, fmt))
         return EXIT_INTERNAL
+    payload = {"command": args.command, "model": _model_summary(kind, model, raw), **fields}
     text = _render(payload, fmt)
     sys.stdout.write(text)
     if getattr(args, "out", None):

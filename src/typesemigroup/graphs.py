@@ -26,6 +26,7 @@ from .errors import (
     NEGATIVE_ENTRY,
     NONCOMMUTING_MATRICES,
     NONCOMPOSABLE_WORD,
+    NON_INTEGRAL_ENTRY,
     OVERLAPPING_CYLINDERS,
     ROW_ZERO,
     InputError,
@@ -147,7 +148,15 @@ def validate_kgraph(vertices: Sequence[str], matrices: Sequence[Sequence[Sequenc
             )
         rows = []
         for vi, row in enumerate(m):
-            row = tuple(int(x) for x in row)
+            row = tuple(row)
+            for x in row:
+                if type(x) is not int:  # also rejects bool
+                    raise InputError(
+                        NON_INTEGRAL_ENTRY,
+                        f"matrix {i} row {vi} has a non-integer entry {x!r}",
+                        entry=repr(x),
+                        matrix=i,
+                    )
             if any(x < 0 for x in row):
                 raise InputError(NEGATIVE_ENTRY, f"matrix {i} row {vi} has a negative entry")
             if not any(row):

@@ -14,6 +14,13 @@ Decision procedures return one of three verdicts:
   two queried vectors), or
 * UNKNOWN with a budget report when the bounded search was inconclusive.
 
+Each decider takes one path: the trivial case, then the unit-move fast path,
+then one separator search (`find_separator` for congruence,
+`_order_separator` for the order: the full support gives a rational
+separator, proper supports give extended ones), then one bounded
+breadth-first search.  Both searches grow their levels with the same
+`_SearchTree.expand`.
+
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
 """
@@ -33,6 +40,7 @@ from .errors import (
     NEGATIVE_ENTRY,
     NON_INTEGRAL_ENTRY,
     STEP_NOT_APPLICABLE,
+    ConsistencyError,
     InputError,
 )
 from .linalg import (
@@ -355,27 +363,6 @@ def find_separator(
     return None
 
 
-def _nonneg_rational_separator(
-    pres: MonoidPresentation, f: Vector, g: Vector
-) -> LinearSeparator | None:
-    """Nonnegative invariant c with c.f > c.g, via exact LP feasibility."""
-    lp = LinearProgram()
-    names = [lp.variable(f"c{i}") for i in range(pres.dim)]
-    for row in _difference_rows(pres):
-        coeffs = {names[i]: row[i] for i in range(pres.dim) if row[i]}
-        lp.constrain(coeffs, "==", 0)
-    diff = vec_sub(f, g)
-    gap = {names[i]: diff[i] for i in range(pres.dim) if diff[i]}
-    if not gap:
-        return None
-    lp.constrain(gap, ">=", 1)
-    sol = lp.solve()
-    if sol.status != OPTIMAL:
-        return None
-    coeffs = primitive_integer([sol.values[n] for n in names])
-    return LinearSeparator(SeparatorKind.RATIONAL, coeffs)
-
-
 def _scale_extended(values: list) -> tuple:
     """Scale the finite part of an extended vector to primitive integers."""
     finite = [v for v in values if v != INFINITY]
@@ -393,25 +380,24 @@ def _scale_extended(values: list) -> tuple:
     return tuple(out)
 
 
-def _extended_order_separator(
-    pres: MonoidPresentation, f: Vector, g: Vector
-) -> LinearSeparator | None:
-    """Order separator with values in [0, oo].
+def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSeparator | None:
+    """Nonnegative invariant functional c with c.f > c.g, finite on a support F.
 
-    Enumerates candidate finite supports F (ordered by size then
-    lexicographically).  F is admissible when every move has either both
-    sides supported inside F or both sides sticking out; the functional is
-    infinite off F, and solves an exact feasibility problem on F.
+    F is admissible when it contains the support of g and every move has
+    either both sides supported inside F or both sides sticking out; c is
+    infinite off F and solves an exact feasibility problem on F.  The full
+    support comes first and gives a RATIONAL separator; then, up to
+    `_EXTENDED_SEPARATOR_MAX_DIM` coordinates, the proper supports ordered by
+    size then lexicographically give EXTENDED ones.
     """
     d = pres.dim
-    if d > _EXTENDED_SEPARATOR_MAX_DIM:
-        return None
+    sizes = [d] + list(range(d)) if d <= _EXTENDED_SEPARATOR_MAX_DIM else [d]
     supports = [(frozenset(i for i, x in enumerate(mv.lhs) if x),
                  frozenset(i for i, x in enumerate(mv.rhs) if x))
                 for mv in pres.moves]
     fsupp = frozenset(i for i, x in enumerate(f) if x)
     gsupp = frozenset(i for i, x in enumerate(g) if x)
-    for size in range(d):  # the full support is covered by the rational LP
+    for size in sizes:
         for F in itertools.combinations(range(d), size):
             Fset = frozenset(F)
             if not gsupp <= Fset:
@@ -443,7 +429,8 @@ def _extended_order_separator(
             sol = lp.solve()
             if sol.status == OPTIMAL:
                 values = [sol.values[names[i]] if i in Fset else INFINITY for i in range(d)]
-                return LinearSeparator(SeparatorKind.EXTENDED, _scale_extended(values))
+                kind = SeparatorKind.RATIONAL if size == d else SeparatorKind.EXTENDED
+                return LinearSeparator(kind, _scale_extended(values))
     return None
 
 
@@ -527,7 +514,7 @@ def _unit_path(unit: _UnitStructure, src: int, dst: int) -> list[tuple[int, int,
                         return hops
                     nxt.append(w)
         queue = nxt
-    raise AssertionError("internal: no path inside a connected component")
+    raise ConsistencyError("internal: no path inside a connected component")
 
 
 def _route_units(unit: _UnitStructure, start: Vector, goal: Vector) -> list[RewriteStep]:
@@ -608,6 +595,43 @@ def _back_steps(visited: dict, state: Vector) -> list[RewriteStep]:
     return steps
 
 
+class _SearchTree:
+    """One breadth-first search: visited states with parent links, and the
+    current frontier."""
+
+    __slots__ = ("visited", "frontier", "cap_hit")
+
+    def __init__(self, root: Vector):
+        self.visited: dict = {root: None}
+        self.frontier: list[Vector] = [root]
+        self.cap_hit = False
+
+    def expand(self, moves, cap: int):
+        """Advance the frontier one level, yielding each newly visited state
+        in discovery order.  A caller that stops early ends the search."""
+        visited = self.visited
+        nxt: list[Vector] = []
+        for state in self.frontier:
+            for (idx, dn, need, delta) in moves:
+                ok = True
+                for sv, nv in zip(state, need):
+                    if sv < nv:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                new = tuple(sv + dv for sv, dv in zip(state, delta))
+                if max(new) > cap:
+                    self.cap_hit = True
+                    continue
+                if new in visited:
+                    continue
+                visited[new] = (state, idx, dn)
+                yield new
+                nxt.append(new)
+        self.frontier = nxt
+
+
 def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
     """Bidirectional breadth-first search over the rewrite graph.
 
@@ -616,109 +640,66 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
     under coordinate relabeling).
     """
     moves = _compiled_moves(pres)
-    cap = budget.max_coord
-    visited: tuple[dict, dict] = ({f: None}, {g: None})
-    frontier: list[list[Vector]] = [[f], [g]]
-    cap_hit = [False, False]
+    from_f, from_g = _SearchTree(f), _SearchTree(g)
 
     def report(exhausted: bool) -> DecisionOutcome:
         return DecisionOutcome(
             Verdict.UNKNOWN,
             budget=BudgetReport(
-                states_visited=len(visited[0]) + len(visited[1]),
-                coordinate_cap_hit=cap_hit[0] or cap_hit[1],
+                states_visited=len(from_f.visited) + len(from_g.visited),
+                coordinate_cap_hit=from_f.cap_hit or from_g.cap_hit,
                 exhausted=exhausted,
             ),
         )
 
-    while frontier[0] or frontier[1]:
-        if frontier[0] and (not frontier[1] or len(visited[0]) <= len(visited[1])):
-            side = 0
+    while from_f.frontier or from_g.frontier:
+        if from_f.frontier and (
+            not from_g.frontier or len(from_f.visited) <= len(from_g.visited)
+        ):
+            mine, other = from_f, from_g
         else:
-            side = 1
-        mine = visited[side]
-        other = visited[1 - side]
-        nxt: list[Vector] = []
-        for state in frontier[side]:
-            for (idx, dn, need, delta) in moves:
-                ok = True
-                for sv, nv in zip(state, need):
-                    if sv < nv:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                new = tuple(sv + dv for sv, dv in zip(state, delta))
-                if max(new) > cap:
-                    cap_hit[side] = True
-                    continue
-                if new in mine:
-                    continue
-                mine[new] = (state, idx, dn)
-                if new in other:
-                    steps_f = _back_steps(visited[0], new)
-                    steps_g = _back_steps(visited[1], new)
-                    inverted = [
-                        RewriteStep(s.move_index, _flip(s.direction))
-                        for s in reversed(steps_g)
-                    ]
-                    cert = EquivCertificate(f, tuple(steps_f + inverted), g)
-                    return DecisionOutcome(Verdict.EQUIV, certificate=cert)
-                nxt.append(new)
-        frontier[side] = nxt
-        if not nxt and not cap_hit[side]:
+            mine, other = from_g, from_f
+        for new in mine.expand(moves, budget.max_coord):
+            if new in other.visited:
+                steps_f = _back_steps(from_f.visited, new)
+                steps_g = _back_steps(from_g.visited, new)
+                inverted = [
+                    RewriteStep(s.move_index, _flip(s.direction))
+                    for s in reversed(steps_g)
+                ]
+                cert = EquivCertificate(f, tuple(steps_f + inverted), g)
+                return DecisionOutcome(Verdict.EQUIV, certificate=cert)
+        if not mine.frontier and not mine.cap_hit:
             # This side's congruence class is fully enumerated and misses the
             # other endpoint, so the classes are disjoint.  The verdict stays
             # UNKNOWN because no separator certificate is available here; the
             # report records the clean exhaustion.
             return report(exhausted=True)
-        if len(visited[0]) + len(visited[1]) > budget.max_states:
+        if len(from_f.visited) + len(from_g.visited) > budget.max_states:
             return report(exhausted=False)
-    return report(exhausted=not (cap_hit[0] or cap_hit[1]))
+    return report(exhausted=not (from_f.cap_hit or from_g.cap_hit))
 
 
 def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
     """Breadth-first search from g for a congruent vector dominating f."""
     moves = _compiled_moves(pres)
-    cap = budget.max_coord
-    visited: dict = {g: None}
-    frontier = [g]
-    cap_hit = False
-    while frontier:
-        nxt: list[Vector] = []
-        for state in frontier:
-            for (idx, dn, need, delta) in moves:
-                ok = True
-                for sv, nv in zip(state, need):
-                    if sv < nv:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                new = tuple(sv + dv for sv, dv in zip(state, delta))
-                if max(new) > cap:
-                    cap_hit = True
-                    continue
-                if new in visited:
-                    continue
-                visited[new] = (state, idx, dn)
-                if all(nv >= fv for nv, fv in zip(new, f)):
-                    steps = _back_steps(visited, new)
-                    return DecisionOutcome(
-                        Verdict.EQUIV,
-                        certificate=EquivCertificate(g, tuple(steps), new),
-                        slack=vec_sub(new, f),
-                    )
-                nxt.append(new)
-        frontier = nxt
-        if len(visited) > budget.max_states:
+    tree = _SearchTree(g)
+    while tree.frontier:
+        for new in tree.expand(moves, budget.max_coord):
+            if all(nv >= fv for nv, fv in zip(new, f)):
+                return DecisionOutcome(
+                    Verdict.EQUIV,
+                    certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, new)), new),
+                    slack=vec_sub(new, f),
+                )
+        if len(tree.visited) > budget.max_states:
             return DecisionOutcome(
                 Verdict.UNKNOWN,
-                budget=BudgetReport(len(visited), cap_hit, exhausted=False),
+                budget=BudgetReport(len(tree.visited), tree.cap_hit, exhausted=False),
             )
     return DecisionOutcome(
         Verdict.UNKNOWN,
-        budget=BudgetReport(len(visited), cap_hit, exhausted=not cap_hit),
+        budget=BudgetReport(len(tree.visited), tree.cap_hit, exhausted=not tree.cap_hit),
     )
 
 
@@ -772,10 +753,7 @@ def decide_leq(
     unit = _unit_structure(pres)
     if unit is not None:
         return _leq_unit(pres, unit, f, g)
-    sep = _nonneg_rational_separator(pres, f, g)
-    if sep is not None:
-        return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    sep = _extended_order_separator(pres, f, g)
+    sep = _order_separator(pres, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
     return _bfs_leq(pres, f, g, budget)
@@ -823,6 +801,12 @@ def almost_unperforated_up_to(
     gens = [as_vector(gv, pres.dim) for gv in generators]
     if not gens:
         raise InputError(DIMENSION_MISMATCH, "generator list must be nonempty")
+    if coeff_bound < 0:
+        # an empty span would be reported as a complete, clear sweep
+        raise InputError(
+            NEGATIVE_ENTRY, f"coeff_bound must be nonnegative, got {coeff_bound}",
+            coeff_bound=coeff_bound,
+        )
     # one vector past max_pairs already gives more pairs than max_pairs
     span: list[Vector] = []
     seen = set()

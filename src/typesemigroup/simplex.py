@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .errors import ConsistencyError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -118,7 +120,7 @@ def solve_lp(
         y = [Fraction(1) - state["Z"][n + i] for i in range(m)]
         farkas = tuple(sign[i] * y[i] for i in range(m))
         if not _check_farkas([[Fraction(x) for x in row] for row in A], [Fraction(x) for x in b], farkas):
-            raise AssertionError("internal: Farkas certificate failed substitution")
+            raise ConsistencyError("internal: Farkas certificate failed substitution")
         return LPSolution(INFEASIBLE, farkas=farkas)
 
     # Drive leftover artificials out of the basis; drop redundant rows.

@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import DIMENSION_MISMATCH, ZERO_TARGET, ConsistencyError, InputError
+from .errors import ZERO_TARGET, ConsistencyError, InputError
 from .graphs import KGraphModel, presentation_from_kgraph
-from .monoid import INFINITY, Vector
+from .monoid import INFINITY, Vector, as_vector
 from .simplex import OPTIMAL, LinearProgram
 
 
@@ -129,9 +129,7 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     solution on F is the answer, and infeasibility on F is a complete
     negative answer over all admissible supports.
     """
-    target = tuple(int(x) for x in target)
-    if len(target) != model.dim:
-        raise InputError(DIMENSION_MISMATCH, "target has wrong length")
+    target = as_vector(target, model.dim)
     seed = frozenset(v for v, x in enumerate(target) if x)
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")

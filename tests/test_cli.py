@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from typesemigroup import simplex
 from typesemigroup.cli import main
 
 MALFORMED = [
@@ -196,6 +197,48 @@ class TestModelsAndExitCodes:
         if expected_code is not None:
             assert payload["error"]["code"] == expected_code
 
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["coboundary"], ["state", "--target", "1"],
+        ["equiv", "--lhs", "1", "--rhs", "2"], ["unperforation"],
+    ])
+    def test_non_integral_matrix_rejected_by_every_command(self, tmp_path, capsys, argv):
+        path = tmp_path / "model.json"
+        for entry in (1.5, 1.0, True):
+            path.write_text(json.dumps(
+                {"kind": "kgraph", "vertices": ["v"], "matrices": [[[entry]]]}), encoding="utf-8")
+            code, out = run_cli([argv[0], str(path)] + argv[1:], capsys)
+            assert code == 2
+            assert json.loads(out)["error"]["code"] == "NON_INTEGRAL_ENTRY"
+
+    @pytest.mark.parametrize("argv", [
+        ["unperforation", "--coeff-bound", "-1"],
+        ["classify", "--coeff-bound", "-1"],
+        ["classify", "--budget-states", "-1"],
+        ["equiv", "--lhs", "1", "--rhs", "2", "--budget-coord", "-1"],
+        ["coboundary", "--budget-states", "-5"],
+    ])
+    def test_negative_budget_rejected(self, models_dir, capsys, argv):
+        code, out = run_cli([argv[0], str(models_dir / "two_loops.json")] + argv[1:], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA_VIOLATION"
+
+    def test_zero_budgets_accepted(self, models_dir, capsys):
+        code, out = run_cli(
+            ["unperforation", str(models_dir / "two_loops.json"), "--coeff-bound", "0",
+             "--budget-states", "0", "--budget-coord", "0"],
+            capsys,
+        )
+        assert code == 0
+        sweep = json.loads(out)["sweep"]
+        assert (sweep["pairs_checked"], sweep["truncated"]) == (1, False)
+
+    def test_internal_failure_is_a_consistency_diagnostic(self, models_dir, capsys, monkeypatch):
+        # two_loops has no faithful state, so classify proves an LP infeasible
+        monkeypatch.setattr(simplex, "_check_farkas", lambda A, b, y: False)
+        code, out = run_cli(["classify", str(models_dir / "two_loops.json")], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "CONSISTENCY_FAILURE"
+
     def test_missing_file(self, capsys):
         code, out = run_cli(["classify", "/nonexistent/model.json"], capsys)
         assert code == 2
@@ -242,6 +285,22 @@ class TestDeterminismAndRoundTrip:
         )
         assert code == 0
         assert "verdict" in out and "PURELY_INFINITE" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "two_loops.json"],
+        ["equiv", "two_loops.json", "--lhs", "1", "--rhs", "2"],
+        ["coboundary", "triangular.json"],
+        ["stabilize-test", "three_cycle.json", "--n", "1"],
+    ])
+    def test_text_format_leads_with_command_and_model(self, models_dir, capsys, argv):
+        _, out = run_cli(
+            [argv[0], str(models_dir / argv[1])] + argv[2:] + ["--format", "text"], capsys
+        )
+        lines = out.splitlines()
+        assert lines[0] == f'command = "{argv[0]}"'
+        n_model = sum(line.startswith("model.") for line in lines)
+        assert n_model >= 3 and len(lines) > 1 + n_model
+        assert all(line.startswith("model.") for line in lines[1:1 + n_model])
 
     def test_subprocess_byte_identity(self, models_dir):
         cmd = [

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,18 @@ class TestValidation:
             ts.validate_kgraph(["u", "w"], [[[0, 0], [1, 1]]])
         assert e.value.code == "ROW_ZERO"
         assert e.value.details["vertex"] == "u"
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", Fraction(1)])
+    def test_non_integral_entry_rejected(self, bad):
+        with pytest.raises(ts.InputError) as e:
+            ts.validate_kgraph(["u", "w"], [[[1, 0], [0, bad]]])
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+        assert e.value.details["matrix"] == 0
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ts.InputError) as e:
+            ts.validate_kgraph(["v"], [[[-1]]])
+        assert e.value.code == "NEGATIVE_ENTRY"
 
     def test_graph_bad_reference(self):
         with pytest.raises(ts.InputError) as e:

@@ -6,7 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
-from typesemigroup.monoid import _bfs_equiv, _bfs_leq, _unit_structure
+from typesemigroup import simplex
+from typesemigroup.linalg import primitive_integer
+from typesemigroup.monoid import (
+    INFINITY,
+    _back_steps,
+    _bfs_equiv,
+    _bfs_leq,
+    _compiled_moves,
+    _difference_rows,
+    _flip,
+    _order_separator,
+    _scale_extended,
+    _unit_path,
+    _unit_structure,
+    _UnitStructure,
+)
 
 
 def pres(dim, moves):
@@ -435,3 +450,228 @@ def test_zero_faithfulness_on_expansive_presentations():
             continue
         out = ts.decide_equiv(p, f, (0,) * dim, ts.SearchBudget(5000, 32))
         assert not out.is_equiv
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the order separators and searches as first written: a
+# rational LP on the full support, a separate loop over the proper supports,
+# and one expansion loop per search
+
+
+def _reference_rational_separator(p, f, g):
+    lp = simplex.LinearProgram()
+    names = [lp.variable(f"c{i}") for i in range(p.dim)]
+    for row in _difference_rows(p):
+        lp.constrain({names[i]: row[i] for i in range(p.dim) if row[i]}, "==", 0)
+    diff = tuple(a - b for a, b in zip(f, g))
+    gap = {names[i]: diff[i] for i in range(p.dim) if diff[i]}
+    if not gap:
+        return None
+    lp.constrain(gap, ">=", 1)
+    sol = lp.solve()
+    if sol.status != simplex.OPTIMAL:
+        return None
+    return ts.LinearSeparator(
+        ts.SeparatorKind.RATIONAL, primitive_integer([sol.values[n] for n in names])
+    )
+
+
+def _reference_extended_separator(p, f, g):
+    d = p.dim
+    if d > 12:
+        return None
+    supports = [(frozenset(i for i, x in enumerate(mv.lhs) if x),
+                 frozenset(i for i, x in enumerate(mv.rhs) if x))
+                for mv in p.moves]
+    fsupp = frozenset(i for i, x in enumerate(f) if x)
+    gsupp = frozenset(i for i, x in enumerate(g) if x)
+    for size in range(d):
+        for F in itertools.combinations(range(d), size):
+            Fset = frozenset(F)
+            if not gsupp <= Fset:
+                continue
+            if any((ls <= Fset) != (rs <= Fset) for ls, rs in supports):
+                continue
+            if not fsupp <= Fset:
+                coeffs = tuple(0 if i in Fset else INFINITY for i in range(d))
+                return ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+            lp = simplex.LinearProgram()
+            names = {i: lp.variable(f"c{i}") for i in F}
+            for mv, (ls, rs) in zip(p.moves, supports):
+                if ls <= Fset and rs <= Fset:
+                    coeffs = {names[i]: mv.lhs[i] - mv.rhs[i] for i in F
+                              if mv.lhs[i] != mv.rhs[i]}
+                    if coeffs:
+                        lp.constrain(coeffs, "==", 0)
+            gap = {names[i]: f[i] - g[i] for i in F if f[i] != g[i]}
+            if not gap:
+                continue
+            lp.constrain(gap, ">=", 1)
+            sol = lp.solve()
+            if sol.status == simplex.OPTIMAL:
+                values = [sol.values[names[i]] if i in Fset else INFINITY for i in range(d)]
+                return ts.LinearSeparator(ts.SeparatorKind.EXTENDED, _scale_extended(values))
+    return None
+
+
+def _reference_order_separator(p, f, g):
+    return _reference_rational_separator(p, f, g) or _reference_extended_separator(p, f, g)
+
+
+def _reference_bfs_equiv(p, f, g, budget):
+    moves = _compiled_moves(p)
+    visited = ({f: None}, {g: None})
+    frontier = [[f], [g]]
+    cap_hit = [False, False]
+
+    def report(exhausted):
+        return ts.DecisionOutcome(ts.Verdict.UNKNOWN, budget=ts.BudgetReport(
+            len(visited[0]) + len(visited[1]), cap_hit[0] or cap_hit[1], exhausted))
+
+    while frontier[0] or frontier[1]:
+        side = 0 if frontier[0] and (not frontier[1] or len(visited[0]) <= len(visited[1])) else 1
+        mine, other = visited[side], visited[1 - side]
+        nxt = []
+        for state in frontier[side]:
+            for (idx, dn, need, delta) in moves:
+                if any(sv < nv for sv, nv in zip(state, need)):
+                    continue
+                new = tuple(sv + dv for sv, dv in zip(state, delta))
+                if max(new) > budget.max_coord:
+                    cap_hit[side] = True
+                    continue
+                if new in mine:
+                    continue
+                mine[new] = (state, idx, dn)
+                if new in other:
+                    steps_g = _back_steps(visited[1], new)
+                    inverted = [ts.RewriteStep(s.move_index, _flip(s.direction))
+                                for s in reversed(steps_g)]
+                    cert = ts.EquivCertificate(
+                        f, tuple(_back_steps(visited[0], new) + inverted), g)
+                    return ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=cert)
+                nxt.append(new)
+        frontier[side] = nxt
+        if not nxt and not cap_hit[side]:
+            return report(True)
+        if len(visited[0]) + len(visited[1]) > budget.max_states:
+            return report(False)
+    return report(not (cap_hit[0] or cap_hit[1]))
+
+
+def _reference_bfs_leq(p, f, g, budget):
+    moves = _compiled_moves(p)
+    visited = {g: None}
+    frontier = [g]
+    cap_hit = False
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for (idx, dn, need, delta) in moves:
+                if any(sv < nv for sv, nv in zip(state, need)):
+                    continue
+                new = tuple(sv + dv for sv, dv in zip(state, delta))
+                if max(new) > budget.max_coord:
+                    cap_hit = True
+                    continue
+                if new in visited:
+                    continue
+                visited[new] = (state, idx, dn)
+                if all(nv >= fv for nv, fv in zip(new, f)):
+                    return ts.DecisionOutcome(
+                        ts.Verdict.EQUIV,
+                        certificate=ts.EquivCertificate(g, tuple(_back_steps(visited, new)), new),
+                        slack=tuple(a - b for a, b in zip(new, f)),
+                    )
+                nxt.append(new)
+        frontier = nxt
+        if len(visited) > budget.max_states:
+            return ts.DecisionOutcome(
+                ts.Verdict.UNKNOWN, budget=ts.BudgetReport(len(visited), cap_hit, False))
+    return ts.DecisionOutcome(
+        ts.Verdict.UNKNOWN, budget=ts.BudgetReport(len(visited), cap_hit, not cap_hit))
+
+
+def _non_unit_presentation(rng, dim, nmoves):
+    while True:
+        p = pres(dim, [
+            (tuple(rng.choice((0, 0, 1, 2)) for _ in range(dim)),
+             tuple(rng.choice((0, 0, 1, 2)) for _ in range(dim)))
+            for _ in range(nmoves)
+        ])
+        if _unit_structure(p) is None:
+            return p
+
+
+class TestOnePathMatchesReference:
+    def test_separators_and_searches(self):
+        rng = random.Random(59)
+        budget = ts.SearchBudget(300, 6)
+        seen = set()
+        for dim in range(1, 6):
+            for _ in range(8):
+                p = _non_unit_presentation(rng, dim, rng.randint(1, 4))
+                for _ in range(6):
+                    f = tuple(rng.randint(0, 2) for _ in range(dim))
+                    g = tuple(rng.randint(0, 2) for _ in range(dim))
+                    sep = _order_separator(p, f, g)
+                    assert sep == _reference_order_separator(p, f, g)
+                    equiv = _bfs_equiv(p, f, g, budget)
+                    assert equiv == _reference_bfs_equiv(p, f, g, budget)
+                    leq = _bfs_leq(p, f, g, budget)
+                    assert leq == _reference_bfs_leq(p, f, g, budget)
+                    if all(a <= b for a, b in zip(f, g)):
+                        continue
+                    expected = (
+                        ts.DecisionOutcome(ts.Verdict.NOT_EQUIV, separator=sep)
+                        if sep is not None else leq
+                    )
+                    assert ts.decide_leq(p, f, g, budget) == expected
+                    seen.add(sep.kind if sep else leq.verdict)
+                    seen.add(equiv.verdict)
+        # every branch of the separator and both search verdicts were reached
+        assert seen >= {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED,
+                        ts.Verdict.EQUIV, ts.Verdict.UNKNOWN}
+
+    def test_thirteen_dimensions_solve_only_the_full_support(self, monkeypatch):
+        rng = random.Random(61)
+        solved = []
+        real_solve = simplex.LinearProgram.solve
+
+        def counting_solve(self, *args, **kwargs):
+            solved.append(1)
+            return real_solve(self, *args, **kwargs)
+
+        p = _non_unit_presentation(rng, 13, 6)
+        kinds = set()
+        for _ in range(30):
+            f = tuple(rng.randint(0, 2) for _ in range(13))
+            g = tuple(rng.randint(0, 2) for _ in range(13))
+            expected = _reference_order_separator(p, f, g)
+            monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
+            solved.clear()
+            sep = _order_separator(p, f, g)
+            monkeypatch.setattr(simplex.LinearProgram, "solve", real_solve)
+            assert sep == expected
+            assert len(solved) <= 1
+            kinds.add(None if sep is None else sep.kind)
+        assert kinds == {ts.SeparatorKind.RATIONAL, None}
+
+
+class TestInternalFailures:
+    def test_missing_unit_path_raises_consistency_error(self):
+        # two vertices in one component but no move between them
+        unit = _UnitStructure([0, 0], [[], []])
+        with pytest.raises(ts.ConsistencyError):
+            _unit_path(unit, 0, 1)
+
+
+class TestSweepBounds:
+    def test_negative_coeff_bound_rejected(self):
+        with pytest.raises(ts.InputError) as e:
+            ts.almost_unperforated_up_to(TWO_LOOPS, [(1,)], -1, 4)
+        assert e.value.code == "NEGATIVE_ENTRY"
+
+    def test_zero_coeff_bound_checks_the_zero_pair(self):
+        sweep = ts.almost_unperforated_up_to(TWO_LOOPS, [(1,)], 0, 4)
+        assert (sweep.pairs_checked, sweep.truncated, sweep.unknown_pairs) == (1, False, 0)

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from typesemigroup import simplex
+from typesemigroup.errors import ConsistencyError
 from typesemigroup.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -30,6 +34,12 @@ def test_infeasible_has_verified_farkas():
     assert sol.farkas is not None
     (y,) = sol.farkas
     assert y * 1 <= 0 and y * (-1) > 0
+
+
+def test_failed_farkas_check_raises_consistency_error(monkeypatch):
+    monkeypatch.setattr(simplex, "_check_farkas", lambda A, b, y: False)
+    with pytest.raises(ConsistencyError):
+        solve_lp([[1, 1]], [-1], [0, 0])
 
 
 def test_unbounded():

@@ -146,6 +146,23 @@ class TestSolveStateAt:
             ts.solve_state_at(one_loop, (0,))
         assert e.value.code == "ZERO_TARGET"
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, Fraction(1)])
+    def test_non_integral_target_rejected(self, one_loop, bad):
+        with pytest.raises(ts.InputError) as e:
+            ts.solve_state_at(one_loop, (bad,))
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+
+    def test_negative_target_rejected(self):
+        identity = ts.validate_kgraph(["u", "w"], [[[1, 0], [0, 1]]])
+        with pytest.raises(ts.InputError) as e:
+            ts.solve_state_at(identity, (-1, 1))
+        assert e.value.code == "NEGATIVE_ENTRY"
+
+    def test_target_length_checked(self, one_loop):
+        with pytest.raises(ts.InputError) as e:
+            ts.solve_state_at(one_loop, (1, 0))
+        assert e.value.code == "DIMENSION_MISMATCH"
+
     def test_support_must_respect_escape(self):
         # second vertex feeds only into the first: a state normalized at the
         # first vertex cannot be infinite at the second
