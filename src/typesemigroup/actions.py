@@ -20,6 +20,7 @@ from .errors import (
     GROUP_TOO_LARGE,
     NOT_A_PERMUTATION,
     InputError,
+    non_integral_entry,
 )
 from .monoid import MonoidPresentation, Move, build_presentation, unit_vector
 
@@ -170,8 +171,13 @@ def oracle_equiv(action: FiniteGroupAction, f: Sequence[int], g: Sequence[int]) 
     roots = _orbit_index(action)
     sums: dict[int, int] = {}
     for x in range(n):
+        fx, gx = f[x], g[x]
+        if type(fx) is not int:  # also rejects bool
+            raise non_integral_entry(fx)
+        if type(gx) is not int:
+            raise non_integral_entry(gx)
         r = roots[x]
-        sums[r] = sums.get(r, 0) + int(f[x]) - int(g[x])
+        sums[r] = sums.get(r, 0) + fx - gx
     return all(v == 0 for v in sums.values())
 
 
@@ -243,8 +249,9 @@ def bruteforce_equiv(
     n = action.degree
     if len(f) != n or len(g) != n:
         raise InputError(DIMENSION_MISMATCH, "vectors must be indexed by the points")
-    f = tuple(int(x) for x in f)
-    g = tuple(int(x) for x in g)
+    for x in (*f, *g):
+        if type(x) is not int:  # also rejects bool
+            raise non_integral_entry(x)
     if n > cap or sum(f) > cap or sum(g) > cap:
         return BruteforceOutcome(TOO_LARGE)
     roots = _orbit_index(action)

@@ -6,21 +6,26 @@ Model files are JSON with a "kind" discriminator:
   {"kind": "kgraph", "vertices": [...], "matrices": [[[...row...], ...], ...]}
   {"kind": "action", "points": [...], "generators": [[one-line images], ...]}
 
-`main` rejects negative --budget-states, --budget-coord and --coeff-bound,
-loads the model once, and hands it to the subcommand's handler; the report
-is {"command", "model", **fields returned by the handler}.
+`main` rejects negative --budget-states, --budget-coord, --coeff-bound,
+--samples and --n, loads the model once, and hands it to the subcommand's
+handler; the report is {"command", "model", **fields returned by the
+handler}.
 
 Exit codes: 0 definite verdict, 2 invalid input, 3 budget exhausted /
-inconclusive, 1 internal error or consistency-check failure.  Identical
-invocations produce byte-identical output.
+inconclusive, 1 internal error or consistency-check failure.  An internal
+error is reported as a JSON diagnostic with code INTERNAL and the file and
+line that raised it, never as a traceback.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 from typing import Any
 
@@ -260,8 +265,8 @@ def _presentation(kind: str, model):
 
 
 def _load(args) -> tuple[dict, str, Any]:
-    """Check the budget flags, then parse and build the model file."""
-    for flag in ("budget_states", "budget_coord", "coeff_bound"):
+    """Check the budget and count flags, then parse and build the model file."""
+    for flag in ("budget_states", "budget_coord", "coeff_bound", "samples", "n"):
         value = getattr(args, flag, 0)
         if value < 0:
             name = "--" + flag.replace("_", "-")
@@ -519,6 +524,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(SCHEMA_VIOLATION, f"cannot write {path!r}: {e}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -526,6 +539,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw, kind, model = _load(args)
         fields, code = args.handler(args, kind, model)
+        payload = {"command": args.command, "model": _model_summary(kind, model, raw), **fields}
+        text = _render(payload, fmt)
+        if getattr(args, "out", None):
+            _write_out(args.out, text)
     except InputError as e:
         diagnostic = {"error": {"code": e.code, "message": str(e), "details": e.details}}
         sys.stdout.write(_render(diagnostic, fmt))
@@ -534,12 +551,16 @@ def main(argv: list[str] | None = None) -> int:
         diagnostic = {"error": {"code": "CONSISTENCY_FAILURE", "message": str(e)}}
         sys.stdout.write(_render(diagnostic, fmt))
         return EXIT_INTERNAL
-    payload = {"command": args.command, "model": _model_summary(kind, model, raw), **fields}
-    text = _render(payload, fmt)
+    except Exception as e:  # a library bug: report where it was raised, never a traceback
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        diagnostic = {"error": {
+            "code": "INTERNAL",
+            "message": f"{type(e).__name__}: {e}",
+            "details": {"raised_at": f"{os.path.basename(frame.filename)}:{frame.lineno}"},
+        }}
+        sys.stdout.write(_render(diagnostic, fmt))
+        return EXIT_INTERNAL
     sys.stdout.write(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

@@ -35,6 +35,11 @@ class InputError(ValueError):
         self.details = details
 
 
+def non_integral_entry(x: Any) -> InputError:
+    """The error for a vector entry that is not an `int` (a `bool` included)."""
+    return InputError(NON_INTEGRAL_ENTRY, f"entry {x!r} is not an integer", entry=repr(x))
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.
 

@@ -30,6 +30,7 @@ from .errors import (
     OVERLAPPING_CYLINDERS,
     ROW_ZERO,
     InputError,
+    non_integral_entry,
 )
 from .monoid import MonoidPresentation, Move, Vector, build_presentation, unit_vector
 
@@ -188,11 +189,16 @@ def adjacency_power(model: KGraphModel, p: Sequence[int]) -> Matrix:
     """A^p = prod_i A_i^{p_i}; the factors commute so the order is immaterial."""
     if len(p) != model.k:
         raise InputError(DIMENSION_MISMATCH, f"power vector must have length {model.k}")
-    if any(x < 0 for x in p):
-        raise InputError(NEGATIVE_ENTRY, "power vector must be componentwise nonnegative")
+    for x in p:
+        if type(x) is not int:  # also rejects bool
+            raise InputError(
+                NON_INTEGRAL_ENTRY, f"power entry {x!r} is not an integer", entry=repr(x)
+            )
+        if x < 0:
+            raise InputError(NEGATIVE_ENTRY, "power vector must be componentwise nonnegative")
     out = _identity(model.dim)
     for mat, e in zip(model.matrices, p):
-        for _ in range(int(e)):
+        for _ in range(e):
             out = _mat_mul(out, mat)
     return out
 
@@ -201,9 +207,12 @@ def theta(model: KGraphModel, n: Sequence[int], f: Sequence[int]) -> Vector:
     """Transfer operator: theta(n, f) = (A^n)^t f, counting weighted paths in."""
     if len(f) != model.dim:
         raise InputError(DIMENSION_MISMATCH, "vector length does not match vertex count")
+    for x in f:
+        if type(x) is not int:  # also rejects bool
+            raise non_integral_entry(x)
     power = adjacency_power(model, n)
     return tuple(
-        sum(power[v][w] * int(f[v]) for v in range(model.dim))
+        sum(power[v][w] * f[v] for v in range(model.dim))
         for w in range(model.dim)
     )
 

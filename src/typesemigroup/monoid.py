@@ -21,6 +21,13 @@ separator, proper supports give extended ones), then one bounded
 breadth-first search.  Both searches grow their levels with the same
 `_SearchTree.expand`.
 
+`almost_unperforated_up_to` asks thousands of order questions of one
+presentation, so it builds a `_Compiled` form once per call: the unit
+structure, the move-side supports and a memo of order-separator results keyed
+by (support, gap on it), which is all the separator LP depends on.  The
+public deciders build a fresh form per call without a memo, so their results
+never depend on earlier calls.
+
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
 """
@@ -38,10 +45,10 @@ from .errors import (
     DIMENSION_MISMATCH,
     INVALID_PAIR,
     NEGATIVE_ENTRY,
-    NON_INTEGRAL_ENTRY,
     STEP_NOT_APPLICABLE,
     ConsistencyError,
     InputError,
+    non_integral_entry,
 )
 from .linalg import (
     integer_diagonalize,
@@ -193,7 +200,7 @@ def as_vector(entries: Sequence[int], dim: int) -> Vector:
         )
     for x in vec:
         if type(x) is not int:  # also rejects bool
-            raise InputError(NON_INTEGRAL_ENTRY, f"entry {x!r} is not an integer", entry=repr(x))
+            raise non_integral_entry(x)
         if x < 0:
             raise InputError(NEGATIVE_ENTRY, f"negative entry {x}", entry=x)
     return vec
@@ -380,7 +387,7 @@ def _scale_extended(values: list) -> tuple:
     return tuple(out)
 
 
-def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSeparator | None:
+def _order_separator(comp: _Compiled, f: Vector, g: Vector) -> LinearSeparator | None:
     """Nonnegative invariant functional c with c.f > c.g, finite on a support F.
 
     F is admissible when it contains the support of g and every move has
@@ -388,13 +395,13 @@ def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSe
     infinite off F and solves an exact feasibility problem on F.  The full
     support comes first and gives a RATIONAL separator; then, up to
     `_EXTENDED_SEPARATOR_MAX_DIM` coordinates, the proper supports ordered by
-    size then lexicographically give EXTENDED ones.
+    size then lexicographically give EXTENDED ones.  That problem depends only
+    on F and on the gap f - g on F, so a compiled form with a memo solves it
+    once per (F, gap).
     """
+    pres, supports, memo = comp.pres, comp.supports, comp.separators
     d = pres.dim
     sizes = [d] + list(range(d)) if d <= _EXTENDED_SEPARATOR_MAX_DIM else [d]
-    supports = [(frozenset(i for i, x in enumerate(mv.lhs) if x),
-                 frozenset(i for i, x in enumerate(mv.rhs) if x))
-                for mv in pres.moves]
     fsupp = frozenset(i for i, x in enumerate(f) if x)
     gsupp = frozenset(i for i, x in enumerate(g) if x)
     for size in sizes:
@@ -407,31 +414,46 @@ def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSe
             if not fsupp <= Fset:
                 coeffs = tuple(0 if i in Fset else INFINITY for i in range(d))
                 return LinearSeparator(SeparatorKind.EXTENDED, coeffs)
-            lp = LinearProgram()
-            names = {i: lp.variable(f"c{i}") for i in F}
-            for mv, (ls, rs) in zip(pres.moves, supports):
-                if ls <= Fset and rs <= Fset:
-                    coeffs = {}
-                    for i in F:
-                        v = mv.lhs[i] - mv.rhs[i]
-                        if v:
-                            coeffs[names[i]] = v
-                    if coeffs:
-                        lp.constrain(coeffs, "==", 0)
-            gap = {}
-            for i in F:
-                v = f[i] - g[i]
-                if v:
-                    gap[names[i]] = v
-            if not gap:
+            gap = tuple(f[i] - g[i] for i in F)
+            if not any(gap):
                 continue
-            lp.constrain(gap, ">=", 1)
-            sol = lp.solve()
-            if sol.status == OPTIMAL:
-                values = [sol.values[names[i]] if i in Fset else INFINITY for i in range(d)]
-                kind = SeparatorKind.RATIONAL if size == d else SeparatorKind.EXTENDED
-                return LinearSeparator(kind, _scale_extended(values))
+            if memo is None:
+                sep = _separator_on_support(pres, supports, F, gap)
+            else:
+                key = (F, gap)
+                if key in memo:
+                    sep = memo[key]
+                else:
+                    sep = memo[key] = _separator_on_support(pres, supports, F, gap)
+            if sep is not None:
+                return sep
     return None
+
+
+def _separator_on_support(
+    pres: MonoidPresentation, supports: list, F: tuple, gap: tuple
+) -> LinearSeparator | None:
+    """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1."""
+    d = pres.dim
+    Fset = frozenset(F)
+    lp = LinearProgram()
+    names = {i: lp.variable(f"c{i}") for i in F}
+    for mv, (ls, rs) in zip(pres.moves, supports):
+        if ls <= Fset and rs <= Fset:
+            coeffs = {}
+            for i in F:
+                v = mv.lhs[i] - mv.rhs[i]
+                if v:
+                    coeffs[names[i]] = v
+            if coeffs:
+                lp.constrain(coeffs, "==", 0)
+    lp.constrain({names[i]: v for i, v in zip(F, gap) if v}, ">=", 1)
+    sol = lp.solve()
+    if sol.status != OPTIMAL:
+        return None
+    values = [sol.values[names[i]] if i in Fset else INFINITY for i in range(d)]
+    kind = SeparatorKind.RATIONAL if len(F) == d else SeparatorKind.EXTENDED
+    return LinearSeparator(kind, _scale_extended(values))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +726,40 @@ def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudge
 
 
 # ---------------------------------------------------------------------------
+# compiled presentations
+
+
+class _Compiled:
+    """What `_decide_leq` needs of one presentation, built once: the unit
+    structure, the supports of the move sides (presentations that are not
+    unit-move only), and, when `memoize`, the order-separator results by
+    (support, gap on it).  A sweep builds one per call and drops it on return;
+    nothing is stored on the presentation or in the module."""
+
+    __slots__ = ("pres", "unit", "supports", "separators")
+
+    def __init__(self, pres: MonoidPresentation, memoize: bool):
+        self.pres = pres
+        self.unit = _unit_structure(pres)
+        self.supports = None if self.unit is not None else [
+            (frozenset(i for i, x in enumerate(mv.lhs) if x),
+             frozenset(i for i, x in enumerate(mv.rhs) if x))
+            for mv in pres.moves
+        ]
+        self.separators: dict | None = {} if memoize else None
+
+
+def _decide_leq(comp: _Compiled, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
+    """`decide_leq` on validated vectors with f not below g coordinatewise."""
+    if comp.unit is not None:
+        return _leq_unit(comp.pres, comp.unit, f, g)
+    sep = _order_separator(comp, f, g)
+    if sep is not None:
+        return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
+    return _bfs_leq(comp.pres, f, g, budget)
+
+
+# ---------------------------------------------------------------------------
 # public decision procedures
 
 
@@ -750,13 +806,7 @@ def decide_leq(
             certificate=EquivCertificate(g, (), g),
             slack=vec_sub(g, f),
         )
-    unit = _unit_structure(pres)
-    if unit is not None:
-        return _leq_unit(pres, unit, f, g)
-    sep = _order_separator(pres, f, g)
-    if sep is not None:
-        return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    return _bfs_leq(pres, f, g, budget)
+    return _decide_leq(_Compiled(pres, memoize=False), f, g, budget)
 
 
 def kl_paradoxical(
@@ -789,14 +839,19 @@ def almost_unperforated_up_to(
     """Bounded sweep of the order on the span of `generators`.
 
     Decides theta <= eta for the first `max_pairs` pairs of the span with
-    coefficients up to `coeff_bound`, one `decide_leq` per pair, and counts
-    the pairs left undecided.  Multipliers n > m need no search: a pair
-    refuted by an order separator c has c(n theta) = n c(theta) > m c(eta),
-    so every scaled pair n theta <= m eta is refuted as well.  `mult_bound`
-    is accepted for compatibility and changes nothing.  A counterexample
-    needs a refutation that is not a functional, which no decider here
-    produces, so `counterexample` is always None and clearance is only ever
-    claimed within the stated bounds.
+    coefficients up to `coeff_bound`, once per pair, and counts the pairs
+    left undecided.  Each pair gets the outcome `decide_leq` gives it, but
+    the presentation is compiled once per call (unit structure, move
+    supports) and each order-separator LP is solved once per distinct
+    (support, gap) key; that memo lives only until the call returns.
+
+    Multipliers n > m need no search: a pair refuted by an order separator c
+    has c(n theta) = n c(theta) > m c(eta), so every scaled pair
+    n theta <= m eta is refuted as well.  `mult_bound` is accepted for
+    compatibility and changes nothing.  A counterexample needs a refutation
+    that is not a functional, which no decider here produces, so
+    `counterexample` is always None and clearance is only ever claimed
+    within the stated bounds.
     """
     gens = [as_vector(gv, pres.dim) for gv in generators]
     if not gens:
@@ -818,8 +873,12 @@ def almost_unperforated_up_to(
             if len(span) > max_pairs:
                 break
     pairs = itertools.islice(itertools.product(span, repeat=2), max(max_pairs, 0))
+    comp = _Compiled(pres, memoize=True)
+    budget = budget or DEFAULT_BUDGET
     pairs_checked = unknown = 0
     for theta, eta in pairs:
         pairs_checked += 1
-        unknown += decide_leq(pres, theta, eta, budget).is_unknown
+        # theta <= eta coordinatewise is decided without a search
+        if any(t > e for t, e in zip(theta, eta)):
+            unknown += _decide_leq(comp, theta, eta, budget).is_unknown
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)

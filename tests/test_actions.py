@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +73,17 @@ class TestOracle:
     def test_zero(self):
         assert ts.oracle_equiv(transposition(), (0, 0), (0, 0))
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", Fraction(1)])
+    def test_non_integral_entry_rejected(self, bad):
+        # oracle_equiv(transposition, (1.9, 0), (0, 1)) used to answer True
+        for f, g in (((bad, 0), (0, 1)), ((0, 1), (0, bad))):
+            with pytest.raises(ts.InputError) as e:
+                ts.oracle_equiv(transposition(), f, g)
+            assert e.value.code == "NON_INTEGRAL_ENTRY"
+
+    def test_integer_entries_accepted_from_any_sequence(self):
+        assert ts.oracle_equiv(transposition(), [2, 1], range(1, 3))
+
 
 class TestBruteforce:
     def test_transposition_witness(self):
@@ -94,6 +106,17 @@ class TestBruteforce:
     def test_too_large(self):
         a = transposition()
         assert ts.bruteforce_equiv(a, (1, 0), (0, 1), cap=1).verdict == "too_large"
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", Fraction(1)])
+    def test_non_integral_entry_rejected(self, bad):
+        # bruteforce_equiv(transposition, (1.9, 0), (0, 1)) used to answer "equiv"
+        for f, g in (((bad, 0), (0, 1)), ((0, 1), (0, bad))):
+            with pytest.raises(ts.InputError) as e:
+                ts.bruteforce_equiv(transposition(), f, g)
+            assert e.value.code == "NON_INTEGRAL_ENTRY"
+        # checked before the size cap, which would otherwise answer too_large
+        with pytest.raises(ts.InputError):
+            ts.bruteforce_equiv(transposition(), (bad, 0), (0, 1), cap=0)
 
     def test_witnesses_on_all_small_instances(self):
         a = three_cycle()

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from typesemigroup import simplex
+from typesemigroup import cli, simplex
 from typesemigroup.cli import main
 
 MALFORMED = [
@@ -238,6 +238,53 @@ class TestModelsAndExitCodes:
         code, out = run_cli(["classify", str(models_dir / "two_loops.json")], capsys)
         assert code == 1
         assert json.loads(out)["error"]["code"] == "CONSISTENCY_FAILURE"
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-compare", "--samples", "-1"],
+        ["stabilize-test", "--n", "-2"],
+    ])
+    def test_negative_sample_counts_rejected(self, models_dir, capsys, argv):
+        # a negative count used to check nothing and report agreement
+        code, out = run_cli([argv[0], str(models_dir / "transposition.json")] + argv[1:], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "SCHEMA_VIOLATION"
+        assert error["details"] == {"flag": argv[1], "value": int(argv[2])}
+
+    def test_zero_sample_counts_accepted(self, models_dir, capsys):
+        model = str(models_dir / "transposition.json")
+        code, out = run_cli(["oracle-compare", model, "--samples", "0"], capsys)
+        assert code == 0 and json.loads(out)["samples"] == 0
+        code, out = run_cli(["stabilize-test", model, "--n", "0"], capsys)
+        assert code == 0 and json.loads(out)["stabilized"] == []
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unexpected_exception_is_an_internal_diagnostic(
+        self, models_dir, capsys, monkeypatch, fmt
+    ):
+        def broken(args, kind, model):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_coboundary", broken)
+        code = main(["coboundary", str(models_dir / "two_loops.json"), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "json":
+            error = json.loads(captured.out)["error"]
+            assert (error["code"], error["message"]) == ("INTERNAL", "RuntimeError: boom")
+            assert error["details"]["raised_at"].startswith("test_cli.py:")
+        else:
+            assert captured.out.splitlines()[0] == 'error.code = "INTERNAL"'
+
+    def test_unwritable_out_path_rejected(self, models_dir, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "report.json"
+        code, out = run_cli(
+            ["coboundary", str(models_dir / "two_loops.json"), "--out", str(target)], capsys
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA_VIOLATION"
+        assert not target.exists()
 
     def test_missing_file(self, capsys):
         code, out = run_cli(["classify", "/nonexistent/model.json"], capsys)

@@ -84,6 +84,19 @@ class TestAdjacencyPower:
         p2 = ts.adjacency_power(m, (1, 2))
         assert p1 == p2
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", Fraction(1)])
+    def test_non_integral_power_rejected(self, bad):
+        m = ts.validate_kgraph(["v"], [[[2]]])
+        with pytest.raises(ts.InputError) as e:
+            ts.adjacency_power(m, (bad,))
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+
+    def test_negative_power_rejected(self):
+        m = ts.validate_kgraph(["v"], [[[2]]])
+        with pytest.raises(ts.InputError) as e:
+            ts.adjacency_power(m, (-1,))
+        assert e.value.code == "NEGATIVE_ENTRY"
+
 
 class TestTheta:
     def test_identity_loop(self):
@@ -102,6 +115,15 @@ class TestTheta:
         m = ts.validate_kgraph(["v"], [[[1]]])
         with pytest.raises(ts.InputError):
             ts.theta(m, (1,), (1, 2))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", Fraction(1)])
+    def test_non_integral_entry_rejected(self, bad):
+        # theta(two_loops, (1,), (1.5,)) used to return (2,)
+        m = ts.validate_kgraph(["u", "w"], [[[0, 2], [2, 0]]])
+        for args in (((1,), (bad, 0)), ((1,), (0, bad)), ((bad,), (1, 0))):
+            with pytest.raises(ts.InputError) as e:
+                ts.theta(m, *args)
+            assert e.value.code == "NON_INTEGRAL_ENTRY"
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

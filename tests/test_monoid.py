@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
-from typesemigroup import simplex
+from typesemigroup import monoid, simplex
 from typesemigroup.linalg import primitive_integer
 from typesemigroup.monoid import (
     INFINITY,
@@ -14,6 +15,8 @@ from typesemigroup.monoid import (
     _bfs_equiv,
     _bfs_leq,
     _compiled_moves,
+    _Compiled,
+    _decide_leq,
     _difference_rows,
     _flip,
     _order_separator,
@@ -614,7 +617,7 @@ class TestOnePathMatchesReference:
                 for _ in range(6):
                     f = tuple(rng.randint(0, 2) for _ in range(dim))
                     g = tuple(rng.randint(0, 2) for _ in range(dim))
-                    sep = _order_separator(p, f, g)
+                    sep = _order_separator(_Compiled(p, memoize=False), f, g)
                     assert sep == _reference_order_separator(p, f, g)
                     equiv = _bfs_equiv(p, f, g, budget)
                     assert equiv == _reference_bfs_equiv(p, f, g, budget)
@@ -650,7 +653,7 @@ class TestOnePathMatchesReference:
             expected = _reference_order_separator(p, f, g)
             monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
             solved.clear()
-            sep = _order_separator(p, f, g)
+            sep = _order_separator(_Compiled(p, memoize=False), f, g)
             monkeypatch.setattr(simplex.LinearProgram, "solve", real_solve)
             assert sep == expected
             assert len(solved) <= 1
@@ -675,3 +678,123 @@ class TestSweepBounds:
     def test_zero_coeff_bound_checks_the_zero_pair(self):
         sweep = ts.almost_unperforated_up_to(TWO_LOOPS, [(1,)], 0, 4)
         assert (sweep.pairs_checked, sweep.truncated, sweep.unknown_pairs) == (1, False, 0)
+
+
+def _kgraph_presentation(matrix):
+    model = ts.validate_kgraph([f"v{i}" for i in range(len(matrix))], [matrix])
+    return ts.presentation_from_kgraph(model)
+
+
+def _sweep_presentations(rng, dim):
+    """A unit, a triangular, a purely infinite and a random presentation."""
+    perm = rng.sample(range(dim), dim)
+    unit = pres(dim, [(ts.unit_vector(dim, i), ts.unit_vector(dim, perm[i]))
+                      for i in range(dim)])
+    triangular = _kgraph_presentation(
+        [[int(i == j) or (rng.randint(0, 1) if j > i else 0) for j in range(dim)]
+         for i in range(dim)])
+    purely_infinite = _kgraph_presentation(
+        [[2 if dim == 1 or j == (i + 1) % dim else rng.randint(0, 1) for j in range(dim)]
+         for i in range(dim)])
+    return [unit, triangular, purely_infinite,
+            _non_unit_presentation(rng, dim, rng.randint(1, 4))]
+
+
+def _sweep_pairs(p, coeff_bound, max_pairs):
+    span = _span(p, [ts.unit_vector(p.dim, i) for i in range(p.dim)], coeff_bound)
+    return span, list(itertools.islice(itertools.product(span, repeat=2), max_pairs))
+
+
+class TestCompiledSweep:
+    def test_memoized_decider_matches_public(self):
+        rng = random.Random(67)
+        budget = ts.SearchBudget(300, 6)
+        seen = set()
+        for dim in range(1, 6):
+            for p in _sweep_presentations(rng, dim):
+                comp = _Compiled(p, memoize=True)
+                assert (comp.unit is None) is (comp.supports is not None)
+                _, pairs = _sweep_pairs(p, 3 if dim <= 2 else 1, 400)
+                for theta, eta in pairs:
+                    expected = ts.decide_leq(p, theta, eta, budget)
+                    if all(t <= e for t, e in zip(theta, eta)):
+                        assert expected.is_equiv and not expected.certificate.steps
+                        continue
+                    assert _decide_leq(comp, theta, eta, budget) == expected
+                    seen.add(expected.separator.kind if expected.is_not_equiv
+                             else expected.verdict)
+                if comp.unit is None:
+                    assert comp.separators
+        assert seen >= {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED,
+                        ts.Verdict.EQUIV, ts.Verdict.UNKNOWN}
+
+    def test_memo_keeps_supports_with_equal_gaps_apart(self):
+        # both queries solve an LP with gap (1,) on a one-point support, but
+        # on different points; the invariants kill both coordinates on the
+        # full support
+        p = pres(2, [((1, 1), (2, 1)), ((1, 1), (1, 2))])
+        comp = _Compiled(p, memoize=True)
+        for f, g, coeffs in (((2, 0), (1, 0), (1, INFINITY)),
+                             ((0, 2), (0, 1), (INFINITY, 1))):
+            out = _decide_leq(comp, f, g, ts.DEFAULT_BUDGET)
+            assert out == ts.decide_leq(p, f, g)
+            assert out.separator == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+        assert len(comp.separators) == 4  # full support and one point, per query
+
+    def test_sweep_matches_per_pair_loop(self):
+        rng = random.Random(71)
+        budget = ts.SearchBudget(300, 6)
+        unknown_seen = False
+        for dim in range(1, 6):
+            for p in _sweep_presentations(rng, dim):
+                coeff_bound = 3 if dim <= 2 else 1
+                max_pairs = rng.choice((1, 50, 400))
+                span, pairs = _sweep_pairs(p, coeff_bound, max_pairs)
+                unknown = sum(ts.decide_leq(p, t, e, budget).is_unknown for t, e in pairs)
+                sweep = ts.almost_unperforated_up_to(
+                    p, [ts.unit_vector(dim, i) for i in range(dim)], coeff_bound, 4,
+                    budget, max_pairs)
+                assert sweep == ts.UnperforationSweep(
+                    None, len(pairs), unknown, len(span) ** 2 > len(pairs))
+                unknown_seen |= unknown > 0
+        assert unknown_seen
+
+    def test_triangular_sweep_solves_each_lp_once(self, monkeypatch):
+        p = _kgraph_presentation([[1, 1], [0, 1]])
+        gens = [ts.unit_vector(2, i) for i in range(2)]
+        solved = []
+        real_solve = simplex.LinearProgram.solve
+
+        def counting_solve(self, *args, **kwargs):
+            solved.append(1)
+            return real_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
+        _, pairs = _sweep_pairs(p, 4, 5000)
+        for theta, eta in pairs:
+            ts.decide_leq(p, theta, eta)
+        per_query = len(solved)
+        comp = _Compiled(p, memoize=True)
+        for theta, eta in pairs:
+            if any(t > e for t, e in zip(theta, eta)):
+                _decide_leq(comp, theta, eta, ts.DEFAULT_BUDGET)
+        solved.clear()
+        sweep = ts.almost_unperforated_up_to(p, gens, 4, 4)
+        assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
+        # one LP per distinct (support, gap) key; without the memo, 406
+        assert per_query == 406
+        assert len(solved) == len(comp.separators) <= per_query // 5
+
+    def test_no_state_outlives_the_sweep(self):
+        p = _kgraph_presentation([[1, 1], [0, 1]])
+        twin = _kgraph_presentation([[1, 1], [0, 1]])
+        gens = [ts.unit_vector(2, i) for i in range(2)]
+        attrs, digest = dict(p.__dict__), hash(p)
+        module_state = {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
+                        for k, v in vars(monoid).items()}
+        first = ts.almost_unperforated_up_to(p, gens, 4, 4)
+        assert p.__dict__ == attrs and hash(p) == digest == hash(twin) and p == twin
+        assert {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
+                for k, v in vars(monoid).items()} == module_state
+        assert not [o for o in gc.get_objects() if type(o) is _Compiled]
+        assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first
