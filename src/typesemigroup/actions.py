@@ -7,11 +7,18 @@ orbit-sum oracle decides class equality directly, the brute-force procedure
 produces witness bisections matching the defining decomposition identity,
 and the induced monoid presentation ties the models to the generic decision
 engine.
+
+The orbit index (the orbit root of each point) depends on the generators
+alone, so a `FiniteGroupAction` derives it once, when it is constructed, as a
+private field outside equality, hashing and repr; `orbits`, the oracle and
+the brute-force decider read it and validate only their vectors per call.
+The transporters the brute-force decider needs for its witnesses are built
+per EQUIV call, because most uses of an action never ask for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .errors import (
@@ -20,6 +27,7 @@ from .errors import (
     GROUP_TOO_LARGE,
     NOT_A_PERMUTATION,
     InputError,
+    negative_entry,
     non_integral_entry,
 )
 from .monoid import MonoidPresentation, Move, build_presentation, unit_vector
@@ -33,6 +41,10 @@ DEFAULT_CLOSURE_CAP = 5040
 class FiniteGroupAction:
     points: tuple[Any, ...]
     generators: tuple[Perm, ...]
+    _roots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_roots", tuple(_orbit_index(self)))
 
     @property
     def degree(self) -> int:
@@ -133,7 +145,8 @@ class OrbitPartition:
 
 
 def _orbit_index(action: FiniteGroupAction) -> list[int]:
-    """Orbit id per point index (the smallest member index)."""
+    """Orbit id per point index (the smallest member index); built once per
+    action, by `FiniteGroupAction.__post_init__`."""
     n = action.degree
     parent = list(range(n))
 
@@ -152,9 +165,8 @@ def _orbit_index(action: FiniteGroupAction) -> list[int]:
 
 
 def orbits(action: FiniteGroupAction) -> OrbitPartition:
-    roots = _orbit_index(action)
     blocks: dict[int, list[int]] = {}
-    for x, r in enumerate(roots):
+    for x, r in enumerate(action._roots):
         blocks.setdefault(r, []).append(x)
     ordered = [blocks[r] for r in sorted(blocks)]
     return OrbitPartition(
@@ -168,7 +180,7 @@ def oracle_equiv(action: FiniteGroupAction, f: Sequence[int], g: Sequence[int]) 
     n = action.degree
     if len(f) != n or len(g) != n:
         raise InputError(DIMENSION_MISMATCH, "vectors must be indexed by the points")
-    roots = _orbit_index(action)
+    roots = action._roots
     sums: dict[int, int] = {}
     for x in range(n):
         fx, gx = f[x], g[x]
@@ -176,6 +188,8 @@ def oracle_equiv(action: FiniteGroupAction, f: Sequence[int], g: Sequence[int]) 
             raise non_integral_entry(fx)
         if type(gx) is not int:
             raise non_integral_entry(gx)
+        if fx < 0 or gx < 0:
+            raise negative_entry(fx if fx < 0 else gx)
         r = roots[x]
         sums[r] = sums.get(r, 0) + fx - gx
     return all(v == 0 for v in sums.values())
@@ -215,7 +229,7 @@ def _transporters(action: FiniteGroupAction) -> list[Perm]:
     n = action.degree
     ident = tuple(range(n))
     trans: list[Perm | None] = [None] * n
-    roots = _orbit_index(action)
+    roots = action._roots
     for x in range(n):
         if roots[x] == x:
             trans[x] = ident
@@ -252,9 +266,11 @@ def bruteforce_equiv(
     for x in (*f, *g):
         if type(x) is not int:  # also rejects bool
             raise non_integral_entry(x)
+        if x < 0:
+            raise negative_entry(x)
     if n > cap or sum(f) > cap or sum(g) > cap:
         return BruteforceOutcome(TOO_LARGE)
-    roots = _orbit_index(action)
+    roots = action._roots
     by_orbit_f: dict[int, list[int]] = {}
     by_orbit_g: dict[int, list[int]] = {}
     for x in range(n):
@@ -272,6 +288,10 @@ def bruteforce_equiv(
     return BruteforceOutcome(EQUIV, witnesses=tuple(witnesses))
 
 
+def _is_point(v: Any, n: int) -> bool:
+    return type(v) is int and 0 <= v < n  # also rejects bool
+
+
 def verify_witnesses(
     action: FiniteGroupAction,
     f: Sequence[int],
@@ -280,19 +300,29 @@ def verify_witnesses(
     check_membership: bool = False,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> bool:
-    """Check the defining sums and bisection validity by direct substitution."""
+    """Check the defining sums and bisection validity by direct substitution.
+
+    f and g must be vectors of `int` entries (no `bool`) indexed by the
+    points, and every arrow (t, x) must pair a permutation tuple t of the
+    point indices with a point index x.
+    """
     n = action.degree
+    f, g = tuple(f), tuple(g)
+    if any(type(x) is not int for x in (*f, *g)):
+        return False
     fsum = [0] * n
     gsum = [0] * n
     for bis in witnesses:
+        for (t, x) in bis.arrows:
+            if not (type(t) is tuple and all(_is_point(v, n) for v in t)
+                    and sorted(t) == list(range(n)) and _is_point(x, n)):
+                return False
         if not bis.is_valid():
             return False
         for (t, x) in bis.arrows:
-            if sorted(t) != list(range(n)):
-                return False
             fsum[x] += 1
             gsum[t[x]] += 1
-    if tuple(fsum) != tuple(int(x) for x in f) or tuple(gsum) != tuple(int(x) for x in g):
+    if tuple(fsum) != f or tuple(gsum) != g:
         return False
     if check_membership:
         group = set(closure(action, cap))

@@ -40,6 +40,11 @@ def non_integral_entry(x: Any) -> InputError:
     return InputError(NON_INTEGRAL_ENTRY, f"entry {x!r} is not an integer", entry=repr(x))
 
 
+def negative_entry(x: int) -> InputError:
+    """The error for a vector entry below zero."""
+    return InputError(NEGATIVE_ENTRY, f"negative entry {x}", entry=x)
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.
 

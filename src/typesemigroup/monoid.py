@@ -21,12 +21,15 @@ separator, proper supports give extended ones), then one bounded
 breadth-first search.  Both searches grow their levels with the same
 `_SearchTree.expand`.
 
-`almost_unperforated_up_to` asks thousands of order questions of one
-presentation, so it builds a `_Compiled` form once per call: the unit
-structure, the move-side supports and a memo of order-separator results keyed
-by (support, gap on it), which is all the separator LP depends on.  The
-public deciders build a fresh form per call without a memo, so their results
-never depend on earlier calls.
+What depends on the moves alone is derived once, when the presentation is
+constructed: the unit-move structure, or else the move-side supports.  Both
+are private fields of the frozen `MonoidPresentation`, outside equality,
+hashing and repr; every query reads them and still validates its own
+vectors.  `almost_unperforated_up_to` asks thousands of order questions of
+one presentation, so it also keeps a memo of order-separator results keyed by
+(support, gap on it), which is all the separator LP depends on, in a
+`_Compiled` form that lives only for that call.  The public deciders use no
+memo, so their results never depend on earlier calls.
 
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
@@ -35,7 +38,7 @@ paths (`replay`, `verify_separator`); nothing is trusted from the search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -48,6 +51,7 @@ from .errors import (
     STEP_NOT_APPLICABLE,
     ConsistencyError,
     InputError,
+    negative_entry,
     non_integral_entry,
 )
 from .linalg import (
@@ -98,8 +102,26 @@ class Move:
 
 @dataclass(frozen=True)
 class MonoidPresentation:
+    """A dimension and its moves.
+
+    `__post_init__` derives what the deciders need of the moves alone, once:
+    the unit-move structure (None unless every move is a basis vector on
+    both sides), and otherwise the supports of the move sides as bitmasks,
+    one tuple for the left sides and one for the right.  Both fields stay
+    out of `==`, `hash` and `repr`, and equal presentations derive equal
+    forms, so no verdict can depend on how a presentation was built.
+    """
+
     dim: int
     moves: tuple[Move, ...]
+    _unit: _UnitStructure | None = field(init=False, repr=False, compare=False)
+    _supports: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        unit = _unit_structure(self)
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_supports", None if unit is not None else _move_supports(self))
 
 
 @dataclass(frozen=True)
@@ -202,8 +224,34 @@ def as_vector(entries: Sequence[int], dim: int) -> Vector:
         if type(x) is not int:  # also rejects bool
             raise non_integral_entry(x)
         if x < 0:
-            raise InputError(NEGATIVE_ENTRY, f"negative entry {x}", entry=x)
+            raise negative_entry(x)
     return vec
+
+
+def _support(vec: Vector) -> int:
+    """Bitmask of the nonzero coordinates."""
+    return sum(1 << i for i, x in enumerate(vec) if x)
+
+
+def _move_supports(pres: MonoidPresentation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_support` of every left side and of every right side.
+
+    One pass over the moves, written out, because it runs at every
+    construction of a presentation that is not unit-move.
+    """
+    lhs, rhs = [], []
+    for mv in pres.moves:
+        ls = rs = 0
+        bit = 1
+        for a, b in zip(mv.lhs, mv.rhs):
+            if a:
+                ls |= bit
+            if b:
+                rs |= bit
+            bit <<= 1
+        lhs.append(ls)
+        rhs.append(rs)
+    return tuple(lhs), tuple(rhs)
 
 
 def unit_vector(dim: int, index: int) -> Vector:
@@ -399,47 +447,47 @@ def _order_separator(comp: _Compiled, f: Vector, g: Vector) -> LinearSeparator |
     on F and on the gap f - g on F, so a compiled form with a memo solves it
     once per (F, gap).
     """
-    pres, supports, memo = comp.pres, comp.supports, comp.separators
+    pres, memo = comp.pres, comp.separators
     d = pres.dim
     sizes = [d] + list(range(d)) if d <= _EXTENDED_SEPARATOR_MAX_DIM else [d]
-    fsupp = frozenset(i for i, x in enumerate(f) if x)
-    gsupp = frozenset(i for i, x in enumerate(g) if x)
+    fsupp, gsupp = _support(f), _support(g)
+    sides = list(zip(*pres._supports))
+    bits = [1 << i for i in range(d)]
     for size in sizes:
-        for F in itertools.combinations(range(d), size):
-            Fset = frozenset(F)
-            if not gsupp <= Fset:
+        for F, F_bits in zip(itertools.combinations(range(d), size),
+                             itertools.combinations(bits, size)):
+            off = ~sum(F_bits)  # the coordinates outside F
+            if gsupp & off:
                 continue
-            if any((ls <= Fset) != (rs <= Fset) for ls, rs in supports):
+            if any(((ls & off) == 0) != ((rs & off) == 0) for ls, rs in sides):
                 continue
-            if not fsupp <= Fset:
-                coeffs = tuple(0 if i in Fset else INFINITY for i in range(d))
+            if fsupp & off:
+                coeffs = tuple(INFINITY if off >> i & 1 else 0 for i in range(d))
                 return LinearSeparator(SeparatorKind.EXTENDED, coeffs)
             gap = tuple(f[i] - g[i] for i in F)
             if not any(gap):
                 continue
             if memo is None:
-                sep = _separator_on_support(pres, supports, F, gap)
+                sep = _separator_on_support(pres, F, gap)
             else:
                 key = (F, gap)
                 if key in memo:
                     sep = memo[key]
                 else:
-                    sep = memo[key] = _separator_on_support(pres, supports, F, gap)
+                    sep = memo[key] = _separator_on_support(pres, F, gap)
             if sep is not None:
                 return sep
     return None
 
 
-def _separator_on_support(
-    pres: MonoidPresentation, supports: list, F: tuple, gap: tuple
-) -> LinearSeparator | None:
+def _separator_on_support(pres: MonoidPresentation, F: tuple, gap: tuple) -> LinearSeparator | None:
     """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1."""
     d = pres.dim
-    Fset = frozenset(F)
+    off = ~sum(1 << i for i in F)
     lp = LinearProgram()
     names = {i: lp.variable(f"c{i}") for i in F}
-    for mv, (ls, rs) in zip(pres.moves, supports):
-        if ls <= Fset and rs <= Fset:
+    for mv, ls, rs in zip(pres.moves, *pres._supports):
+        if not (ls | rs) & off:
             coeffs = {}
             for i in F:
                 v = mv.lhs[i] - mv.rhs[i]
@@ -451,7 +499,7 @@ def _separator_on_support(
     sol = lp.solve()
     if sol.status != OPTIMAL:
         return None
-    values = [sol.values[names[i]] if i in Fset else INFINITY for i in range(d)]
+    values = [sol.values[names[i]] if i in names else INFINITY for i in range(d)]
     kind = SeparatorKind.RATIONAL if len(F) == d else SeparatorKind.EXTENDED
     return LinearSeparator(kind, _scale_extended(values))
 
@@ -475,6 +523,11 @@ class _UnitStructure:
 
 
 def _unit_structure(pres: MonoidPresentation) -> _UnitStructure | None:
+    """Move graph and its components, or None if some move is not unit;
+    built once per presentation, by `MonoidPresentation.__post_init__`."""
+    for mv in pres.moves:
+        if sum(mv.lhs) != 1 or sum(mv.rhs) != 1:
+            return None
     d = pres.dim
     adj: list[list[tuple[int, int, Direction]]] = [[] for _ in range(d)]
     parent = list(range(d))
@@ -486,8 +539,6 @@ def _unit_structure(pres: MonoidPresentation) -> _UnitStructure | None:
         return x
 
     for idx, mv in enumerate(pres.moves):
-        if sum(mv.lhs) != 1 or sum(mv.rhs) != 1:
-            return None
         a = mv.lhs.index(1)
         b = mv.rhs.index(1)
         if a != b:
@@ -730,29 +781,23 @@ def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudge
 
 
 class _Compiled:
-    """What `_decide_leq` needs of one presentation, built once: the unit
-    structure, the supports of the move sides (presentations that are not
-    unit-move only), and, when `memoize`, the order-separator results by
-    (support, gap on it).  A sweep builds one per call and drops it on return;
-    nothing is stored on the presentation or in the module."""
+    """A presentation and, when `memoize`, the order-separator results by
+    (support, gap on it).  The presentation carries everything that depends
+    on its moves alone; the memo depends on the queries asked, so a sweep
+    builds one per call and drops it on return, and nothing of it is stored
+    on the presentation or in the module."""
 
-    __slots__ = ("pres", "unit", "supports", "separators")
+    __slots__ = ("pres", "separators")
 
     def __init__(self, pres: MonoidPresentation, memoize: bool):
         self.pres = pres
-        self.unit = _unit_structure(pres)
-        self.supports = None if self.unit is not None else [
-            (frozenset(i for i, x in enumerate(mv.lhs) if x),
-             frozenset(i for i, x in enumerate(mv.rhs) if x))
-            for mv in pres.moves
-        ]
         self.separators: dict | None = {} if memoize else None
 
 
 def _decide_leq(comp: _Compiled, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
     """`decide_leq` on validated vectors with f not below g coordinatewise."""
-    if comp.unit is not None:
-        return _leq_unit(comp.pres, comp.unit, f, g)
+    if comp.pres._unit is not None:
+        return _leq_unit(comp.pres, comp.pres._unit, f, g)
     sep = _order_separator(comp, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
@@ -775,9 +820,8 @@ def decide_equiv(
     g = as_vector(g, pres.dim)
     if f == g:
         return DecisionOutcome(Verdict.EQUIV, certificate=EquivCertificate(f, (), g))
-    unit = _unit_structure(pres)
-    if unit is not None:
-        return _equiv_unit(pres, unit, f, g)
+    if pres._unit is not None:
+        return _equiv_unit(pres, pres._unit, f, g)
     sep = find_separator(pres, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
@@ -841,9 +885,8 @@ def almost_unperforated_up_to(
     Decides theta <= eta for the first `max_pairs` pairs of the span with
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
     left undecided.  Each pair gets the outcome `decide_leq` gives it, but
-    the presentation is compiled once per call (unit structure, move
-    supports) and each order-separator LP is solved once per distinct
-    (support, gap) key; that memo lives only until the call returns.
+    each order-separator LP is solved once per distinct (support, gap) key;
+    that memo lives only until the call returns.
 
     Multipliers n > m need no search: a pair refuted by an order separator c
     has c(n theta) = n c(theta) > m c(eta), so every scaled pair

@@ -84,6 +84,13 @@ class TestOracle:
     def test_integer_entries_accepted_from_any_sequence(self):
         assert ts.oracle_equiv(transposition(), [2, 1], range(1, 3))
 
+    def test_negative_entry_rejected(self):
+        # oracle_equiv(transposition, (-1, 1), (0, 0)) used to answer True
+        for f, g in (((-1, 1), (0, 0)), ((0, 0), (1, -1))):
+            with pytest.raises(ts.InputError) as e:
+                ts.oracle_equiv(transposition(), f, g)
+            assert e.value.code == "NEGATIVE_ENTRY"
+
 
 class TestBruteforce:
     def test_transposition_witness(self):
@@ -117,6 +124,42 @@ class TestBruteforce:
         # checked before the size cap, which would otherwise answer too_large
         with pytest.raises(ts.InputError):
             ts.bruteforce_equiv(transposition(), (bad, 0), (0, 1), cap=0)
+
+    def test_negative_entry_rejected(self):
+        # bruteforce_equiv(transposition, (-1, 1), (0, 0)) used to answer
+        # "not_equiv" where the oracle answered True
+        for f, g in (((-1, 1), (0, 0)), ((0, 0), (1, -1))):
+            with pytest.raises(ts.InputError) as e:
+                ts.bruteforce_equiv(transposition(), f, g)
+            assert e.value.code == "NEGATIVE_ENTRY"
+            with pytest.raises(ts.InputError):
+                ts.bruteforce_equiv(transposition(), f, g, cap=0)
+
+    @pytest.mark.parametrize("f, g", [
+        ((1.9, 0), (0, 1)), ((1.0, 0), (0, 1)), ((Fraction(1), 0), (0, 1)),
+        ((1, 0), (0, True)), ((True, 0), (0, 1)), ((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0)),
+    ])
+    def test_verifier_rejects_malformed_vectors(self, f, g):
+        # the witnesses of (1, 0) ~ (0, 1) used to pass for (1.9, 0) and (0, True)
+        a = transposition()
+        witnesses = ts.bruteforce_equiv(a, (1, 0), (0, 1)).witnesses
+        assert ts.verify_witnesses(a, (1, 0), (0, 1), witnesses)
+        assert not ts.verify_witnesses(a, f, g, witnesses)
+
+    @pytest.mark.parametrize("x", [-1, 2, True])
+    def test_verifier_rejects_arrows_off_the_points(self, x):
+        # (swap, -1) used to count as the arrow (swap, 1)
+        swap = (1, 0)
+        out = (ts.Bisection(arrows=((swap, x),)),)
+        assert not ts.verify_witnesses(transposition(), (0, 1), (1, 0), out)
+        assert not ts.verify_witnesses(transposition(), (1, 0), (0, 1), out)
+
+    @pytest.mark.parametrize("t", [[1, 0], (1.0, 0.0), (True, False), (1, 0, 2), (1, 1)])
+    def test_verifier_rejects_malformed_group_elements(self, t):
+        # [1, 0] and (1.0, 0.0) used to raise TypeError, (True, False) passed
+        out = (ts.Bisection(arrows=((t, 0),)),)
+        for membership in (False, True):
+            assert not ts.verify_witnesses(transposition(), (1, 0), (0, 1), out, membership)
 
     def test_witnesses_on_all_small_instances(self):
         a = three_cycle()

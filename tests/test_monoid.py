@@ -713,7 +713,7 @@ class TestCompiledSweep:
         for dim in range(1, 6):
             for p in _sweep_presentations(rng, dim):
                 comp = _Compiled(p, memoize=True)
-                assert (comp.unit is None) is (comp.supports is not None)
+                assert (p._unit is None) is (p._supports is not None)
                 _, pairs = _sweep_pairs(p, 3 if dim <= 2 else 1, 400)
                 for theta, eta in pairs:
                     expected = ts.decide_leq(p, theta, eta, budget)
@@ -723,7 +723,7 @@ class TestCompiledSweep:
                     assert _decide_leq(comp, theta, eta, budget) == expected
                     seen.add(expected.separator.kind if expected.is_not_equiv
                              else expected.verdict)
-                if comp.unit is None:
+                if p._unit is None:
                     assert comp.separators
         assert seen >= {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED,
                         ts.Verdict.EQUIV, ts.Verdict.UNKNOWN}

@@ -1,0 +1,19 @@
+"""Rules on the library source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "typesemigroup"
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so an internal check written as
+    # one silently disappears; internal failures raise ConsistencyError
+    modules = sorted(SRC.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
