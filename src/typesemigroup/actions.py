@@ -303,8 +303,9 @@ def verify_witnesses(
     """Check the defining sums and bisection validity by direct substitution.
 
     f and g must be vectors of `int` entries (no `bool`) indexed by the
-    points, and every arrow (t, x) must pair a permutation tuple t of the
-    point indices with a point index x.
+    points, every witness a `Bisection` whose arrows are a tuple of pairs,
+    and every arrow (t, x) must pair a permutation tuple t of the point
+    indices with a point index x.  Malformed witnesses answer False.
     """
     n = action.degree
     f, g = tuple(f), tuple(g)
@@ -313,7 +314,12 @@ def verify_witnesses(
     fsum = [0] * n
     gsum = [0] * n
     for bis in witnesses:
-        for (t, x) in bis.arrows:
+        if not (isinstance(bis, Bisection) and type(bis.arrows) is tuple):
+            return False
+        for arrow in bis.arrows:
+            if not (type(arrow) is tuple and len(arrow) == 2):
+                return False
+            t, x = arrow
             if not (type(t) is tuple and all(_is_point(v, n) for v in t)
                     and sorted(t) == list(range(n)) and _is_point(x, n)):
                 return False

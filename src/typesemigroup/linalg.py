@@ -1,7 +1,9 @@
 """Exact integer and rational linear algebra used by the decision procedures.
 
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
-integers are Python ints.  No floating point.
+integers are Python ints.  No floating point.  Elimination over the
+rationals runs fraction-free, in ints over one common denominator, and
+only the returned vectors are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -23,13 +25,35 @@ def vec_scale(k, a):
     return tuple(k * x for x in a)
 
 
+_INT = {int}
+
+
+def integer_row(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(s, s.values) in ints, with s the lcm of the entries' denominators."""
+    if set(map(type, values)) <= _INT:  # all entries int (a bool is converted)
+        return 1, list(values)
+    vals = [v if type(v) is int else Fraction(v) for v in values]
+    s = lcm(*(v.denominator for v in vals if type(v) is not int))
+    return s, [v * s if type(v) is int else v.numerator * (s // v.denominator) for v in vals]
+
+
 def rational_kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[Fraction, ...]]:
     """Basis of { c in Q^dim : row . c = 0 for every row }.
 
     The basis is produced in echelon order (one vector per free column,
     ascending), so the output is deterministic in the input ordering.
+
+    Gauss-Jordan elimination runs fraction-free, as in `simplex`: the rows
+    are ints over one common denominator D, a pivot on p maps every other
+    row to (p.row - row[col].pivot_row) // D exactly, and the new D is p.
+    The reduced row echelon form is unique, so the basis is the one that
+    elimination over `Fraction` gives.
     """
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    mat = []
+    for row in rows:
+        if any(row):
+            mat.append(integer_row(row)[1])  # a scaled row has the same kernel
+    D = 1
     pivots: list[int] = []
     r = 0
     for col in range(dim):
@@ -41,12 +65,16 @@ def rational_kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
+        pr = mat[r]
+        p = pr[col]
         for i in range(len(mat)):
-            if i != r and mat[i][col]:
+            if i != r:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                if f:
+                    mat[i] = [(p * a - f * b) // D for a, b in zip(mat[i], pr)]
+                elif p != D:
+                    mat[i] = [p * a // D for a in mat[i]]
+        D = p
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -57,7 +85,7 @@ def rational_kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple
         v = [Fraction(0)] * dim
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+            v[pc] = Fraction(-mat[i][fc], D)
         basis.append(tuple(v))
     return basis
 

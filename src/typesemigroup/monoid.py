@@ -94,7 +94,7 @@ class SeparatorKind(Enum):
     EXTENDED = "extended"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     lhs: Vector
     rhs: Vector
@@ -658,19 +658,26 @@ def _compiled_moves(pres: MonoidPresentation):
     return comp
 
 
-def _back_steps(visited: dict, state: Vector) -> list[RewriteStep]:
+def _back_steps(visited: dict, moves, state: Vector) -> list[RewriteStep]:
+    """The steps from the root to `state`.  Each step is the first compiled
+    move that takes the parent to the child, which is the one `expand`
+    recorded: it tries a state's moves in the same order."""
     steps = []
-    while visited[state] is not None:
-        prev, idx, dn = visited[state]
-        steps.append(RewriteStep(idx, dn))
-        state = prev
+    prev = visited[state]
+    while prev is not None:
+        for (idx, dn, need, delta) in moves:
+            if all(pv >= nv and pv + dv == sv
+                   for pv, nv, dv, sv in zip(prev, need, delta, state)):
+                steps.append(RewriteStep(idx, dn))
+                break
+        state, prev = prev, visited[prev]
     steps.reverse()
     return steps
 
 
 class _SearchTree:
-    """One breadth-first search: visited states with parent links, and the
-    current frontier."""
+    """One breadth-first search: visited states, each mapped to its parent,
+    and the current frontier."""
 
     __slots__ = ("visited", "frontier", "cap_hit")
 
@@ -693,13 +700,17 @@ class _SearchTree:
                         break
                 if not ok:
                     continue
-                new = tuple(sv + dv for sv, dv in zip(state, delta))
+                # From a list, the tuple is allocated at its final size;
+                # tuple() of a generator resizes a 10-slot tuple, and every
+                # freed state would then grow CPython's free list of
+                # dim-sized tuples, which only a full collection empties.
+                new = tuple([sv + dv for sv, dv in zip(state, delta)])
                 if max(new) > cap:
                     self.cap_hit = True
                     continue
                 if new in visited:
                     continue
-                visited[new] = (state, idx, dn)
+                visited[new] = state
                 yield new
                 nxt.append(new)
         self.frontier = nxt
@@ -734,8 +745,8 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
             mine, other = from_g, from_f
         for new in mine.expand(moves, budget.max_coord):
             if new in other.visited:
-                steps_f = _back_steps(from_f.visited, new)
-                steps_g = _back_steps(from_g.visited, new)
+                steps_f = _back_steps(from_f.visited, moves, new)
+                steps_g = _back_steps(from_g.visited, moves, new)
                 inverted = [
                     RewriteStep(s.move_index, _flip(s.direction))
                     for s in reversed(steps_g)
@@ -762,7 +773,7 @@ def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudge
             if all(nv >= fv for nv, fv in zip(new, f)):
                 return DecisionOutcome(
                     Verdict.EQUIV,
-                    certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, new)), new),
+                    certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, moves, new)), new),
                     slack=vec_sub(new, f),
                 )
         if len(tree.visited) > budget.max_states:

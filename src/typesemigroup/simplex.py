@@ -5,6 +5,14 @@ Bland's rule (no cycling) and no floating point anywhere.  Infeasibility
 comes with a Farkas certificate y satisfying y.A <= 0 and y.b > 0, verified
 by substitution before it is returned.
 
+The tableau is fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968):
+Python ints over one common denominator D, the determinant of the current
+basis.  A pivot on p keeps its row and maps every other row, the objective
+row included, to (p.T[i] - T[i][col].T[r]) // D, which is exact; the new D
+is p.  Bland's ratios are compared by cross-multiplication, so the pivots,
+the basis and every returned `Fraction` are those of the textbook tableau
+over `Fraction`.
+
 `LinearProgram` is a small builder on top of `solve_lp` that supports free
 variables (split into differences) and inequality constraints (slacks).
 """
@@ -13,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import ConsistencyError
+from .linalg import integer_row
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -38,6 +48,76 @@ def _check_farkas(A, b, y) -> bool:
     return sum(y[i] * b[i] for i in range(len(A))) > 0
 
 
+def _exact(v: Fraction | int) -> Fraction | int:
+    return v if type(v) is int else Fraction(v)
+
+
+def _eliminate(row: list[int], pr: list[int], col: int, p: int, D: int) -> list[int]:
+    """`row` after a pivot on p = pr[col], over the new denominator p."""
+    f = row[col]
+    if f:
+        return [(p * a - f * q) // D for a, q in zip(row, pr)]
+    if p == D:
+        return row
+    return [p * a // D for a in row]
+
+
+class _Tableau:
+    """Rows T and objective row Z as ints, each D times its rational value."""
+
+    __slots__ = ("T", "Z", "D", "basis")
+
+    def __init__(self, T: list[list[int]], D: int, basis: list[int]):
+        self.T = T
+        self.Z: list[int] = []
+        self.D = D
+        self.basis = basis
+
+    def pivot(self, r: int, col: int) -> None:
+        T, D = self.T, self.D
+        pr = T[r]
+        p = pr[col]
+        if p < 0:
+            # The negated row pivots to the same tableau, and D stays
+            # positive, so the sign of an entry is the sign of its value.
+            pr = T[r] = [-v for v in pr]
+            p = -p
+        for i, row in enumerate(T):
+            if i != r:
+                T[i] = _eliminate(row, pr, col, p, D)
+        self.Z = _eliminate(self.Z, pr, col, p, D)
+        self.D = p
+        self.basis[r] = col
+
+    def run(self, ncols: int) -> str:
+        """Bland's rule on the first `ncols` columns."""
+        T, basis = self.T, self.basis
+        while True:
+            Z = self.Z
+            col = None
+            for j in range(ncols):
+                if Z[j] < 0:
+                    col = j
+                    break
+            if col is None:
+                return OPTIMAL
+            best_row = None
+            for i, row in enumerate(T):
+                a = row[col]
+                if a > 0:
+                    num = row[-1]
+                    if best_row is None:
+                        best_row, best_num, best_a = i, num, a
+                        continue
+                    # num / a against best_num / best_a, both denominators > 0
+                    lhs, rhs = num * best_a, best_num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best_row]):
+                        best_row, best_num, best_a = i, num, a
+            if best_row is None:
+                return UNBOUNDED
+            self.pivot(best_row, col)
+
+
 def solve_lp(
     A: Sequence[Sequence[Fraction | int]],
     b: Sequence[Fraction | int],
@@ -47,81 +127,47 @@ def solve_lp(
     """min (or max) c.x subject to A x = b, x >= 0, in exact arithmetic."""
     m = len(A)
     n = len(c)
-    rows = [[Fraction(x) for x in row] for row in A]
-    rhs = [Fraction(x) for x in b]
-    cost = [Fraction(x) for x in c]
-    if maximize:
-        cost = [-x for x in cost]
-    sign = [1] * m
+    # Row i is scaled by s_i, the lcm of its own denominators.  The
+    # artificial basis then has determinant D = prod s_i, and D.[A | I | b]
+    # is integral.  (One common lcm is not a determinant, and the exact
+    # divisions of the pivots would fail.)
+    scales, rows, sign = [], [], [1] * m
     for i in range(m):
-        if rhs[i] < 0:
-            rhs[i] = -rhs[i]
-            rows[i] = [-x for x in rows[i]]
+        s, row = integer_row([*A[i], b[i]])
+        if row[-1] < 0:
+            row = [-v for v in row]
             sign[i] = -1
-
+        scales.append(s)
+        rows.append(row)
+    D = prod(scales)
     width = n + m
-    T = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
+    T = []
+    for i, (s, row) in enumerate(zip(scales, rows)):
+        if s != D:
+            k = D // s
+            row = [k * v for v in row]
+        art = [0] * m
+        art[i] = D
+        T.append(row[:n] + art + row[n:])
+    tab = _Tableau(T, D, [n + i for i in range(m)])
+    basis = tab.basis
 
-    state = {"Z": [Fraction(0)] * (width + 1)}
-
-    def pivot(r: int, col: int) -> None:
-        pr = T[r]
-        inv = Fraction(1) / pr[col]
-        pr = [x * inv for x in pr]
-        T[r] = pr
-        for i in range(len(T)):
-            if i != r and T[i][col]:
-                f = T[i][col]
-                T[i] = [a - f * p for a, p in zip(T[i], pr)]
-        Z = state["Z"]
-        if Z[col]:
-            f = Z[col]
-            state["Z"] = [a - f * p for a, p in zip(Z, pr)]
-        basis[r] = col
-
-    def run(cols: range) -> str:
-        while True:
-            Z = state["Z"]
-            col = None
-            for j in cols:
-                if Z[j] < 0:
-                    col = j
-                    break
-            if col is None:
-                return OPTIMAL
-            best_ratio = None
-            best_row = None
-            for i in range(len(T)):
-                a = T[i][col]
-                if a > 0:
-                    ratio = T[i][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_row])
-                    ):
-                        best_ratio = ratio
-                        best_row = i
-            if best_row is None:
-                return UNBOUNDED
-            pivot(best_row, col)
-
-    # Phase I: minimize the sum of artificial variables.
-    Z = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        s = sum(T[i][j] for i in range(len(T)))
-        cj = Fraction(1) if n <= j < width else Fraction(0)
-        Z[j] = cj - s
-    state["Z"] = Z
-    run(range(width))
-    infeasibility = -state["Z"][width]
-    if infeasibility > 0:
-        y = [Fraction(1) - state["Z"][n + i] for i in range(m)]
-        farkas = tuple(sign[i] * y[i] for i in range(m))
-        if not _check_farkas([[Fraction(x) for x in row] for row in A], [Fraction(x) for x in b], farkas):
+    # Phase I: minimize the sum of artificial variables.  Each artificial
+    # column sums to D against its cost D.1, so its reduced cost is 0.
+    Z = [-sum(col) for col in zip(*T)] if T else [0] * (width + 1)
+    Z[n:width] = [0] * m
+    tab.Z = Z
+    tab.run(width)
+    D = tab.D
+    if tab.Z[width] < 0:
+        # y = D.(1 - Z[n + i]) in rationals: positive scaling keeps the
+        # certificate's inequalities, so it is checked in integers.
+        y = [sign[i] * (D - tab.Z[n + i]) for i in range(m)]
+        if not _check_farkas(A, b, y):
             raise ConsistencyError("internal: Farkas certificate failed substitution")
-        return LPSolution(INFEASIBLE, farkas=farkas)
+        # built from a list, so the tuple is allocated at its final size
+        # (see `monoid._SearchTree.expand`)
+        return LPSolution(INFEASIBLE, farkas=tuple([Fraction(v, D) for v in y]))
 
     # Drive leftover artificials out of the basis; drop redundant rows.
     drop = []
@@ -135,27 +181,30 @@ def solve_lp(
             if col is None:
                 drop.append(r)
             else:
-                pivot(r, col)
-    for r in sorted(drop, reverse=True):
+                tab.pivot(r, col)
+    for r in reversed(drop):
         del T[r]
         del basis[r]
 
-    # Phase II on the real columns.
-    T2 = [row[:n] + [row[-1]] for row in T]
-    T.clear()
-    T.extend(T2)
-    Z = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        cj = cost[j] if j < n else Fraction(0)
-        Z[j] = cj - sum(cost[basis[i]] * T[i][j] for i in range(len(T)))
-    state["Z"] = Z
-    status = run(range(n))
-    if status == UNBOUNDED:
+    # Phase II on the real columns, with the cost scaled by its own lcm cs.
+    T[:] = [row[:n] + [row[-1]] for row in T]
+    cs, cost = integer_row(c)
+    if maximize:
+        cost = [-v for v in cost]
+    D = tab.D
+    Z = [v * D for v in cost] + [0]
+    for i, row in enumerate(T):
+        cb = cost[basis[i]]
+        if cb:
+            Z = [z - cb * v for z, v in zip(Z, row)]
+    tab.Z = Z
+    if tab.run(n) == UNBOUNDED:
         return LPSolution(UNBOUNDED)
+    D = tab.D
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    objective = -state["Z"][n]
+        x[bi] = Fraction(T[i][-1], D)
+    objective = Fraction(-tab.Z[n], D * cs)
     if maximize:
         objective = -objective
     return LPSolution(OPTIMAL, x=tuple(x), objective=objective)
@@ -180,7 +229,7 @@ class LinearProgram:
     def __init__(self) -> None:
         self._vars: list[tuple[str, bool]] = []
         self._index: dict[str, int] = {}
-        self._cons: list[tuple[dict[str, Fraction], str, Fraction]] = []
+        self._cons: list[tuple[dict[str, Fraction | int], str, Fraction | int]] = []
 
     def variable(self, name: str, free: bool = False) -> str:
         if name in self._index:
@@ -192,44 +241,49 @@ class LinearProgram:
     def constrain(self, coeffs: Mapping[str, Fraction | int], sense: str, rhs: Fraction | int) -> None:
         if sense not in ("==", "<=", ">="):
             raise ValueError(f"bad sense {sense!r}")
-        clean = {k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0}
-        for k in clean:
-            if k not in self._index:
-                raise ValueError(f"unknown variable {k!r}")
-        self._cons.append((clean, sense, Fraction(rhs)))
+        clean = {}
+        for k, v in coeffs.items():
+            v = _exact(v)
+            if v:
+                if k not in self._index:
+                    raise ValueError(f"unknown variable {k!r}")
+                clean[k] = v
+        self._cons.append((clean, sense, _exact(rhs)))
 
     def solve(self, objective: Mapping[str, Fraction | int] | None = None, maximize: bool = False) -> BuiltSolution:
-        cols: list[tuple[str, int]] = []  # (var name, +1/-1)
+        # One column per variable; a free variable's negative part follows it.
+        col: dict[str, int] = {}
+        ncols = 0
         for name, free in self._vars:
-            cols.append((name, 1))
-            if free:
-                cols.append((name, -1))
-        ncols = len(cols)
+            col[name] = ncols
+            ncols += 2 if free else 1
+        split = {name for name, free in self._vars if free}
         nslack = sum(1 for _, sense, _ in self._cons if sense != "==")
-        A: list[list[Fraction]] = []
-        b: list[Fraction] = []
-        slack_at = 0
+        A: list[list[Fraction | int]] = []
+        b: list[Fraction | int] = []
+        slack_at = ncols
         for coeffs, sense, rhs in self._cons:
-            row = [Fraction(0)] * (ncols + nslack)
-            for j, (name, sgn) in enumerate(cols):
-                v = coeffs.get(name)
-                if v:
-                    row[j] = sgn * v
+            row: list[Fraction | int] = [0] * (ncols + nslack)
+            for name, v in coeffs.items():
+                row[col[name]] = v
+                if name in split:
+                    row[col[name] + 1] = -v
             if sense != "==":
-                row[ncols + slack_at] = Fraction(1) if sense == "<=" else Fraction(-1)
+                row[slack_at] = 1 if sense == "<=" else -1
                 slack_at += 1
             A.append(row)
             b.append(rhs)
-        c = [Fraction(0)] * (ncols + nslack)
-        if objective:
-            for j, (name, sgn) in enumerate(cols):
-                v = objective.get(name)
-                if v:
-                    c[j] = sgn * Fraction(v)
+        c: list[Fraction | int] = [0] * (ncols + nslack)
+        for name, v in (objective or {}).items():
+            v = _exact(v)
+            if v and name in col:
+                c[col[name]] = v
+                if name in split:
+                    c[col[name] + 1] = -v
         sol = solve_lp(A, b, c, maximize=maximize)
         if sol.status != OPTIMAL:
             return BuiltSolution(sol.status, farkas=sol.farkas)
-        values: dict[str, Fraction] = {}
-        for j, (name, sgn) in enumerate(cols):
-            values[name] = values.get(name, Fraction(0)) + sgn * sol.x[j]
+        x = sol.x
+        values = {name: x[col[name]] - x[col[name] + 1] if free else x[col[name]]
+                  for name, free in self._vars}
         return BuiltSolution(OPTIMAL, values=values, objective=sol.objective)

@@ -161,6 +161,22 @@ class TestBruteforce:
         for membership in (False, True):
             assert not ts.verify_witnesses(transposition(), (1, 0), (0, 1), out, membership)
 
+    @pytest.mark.parametrize("arrows", [
+        ((1, 0, 0),), ((1, 0),), (((1, 0),),), ((),), ([(1, 0), 0],), (1, 0),
+    ])
+    def test_verifier_rejects_arrows_that_are_not_pairs(self, arrows):
+        # ((1, 0, 0),) and (((1, 0),),) used to raise ValueError, (1, 0) TypeError
+        out = (ts.Bisection(arrows=arrows),)
+        for membership in (False, True):
+            assert not ts.verify_witnesses(transposition(), (1, 0), (0, 1), out, membership)
+
+    @pytest.mark.parametrize("witness", [None, ((1, 0), 0), ts.Bisection(arrows=None),
+                                         ts.Bisection(arrows=[((1, 0), 0)])])
+    def test_verifier_rejects_witnesses_that_are_not_bisections(self, witness):
+        # a None witness used to raise AttributeError
+        for membership in (False, True):
+            assert not ts.verify_witnesses(transposition(), (1, 0), (0, 1), (witness,), membership)
+
     def test_witnesses_on_all_small_instances(self):
         a = three_cycle()
         for f in itertools.product(range(3), repeat=3):

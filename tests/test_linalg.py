@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from typesemigroup.linalg import (
     integer_diagonalize,
     modular_kernel_generators,
@@ -42,6 +44,57 @@ def test_kernel_annihilates_rows_random():
         # rank-nullity: len(basis) == dim - rank
         rank = dim - len(basis)
         assert 0 <= rank <= min(dim, len([r for r in rows if any(r)]))
+
+
+def _reference_kernel_basis(rows, dim):
+    """The kernel basis as it was computed over `Fraction`."""
+    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(dim):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = Fraction(1) / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(dim) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * dim
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+def test_kernel_matches_fraction_elimination(fractions):
+    rng = random.Random(f"kernel/{fractions}")
+    for _ in range(300):
+        dim = rng.randint(0, 7)
+        rows = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(dim)]
+                for _ in range(rng.randint(0, 6))]
+        if fractions:
+            rows = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in rows]
+        if rows and rng.random() < 0.4:  # a dependent row
+            rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+        got, want = rational_kernel_basis(rows, dim), _reference_kernel_basis(rows, dim)
+        assert got == want and repr(got) == repr(want)
+        assert all(type(v) is tuple and all(type(x) is Fraction for x in v) for v in got)
 
 
 def test_primitive_integer_normalizes_sign_and_content():

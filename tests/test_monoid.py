@@ -11,7 +11,6 @@ from typesemigroup import monoid, simplex
 from typesemigroup.linalg import primitive_integer
 from typesemigroup.monoid import (
     INFINITY,
-    _back_steps,
     _bfs_equiv,
     _bfs_leq,
     _compiled_moves,
@@ -521,6 +520,16 @@ def _reference_order_separator(p, f, g):
     return _reference_rational_separator(p, f, g) or _reference_extended_separator(p, f, g)
 
 
+def _reference_back_steps(visited, state):
+    steps = []
+    while visited[state] is not None:
+        prev, idx, dn = visited[state]
+        steps.append(ts.RewriteStep(idx, dn))
+        state = prev
+    steps.reverse()
+    return steps
+
+
 def _reference_bfs_equiv(p, f, g, budget):
     moves = _compiled_moves(p)
     visited = ({f: None}, {g: None})
@@ -547,11 +556,11 @@ def _reference_bfs_equiv(p, f, g, budget):
                     continue
                 mine[new] = (state, idx, dn)
                 if new in other:
-                    steps_g = _back_steps(visited[1], new)
+                    steps_g = _reference_back_steps(visited[1], new)
                     inverted = [ts.RewriteStep(s.move_index, _flip(s.direction))
                                 for s in reversed(steps_g)]
                     cert = ts.EquivCertificate(
-                        f, tuple(_back_steps(visited[0], new) + inverted), g)
+                        f, tuple(_reference_back_steps(visited[0], new) + inverted), g)
                     return ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=cert)
                 nxt.append(new)
         frontier[side] = nxt
@@ -583,7 +592,7 @@ def _reference_bfs_leq(p, f, g, budget):
                 if all(nv >= fv for nv, fv in zip(new, f)):
                     return ts.DecisionOutcome(
                         ts.Verdict.EQUIV,
-                        certificate=ts.EquivCertificate(g, tuple(_back_steps(visited, new)), new),
+                        certificate=ts.EquivCertificate(g, tuple(_reference_back_steps(visited, new)), new),
                         slack=tuple(a - b for a, b in zip(new, f)),
                     )
                 nxt.append(new)

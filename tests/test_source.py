@@ -17,3 +17,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_true_division_or_floats_in_exact_arithmetic():
+    # the simplex and the elimination run in Python ints, where a stray `/`
+    # or float literal silently turns exact values into floats
+    found = []
+    for name in ("simplex.py", "linalg.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "op", None), ast.Div) or (
+                    isinstance(node, ast.Constant) and type(node.value) is float):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
