@@ -17,7 +17,7 @@ Decision procedures return one of three verdicts:
 Each decider takes one path: the trivial case, then the unit-move fast path,
 then one separator search (`find_separator` for congruence,
 `_order_separator` for the order: the full support gives a rational
-separator, proper supports give extended ones), then one bounded
+separator, the least admissible support an extended one), then one bounded
 breadth-first search.  Both searches grow their levels with the same
 `_SearchTree.expand`.
 
@@ -25,11 +25,11 @@ What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure, or else the move-side supports.  Both
 are private fields of the frozen `MonoidPresentation`, outside equality,
 hashing and repr; every query reads them and still validates its own
-vectors.  `almost_unperforated_up_to` asks thousands of order questions of
-one presentation, so it also keeps a memo of order-separator results keyed by
-(support, gap on it), which is all the separator LP depends on, in a
-`_Compiled` form that lives only for that call.  The public deciders use no
-memo, so their results never depend on earlier calls.
+vectors.  The order decider also takes a memo of order-separator results
+keyed by (support, gap on it), which is all the separator LP depends on:
+`decide_leq` passes a fresh one, so its result never depends on earlier
+calls, and `almost_unperforated_up_to`, which asks thousands of order
+questions of one presentation, passes one that lives only for that call.
 
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
@@ -70,7 +70,6 @@ Vector = tuple[int, ...]
 INFINITY = float("inf")
 
 DEFAULT_MODULUS_BOUND = 64
-_EXTENDED_SEPARATOR_MAX_DIM = 12
 
 
 class Direction(Enum):
@@ -307,14 +306,23 @@ def verify_certificate(pres: MonoidPresentation, cert: EquivCertificate) -> bool
 
 
 def _ext_dot(coeffs, vec):
-    total = Fraction(0)
+    total = 0
     for c, v in zip(coeffs, vec):
         if v == 0:
             continue
         if c == INFINITY:
             return INFINITY
-        total += Fraction(c) * v
+        total += c * v
     return total
+
+
+def _is_infinity(x) -> bool:
+    return type(x) is float and x == INFINITY
+
+
+def _is_int_tuple(vec, dim: int) -> bool:
+    """A tuple of `dim` entries of type int (bool, float and str fail)."""
+    return type(vec) is tuple and len(vec) == dim and all(type(x) is int for x in vec)
 
 
 def verify_separator(
@@ -327,37 +335,47 @@ def verify_separator(
     """Check move invariance plus separation of f from g by substitution.
 
     With order=True the separator must refute f <= g: coefficients must be
-    nonnegative and the value at f strictly exceeds the value at g.
+    nonnegative and the value at f strictly exceeds the value at g.  The
+    coefficients must be a tuple of `pres.dim` ints, INFINITY being allowed
+    only in an EXTENDED separator, and only a MODULAR one has a modulus, an
+    int >= 2; anything else is rejected, never coerced.
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
+    coeffs = sep.coeffs
     if sep.kind is SeparatorKind.MODULAR:
         m = sep.modulus
-        if order or m is None or m < 2:
+        if order or type(m) is not int or m < 2 or not _is_int_tuple(coeffs, pres.dim):
             return False
         for mv in pres.moves:
-            if (vec_dot(sep.coeffs, mv.lhs) - vec_dot(sep.coeffs, mv.rhs)) % m != 0:
+            if (vec_dot(coeffs, mv.lhs) - vec_dot(coeffs, mv.rhs)) % m != 0:
                 return False
-        return (vec_dot(sep.coeffs, f) - vec_dot(sep.coeffs, g)) % m != 0
+        return (vec_dot(coeffs, f) - vec_dot(coeffs, g)) % m != 0
+    if sep.modulus is not None:
+        return False
     if sep.kind is SeparatorKind.RATIONAL:
+        if not _is_int_tuple(coeffs, pres.dim):
+            return False
         for mv in pres.moves:
-            if vec_dot(sep.coeffs, mv.lhs) != vec_dot(sep.coeffs, mv.rhs):
+            if vec_dot(coeffs, mv.lhs) != vec_dot(coeffs, mv.rhs):
                 return False
         if order:
-            if any(c < 0 for c in sep.coeffs):
+            if any(c < 0 for c in coeffs):
                 return False
-            return vec_dot(sep.coeffs, f) > vec_dot(sep.coeffs, g)
-        return vec_dot(sep.coeffs, f) != vec_dot(sep.coeffs, g)
+            return vec_dot(coeffs, f) > vec_dot(coeffs, g)
+        return vec_dot(coeffs, f) != vec_dot(coeffs, g)
     # extended-valued: only meaningful as an order separator
-    if not order:
+    if sep.kind is not SeparatorKind.EXTENDED or not order:
         return False
-    for c in sep.coeffs:
-        if c != INFINITY and c < 0:
+    if type(coeffs) is not tuple or len(coeffs) != pres.dim:
+        return False
+    for c in coeffs:
+        if not (_is_infinity(c) or (type(c) is int and c >= 0)):
             return False
     for mv in pres.moves:
-        if _ext_dot(sep.coeffs, mv.lhs) != _ext_dot(sep.coeffs, mv.rhs):
+        if _ext_dot(coeffs, mv.lhs) != _ext_dot(coeffs, mv.rhs):
             return False
-    vf, vg = _ext_dot(sep.coeffs, f), _ext_dot(sep.coeffs, g)
+    vf, vg = _ext_dot(coeffs, f), _ext_dot(coeffs, g)
     return vg != INFINITY and vf > vg
 
 
@@ -435,73 +453,87 @@ def _scale_extended(values: list) -> tuple:
     return tuple(out)
 
 
-def _order_separator(comp: _Compiled, f: Vector, g: Vector) -> LinearSeparator | None:
+def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int:
+    """The least admissible support containing `seed`, as a bitmask.
+
+    A support F is admissible for a list of side pairs (bitmasks) when every
+    pair has both sides inside F or both sticking out.  Admissible supports
+    are closed under intersection, so a least one containing `seed` exists.
+    A pair with exactly one side inside F forces the other side into every
+    admissible support containing F, so F grows by both sides until no such
+    pair is left; the fixpoint is admissible.
+    """
+    sides = list(sides)
+    F = seed
+    grown = True
+    while grown:
+        grown = False
+        for ls, rs in sides:
+            if ((ls & ~F) == 0) != ((rs & ~F) == 0):
+                F |= ls | rs
+                grown = True
+    return F
+
+
+def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector, memo: dict) -> LinearSeparator | None:
     """Nonnegative invariant functional c with c.f > c.g, finite on a support F.
 
     F is admissible when it contains the support of g and every move has
     either both sides supported inside F or both sides sticking out; c is
     infinite off F and solves an exact feasibility problem on F.  The full
-    support comes first and gives a RATIONAL separator; then, up to
-    `_EXTENDED_SEPARATOR_MAX_DIM` coordinates, the proper supports ordered by
-    size then lexicographically give EXTENDED ones.  That problem depends only
-    on F and on the gap f - g on F, so a compiled form with a memo solves it
-    once per (F, gap).
+    support comes first and gives a RATIONAL separator.  If it gives none,
+    the least admissible support F0 decides alone, with an EXTENDED one.
+    If f sticks out of F0, c = 0 on F0 and infinite off it separates.
+    Otherwise f and g vanish off F0; every admissible F contains F0 and
+    every move inside F0 is inside F, so a separator on F restricts to one
+    on F0, and one problem on F0 answers for every support.  That problem
+    depends only on F and on the gap f - g on F, so `memo` keeps its result
+    per (F, gap).
     """
-    pres, memo = comp.pres, comp.separators
-    d = pres.dim
-    sizes = [d] + list(range(d)) if d <= _EXTENDED_SEPARATOR_MAX_DIM else [d]
-    fsupp, gsupp = _support(f), _support(g)
-    sides = list(zip(*pres._supports))
-    bits = [1 << i for i in range(d)]
-    for size in sizes:
-        for F, F_bits in zip(itertools.combinations(range(d), size),
-                             itertools.combinations(bits, size)):
-            off = ~sum(F_bits)  # the coordinates outside F
-            if gsupp & off:
-                continue
-            if any(((ls & off) == 0) != ((rs & off) == 0) for ls, rs in sides):
-                continue
-            if fsupp & off:
-                coeffs = tuple(INFINITY if off >> i & 1 else 0 for i in range(d))
-                return LinearSeparator(SeparatorKind.EXTENDED, coeffs)
-            gap = tuple(f[i] - g[i] for i in F)
-            if not any(gap):
-                continue
-            if memo is None:
-                sep = _separator_on_support(pres, F, gap)
-            else:
-                key = (F, gap)
-                if key in memo:
-                    sep = memo[key]
-                else:
-                    sep = memo[key] = _separator_on_support(pres, F, gap)
-            if sep is not None:
-                return sep
-    return None
+    full = (1 << pres.dim) - 1
+    sep = _separator_on_support(pres, full, f, g, memo)
+    if sep is not None:
+        return sep
+    F = least_admissible_support(zip(*pres._supports), _support(g))
+    if F == full:
+        return None
+    if _support(f) & ~F:
+        return LinearSeparator(SeparatorKind.EXTENDED, tuple(
+            0 if F >> i & 1 else INFINITY for i in range(pres.dim)))
+    return _separator_on_support(pres, F, f, g, memo)
 
 
-def _separator_on_support(pres: MonoidPresentation, F: tuple, gap: tuple) -> LinearSeparator | None:
-    """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1."""
+def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector,
+                          memo: dict) -> LinearSeparator | None:
+    """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1,
+    once per (F, gap) in `memo`."""
     d = pres.dim
-    off = ~sum(1 << i for i in F)
+    support = [i for i in range(d) if F >> i & 1]
+    gap = tuple([f[i] - g[i] for i in support])
+    if not any(gap):
+        return None
+    if (F, gap) in memo:
+        return memo[F, gap]
     lp = LinearProgram()
-    names = {i: lp.variable(f"c{i}") for i in F}
+    names = {i: lp.variable(f"c{i}") for i in support}
     for mv, ls, rs in zip(pres.moves, *pres._supports):
-        if not (ls | rs) & off:
+        if not (ls | rs) & ~F:
             coeffs = {}
-            for i in F:
+            for i in support:
                 v = mv.lhs[i] - mv.rhs[i]
                 if v:
                     coeffs[names[i]] = v
             if coeffs:
                 lp.constrain(coeffs, "==", 0)
-    lp.constrain({names[i]: v for i, v in zip(F, gap) if v}, ">=", 1)
+    lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
     sol = lp.solve()
-    if sol.status != OPTIMAL:
-        return None
-    values = [sol.values[names[i]] if i in names else INFINITY for i in range(d)]
-    kind = SeparatorKind.RATIONAL if len(F) == d else SeparatorKind.EXTENDED
-    return LinearSeparator(kind, _scale_extended(values))
+    sep = None
+    if sol.status == OPTIMAL:
+        values = [sol.values[names[i]] if i in names else INFINITY for i in range(d)]
+        kind = SeparatorKind.RATIONAL if len(support) == d else SeparatorKind.EXTENDED
+        sep = LinearSeparator(kind, _scale_extended(values))
+    memo[F, gap] = sep
+    return sep
 
 
 # ---------------------------------------------------------------------------
@@ -787,32 +819,16 @@ def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudge
     )
 
 
-# ---------------------------------------------------------------------------
-# compiled presentations
-
-
-class _Compiled:
-    """A presentation and, when `memoize`, the order-separator results by
-    (support, gap on it).  The presentation carries everything that depends
-    on its moves alone; the memo depends on the queries asked, so a sweep
-    builds one per call and drops it on return, and nothing of it is stored
-    on the presentation or in the module."""
-
-    __slots__ = ("pres", "separators")
-
-    def __init__(self, pres: MonoidPresentation, memoize: bool):
-        self.pres = pres
-        self.separators: dict | None = {} if memoize else None
-
-
-def _decide_leq(comp: _Compiled, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
-    """`decide_leq` on validated vectors with f not below g coordinatewise."""
-    if comp.pres._unit is not None:
-        return _leq_unit(comp.pres, comp.pres._unit, f, g)
-    sep = _order_separator(comp, f, g)
+def _decide_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
+                memo: dict) -> DecisionOutcome:
+    """`decide_leq` on validated vectors with f not below g coordinatewise;
+    `memo` is passed to `_order_separator`."""
+    if pres._unit is not None:
+        return _leq_unit(pres, pres._unit, f, g)
+    sep = _order_separator(pres, f, g, memo)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    return _bfs_leq(comp.pres, f, g, budget)
+    return _bfs_leq(pres, f, g, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +877,7 @@ def decide_leq(
             certificate=EquivCertificate(g, (), g),
             slack=vec_sub(g, f),
         )
-    return _decide_leq(_Compiled(pres, memoize=False), f, g, budget)
+    return _decide_leq(pres, f, g, budget, {})
 
 
 def kl_paradoxical(
@@ -927,12 +943,12 @@ def almost_unperforated_up_to(
             if len(span) > max_pairs:
                 break
     pairs = itertools.islice(itertools.product(span, repeat=2), max(max_pairs, 0))
-    comp = _Compiled(pres, memoize=True)
+    memo: dict = {}
     budget = budget or DEFAULT_BUDGET
     pairs_checked = unknown = 0
     for theta, eta in pairs:
         pairs_checked += 1
         # theta <= eta coordinatewise is decided without a search
         if any(t > e for t, e in zip(theta, eta)):
-            unknown += _decide_leq(comp, theta, eta, budget).is_unknown
+            unknown += _decide_leq(pres, theta, eta, budget, memo).is_unknown
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)

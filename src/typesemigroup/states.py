@@ -20,11 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ZERO_TARGET, ConsistencyError, InputError
 from .graphs import KGraphModel, presentation_from_kgraph
-from .monoid import INFINITY, Vector, as_vector
+from .monoid import (
+    INFINITY,
+    Vector,
+    _is_infinity,
+    _is_int_tuple,
+    as_vector,
+    least_admissible_support,
+)
 from .simplex import OPTIMAL, LinearProgram
 
 
@@ -63,52 +70,14 @@ def difference_lattice(model: KGraphModel) -> DifferenceLattice:
     return DifferenceLattice(generators=gens)
 
 
-def _out_closure(model: KGraphModel, seed: frozenset[int]) -> frozenset[int]:
-    closed = set(seed)
-    queue = list(seed)
-    while queue:
-        v = queue.pop()
-        for mat in model.matrices:
-            for w in range(model.dim):
-                if mat[v][w] > 0 and w not in closed:
-                    closed.add(w)
-                    queue.append(w)
-    return frozenset(closed)
-
-
-def _trapped(model: KGraphModel, F: frozenset[int]) -> frozenset[int]:
-    """Vertices outside F that, for some matrix, have no out-neighbour outside F."""
-    return frozenset(
-        v
-        for v in range(model.dim)
-        if v not in F
-        and any(not any(mat[v][w] > 0 and w not in F for w in range(model.dim)) for mat in model.matrices)
-    )
-
-
-def _least_admissible_support(model: KGraphModel, seed: frozenset[int]) -> frozenset[int]:
-    """The admissible support contained in every admissible support containing `seed`.
-
-    An admissible F is out-closed and lets every vertex outside it escape
-    through each matrix.  So F contains the out-closure of the seed, and every
-    vertex that cannot escape that closure, and the out-closure of those, and
-    so on; the fixpoint is itself admissible.
-    """
-    F = _out_closure(model, seed)
-    while True:
-        trapped = _trapped(model, F)
-        if not trapped:
-            return F
-        F = _out_closure(model, F | trapped)
-
-
-def _invariance_lp(model: KGraphModel, F: frozenset[int]) -> tuple[LinearProgram, dict[int, str]]:
+def _invariance_lp(model: KGraphModel, F: Iterable[int]) -> tuple[LinearProgram, dict[int, str]]:
+    F = sorted(F)
     lp = LinearProgram()
-    names = {v: lp.variable(f"c{v}") for v in sorted(F)}
+    names = {v: lp.variable(f"c{v}") for v in F}
     for mat in model.matrices:
-        for v in sorted(F):
+        for v in F:
             coeffs: dict[str, int] = {}
-            for w in sorted(F):
+            for w in F:
                 a = mat[v][w]
                 if a:
                     coeffs[names[w]] = coeffs.get(names[w], 0) + a
@@ -123,64 +92,79 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     """First normalized invariant extended vector at `target`, or None.
 
     "First" is over admissible finite supports ordered by size, then
-    lexicographically.  Every admissible support contains the least one, F,
-    which comes first; F is out-closed, so a solution on any admissible
-    support restricts to one on F.  One LP on F therefore decides: a
-    solution on F is the answer, and infeasibility on F is a complete
-    negative answer over all admissible supports.
+    lexicographically.  A support is admissible when it is out-closed and
+    every vertex outside it escapes it through each matrix, that is, when
+    each side pair (v, out-neighbours of v under A_i) of the induced
+    presentation lies inside it or sticks out on both sides.  Every
+    admissible support contains the least one containing the target's
+    support, F (`monoid.least_admissible_support`), which comes first; F is
+    out-closed, so a solution on any admissible support restricts to one on
+    F.  One LP on F therefore decides: a solution on F is the answer, and
+    infeasibility on F is a complete negative answer over all admissible
+    supports.
     """
     target = as_vector(target, model.dim)
-    seed = frozenset(v for v, x in enumerate(target) if x)
+    seed = sum(1 << v for v, x in enumerate(target) if x)
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")
-    F = _least_admissible_support(model, seed)
+    sides = [(1 << v, sum(1 << w for w, a in enumerate(row) if a))
+             for mat in model.matrices for v, row in enumerate(mat)]
+    mask = least_admissible_support(sides, seed)
+    F = [v for v in range(model.dim) if mask >> v & 1]
     lp, names = _invariance_lp(model, F)
-    lp.constrain({names[v]: target[v] for v in sorted(F) if target[v]}, "==", 1)
+    lp.constrain({names[v]: target[v] for v in F if target[v]}, "==", 1)
     sol = lp.solve()
     if sol.status != OPTIMAL:
         return None
-    values = tuple(sol.values[names[v]] if v in F else INFINITY for v in range(model.dim))
-    return StateCertificate(values=values, target=target, support=tuple(sorted(F)))
+    values = tuple(sol.values[names[v]] if v in names else INFINITY for v in range(model.dim))
+    return StateCertificate(values=values, target=target, support=tuple(F))
 
 
 def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool:
     """Substitution check, independent of the solver.
 
-    Verifies nonnegativity, invariance in extended arithmetic at every vertex
-    (finite = finite, infinite = infinite), and exact normalization.
+    Verifies the shape (a nonnegative int target and one value per vertex,
+    a Fraction or int exactly on the support, which lists its vertices in
+    order, and INFINITY off it), nonnegativity, invariance in extended
+    arithmetic at every vertex (finite = finite, infinite = infinite), and
+    exact normalization.  Malformed certificates are rejected, never coerced.
     """
-    vals = cert.values
-    if len(vals) != model.dim:
+    n = model.dim
+    vals, target, support = cert.values, cert.target, cert.support
+    if type(vals) is not tuple or len(vals) != n:
         return False
-    support = set(cert.support)
-    for v in range(model.dim):
-        if (vals[v] == INFINITY) == (v in support):
-            return False
+    if not _is_int_tuple(target, n) or any(t < 0 for t in target):
+        return False
+    finite = tuple(v for v in range(n) if not _is_infinity(vals[v]))
+    if not _is_int_tuple(support, len(finite)) or support != finite:
+        return False
+    if any(type(vals[v]) not in (int, Fraction) for v in support):
+        return False
     total = Fraction(0)
-    for v, t in enumerate(cert.target):
+    for v, t in enumerate(target):
         if t == 0:
             continue
         if vals[v] == INFINITY:
             return False
-        total += Fraction(vals[v]) * t
+        total += vals[v] * t
     if total != 1:
         return False
-    for v in range(model.dim):
+    for v in range(n):
         for mat in model.matrices:
             acc: Fraction | float = Fraction(0)
-            for w in range(model.dim):
+            for w in range(n):
                 a = mat[v][w]
                 if not a:
                     continue
                 if vals[w] == INFINITY:
                     acc = INFINITY
                     break
-                acc += a * Fraction(vals[w])
+                acc += a * vals[w]
             if vals[v] == INFINITY:
                 if acc != INFINITY:
                     return False
             else:
-                if Fraction(vals[v]) < 0 or acc != Fraction(vals[v]):
+                if vals[v] < 0 or acc != vals[v]:
                     return False
     return True
 
@@ -188,17 +172,16 @@ def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool
 def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
     """Strictly positive normalized invariant vector, or None.
 
-    Solves the invariant cone with total mass one, then maximizes each
-    coordinate separately; a coordinate whose maximum is zero is forced to
-    vanish on the whole cone, so full support exists iff every maximum is
-    positive, and the average of the maximizers is then a witness.
+    Builds the invariant cone with total mass one once, then maximizes each
+    coordinate over it separately; a coordinate whose maximum is zero is
+    forced to vanish on the whole cone, so full support exists iff every
+    maximum is positive, and the average of the maximizers is then a witness.
     """
     n = model.dim
-    full = frozenset(range(n))
+    lp, names = _invariance_lp(model, range(n))
+    lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
     maximizers = []
     for v in range(n):
-        lp, names = _invariance_lp(model, full)
-        lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
         sol = lp.solve(objective={names[v]: 1}, maximize=True)
         if sol.status != OPTIMAL or sol.objective == 0:
             return None
@@ -253,17 +236,21 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
 
 
 def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> bool:
-    """Check y = sum_i (I - A_i^t) z_i with y >= 0 and y != 0, by substitution."""
-    if result.holds or result.witness_y is None or result.witness_z is None:
-        return False
+    """Check y = sum_i (I - A_i^t) z_i with y >= 0 and y != 0, by substitution.
+
+    y and each of the k vectors z_i must be tuples of `model.dim` ints.
+    """
     n = model.dim
-    y = result.witness_y
+    y, z = result.witness_y, result.witness_z
+    if result.holds or not _is_int_tuple(y, n):
+        return False
+    if type(z) is not tuple or len(z) != model.k or not all(_is_int_tuple(zi, n) for zi in z):
+        return False
     if any(v < 0 for v in y) or not any(y):
         return False
     for v in range(n):
         acc = 0
-        for i, mat in enumerate(model.matrices):
-            zi = result.witness_z[i]
+        for zi, mat in zip(z, model.matrices):
             acc += zi[v] - sum(mat[w][v] * zi[w] for w in range(n))
         if acc != y[v]:
             return False

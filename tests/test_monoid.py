@@ -1,4 +1,3 @@
-import gc
 import itertools
 import random
 from fractions import Fraction
@@ -14,7 +13,6 @@ from typesemigroup.monoid import (
     _bfs_equiv,
     _bfs_leq,
     _compiled_moves,
-    _Compiled,
     _decide_leq,
     _difference_rows,
     _flip,
@@ -23,6 +21,7 @@ from typesemigroup.monoid import (
     _unit_path,
     _unit_structure,
     _UnitStructure,
+    least_admissible_support,
 )
 
 
@@ -480,8 +479,6 @@ def _reference_rational_separator(p, f, g):
 
 def _reference_extended_separator(p, f, g):
     d = p.dim
-    if d > 12:
-        return None
     supports = [(frozenset(i for i, x in enumerate(mv.lhs) if x),
                  frozenset(i for i, x in enumerate(mv.rhs) if x))
                 for mv in p.moves]
@@ -626,7 +623,7 @@ class TestOnePathMatchesReference:
                 for _ in range(6):
                     f = tuple(rng.randint(0, 2) for _ in range(dim))
                     g = tuple(rng.randint(0, 2) for _ in range(dim))
-                    sep = _order_separator(_Compiled(p, memoize=False), f, g)
+                    sep = _order_separator(p, f, g, {})
                     assert sep == _reference_order_separator(p, f, g)
                     equiv = _bfs_equiv(p, f, g, budget)
                     assert equiv == _reference_bfs_equiv(p, f, g, budget)
@@ -645,7 +642,9 @@ class TestOnePathMatchesReference:
         assert seen >= {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED,
                         ts.Verdict.EQUIV, ts.Verdict.UNKNOWN}
 
-    def test_thirteen_dimensions_solve_only_the_full_support(self, monkeypatch):
+    def test_thirteen_dimensions_try_the_least_admissible_support(self, monkeypatch):
+        # the least admissible support is tried at every dimension, with at
+        # most one LP beyond the full support
         rng = random.Random(61)
         solved = []
         real_solve = simplex.LinearProgram.solve
@@ -662,12 +661,110 @@ class TestOnePathMatchesReference:
             expected = _reference_order_separator(p, f, g)
             monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
             solved.clear()
-            sep = _order_separator(_Compiled(p, memoize=False), f, g)
+            sep = _order_separator(p, f, g, {})
             monkeypatch.setattr(simplex.LinearProgram, "solve", real_solve)
             assert sep == expected
-            assert len(solved) <= 1
+            assert len(solved) <= 2
             kinds.add(None if sep is None else sep.kind)
-        assert kinds == {ts.SeparatorKind.RATIONAL, None}
+        assert kinds == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED, None}
+
+
+def _random_order_presentations(rng, dim):
+    """Arbitrary, zero-sided and k-graph presentations that are not unit-move."""
+    out = [_non_unit_presentation(rng, dim, rng.randint(1, 5)) for _ in range(2)]
+    zero = (0,) * dim
+    base = _non_unit_presentation(rng, dim, rng.randint(1, 3))
+    extra = [(zero, tuple(rng.randint(0, 1) for _ in range(dim))),
+             (tuple(rng.randint(0, 2) for _ in range(dim)), zero)]
+    out.append(pres(dim, list(base.moves) + rng.sample(extra, rng.randint(1, 2))))
+    while True:
+        matrix = [[rng.choice((0, 0, 0, 1, 2)) for _ in range(dim)] for _ in range(dim)]
+        for row in matrix:
+            if not any(row):
+                row[rng.randrange(dim)] = 1
+        p = _kgraph_presentation(matrix)
+        if p._unit is None:
+            out.append(p)
+            return out
+
+
+class TestLeastAdmissibleSupport:
+    def test_is_the_intersection_of_all_admissible_supports(self):
+        rng = random.Random(73)
+        proper = grown = 0
+        for _ in range(400):
+            d = rng.randint(1, 6)
+            full = (1 << d) - 1
+            sides = [tuple(rng.randint(0, full) if rng.random() < 0.8 else 0 for _ in range(2))
+                     for _ in range(rng.randint(0, 6))]
+            seed = rng.randint(0, full) if rng.random() < 0.9 else 0
+            expected = full
+            for F in range(full + 1):
+                if F & seed == seed and all(
+                        ((ls & ~F) == 0) == ((rs & ~F) == 0) for ls, rs in sides):
+                    expected &= F
+            got = least_admissible_support(iter(sides), seed)
+            assert got == expected
+            proper += got != full
+            grown += got != seed
+        assert proper > 50 and grown > 50
+
+    def test_order_separator_matches_reference_up_to_nine_dimensions(self):
+        # the reference tries every admissible support in (size, lex) order;
+        # the least one decides alone, with the same separator
+        rng = random.Random(79)
+        kinds = set()
+        for dim in range(1, 10):
+            for p in _random_order_presentations(rng, dim):
+                memo = {}
+                for _ in range(5):
+                    f = tuple(rng.randint(0, 2) for _ in range(dim))
+                    g = tuple(rng.randint(0, 2) for _ in range(dim))
+                    expected = _reference_order_separator(p, f, g)
+                    assert _order_separator(p, f, g, {}) == expected
+                    assert _order_separator(p, f, g, memo) == expected
+                    kinds.add(None if expected is None else expected.kind)
+        assert kinds == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED, None}
+
+
+class TestVerifySeparatorRejectsMalformed:
+    # the presentation of the triangular graph [[1, 1], [0, 1]]
+    TRIANGULAR = pres(2, [((1, 0), (1, 1)), ((0, 1), (0, 1))])
+
+    def test_genuine_separators_pass(self):
+        p = self.TRIANGULAR
+        assert ts.verify_separator(p, ts.LinearSeparator(ts.SeparatorKind.RATIONAL, (1, 0)),
+                                   (2, 0), (1, 0), order=True)
+        assert ts.verify_separator(p, ts.LinearSeparator(ts.SeparatorKind.MODULAR, (1, 0), 2),
+                                   (1, 0), (2, 0))
+        assert ts.verify_separator(p, ts.LinearSeparator(ts.SeparatorKind.EXTENDED, (INFINITY, 1)),
+                                   (0, 2), (0, 1), order=True)
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 5), (1,), (True, False), (1.0, 0.0), ("1", 0)])
+    def test_rational_coefficients(self, coeffs):
+        sep = ts.LinearSeparator(ts.SeparatorKind.RATIONAL, coeffs)
+        assert not ts.verify_separator(self.TRIANGULAR, sep, (2, 0), (1, 0), order=True)
+
+    @pytest.mark.parametrize("coeffs, modulus", [
+        ((1, 0, 5), 2), ((1,), 2), ((True, False), 2), ((1.0, 0.0), 2), (("1", 0), 2),
+        ((1, 0), "2"), ((1, 0), 2.0), ((1, 0), True), ((1, 0), None)])
+    def test_modular_coefficients_and_modulus(self, coeffs, modulus):
+        sep = ts.LinearSeparator(ts.SeparatorKind.MODULAR, coeffs, modulus)
+        assert not ts.verify_separator(self.TRIANGULAR, sep, (1, 0), (2, 0))
+
+    @pytest.mark.parametrize("coeffs", [
+        (INFINITY, 1, 5), (INFINITY,), (INFINITY, True), (INFINITY, 1.0), (INFINITY, "1"),
+        ("inf", 1)])
+    def test_extended_coefficients(self, coeffs):
+        sep = ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+        assert not ts.verify_separator(self.TRIANGULAR, sep, (0, 2), (0, 1), order=True)
+
+    def test_infinity_only_in_extended_separators(self):
+        p = self.TRIANGULAR
+        sep = ts.LinearSeparator(ts.SeparatorKind.RATIONAL, (INFINITY, 1))
+        assert not ts.verify_separator(p, sep, (0, 2), (0, 1), order=True)
+        sep = ts.LinearSeparator(ts.SeparatorKind.RATIONAL, (1, 0), modulus=2)
+        assert not ts.verify_separator(p, sep, (2, 0), (1, 0), order=True)
 
 
 class TestInternalFailures:
@@ -721,7 +818,7 @@ class TestCompiledSweep:
         seen = set()
         for dim in range(1, 6):
             for p in _sweep_presentations(rng, dim):
-                comp = _Compiled(p, memoize=True)
+                memo = {}
                 assert (p._unit is None) is (p._supports is not None)
                 _, pairs = _sweep_pairs(p, 3 if dim <= 2 else 1, 400)
                 for theta, eta in pairs:
@@ -729,11 +826,11 @@ class TestCompiledSweep:
                     if all(t <= e for t, e in zip(theta, eta)):
                         assert expected.is_equiv and not expected.certificate.steps
                         continue
-                    assert _decide_leq(comp, theta, eta, budget) == expected
+                    assert _decide_leq(p, theta, eta, budget, memo) == expected
                     seen.add(expected.separator.kind if expected.is_not_equiv
                              else expected.verdict)
                 if p._unit is None:
-                    assert comp.separators
+                    assert memo
         assert seen >= {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED,
                         ts.Verdict.EQUIV, ts.Verdict.UNKNOWN}
 
@@ -742,13 +839,13 @@ class TestCompiledSweep:
         # on different points; the invariants kill both coordinates on the
         # full support
         p = pres(2, [((1, 1), (2, 1)), ((1, 1), (1, 2))])
-        comp = _Compiled(p, memoize=True)
+        memo = {}
         for f, g, coeffs in (((2, 0), (1, 0), (1, INFINITY)),
                              ((0, 2), (0, 1), (INFINITY, 1))):
-            out = _decide_leq(comp, f, g, ts.DEFAULT_BUDGET)
+            out = _decide_leq(p, f, g, ts.DEFAULT_BUDGET, memo)
             assert out == ts.decide_leq(p, f, g)
             assert out.separator == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
-        assert len(comp.separators) == 4  # full support and one point, per query
+        assert len(memo) == 4  # full support and one point, per query
 
     def test_sweep_matches_per_pair_loop(self):
         rng = random.Random(71)
@@ -783,16 +880,16 @@ class TestCompiledSweep:
         for theta, eta in pairs:
             ts.decide_leq(p, theta, eta)
         per_query = len(solved)
-        comp = _Compiled(p, memoize=True)
+        memo = {}
         for theta, eta in pairs:
             if any(t > e for t, e in zip(theta, eta)):
-                _decide_leq(comp, theta, eta, ts.DEFAULT_BUDGET)
+                _decide_leq(p, theta, eta, ts.DEFAULT_BUDGET, memo)
         solved.clear()
         sweep = ts.almost_unperforated_up_to(p, gens, 4, 4)
         assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
         # one LP per distinct (support, gap) key; without the memo, 406
         assert per_query == 406
-        assert len(solved) == len(comp.separators) <= per_query // 5
+        assert len(solved) == len(memo) <= per_query // 5
 
     def test_no_state_outlives_the_sweep(self):
         p = _kgraph_presentation([[1, 1], [0, 1]])
@@ -805,5 +902,4 @@ class TestCompiledSweep:
         assert p.__dict__ == attrs and hash(p) == digest == hash(twin) and p == twin
         assert {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
                 for k, v in vars(monoid).items()} == module_state
-        assert not [o for o in gc.get_objects() if type(o) is _Compiled]
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first

@@ -7,9 +7,9 @@ import pytest
 
 import typesemigroup as ts
 import typesemigroup.states as states_module
-from typesemigroup.monoid import INFINITY
+from typesemigroup.monoid import INFINITY, least_admissible_support
 from typesemigroup.simplex import OPTIMAL, LinearProgram
-from typesemigroup.states import _invariance_lp, _out_closure
+from typesemigroup.states import _invariance_lp
 
 
 def random_model(rng, max_vertices=6, max_entry=3, max_k=2):
@@ -43,6 +43,40 @@ def sparse_model(rng, max_vertices=6):
     if rng.random() < 0.3:
         mats.append([[a[i][j] + int(i == j) for j in range(n)] for i in range(n)])
     return ts.validate_kgraph([f"v{i}" for i in range(n)], mats)
+
+
+def _out_closure(model, seed):
+    closed = set(seed)
+    queue = list(seed)
+    while queue:
+        v = queue.pop()
+        for mat in model.matrices:
+            for w in range(model.dim):
+                if mat[v][w] > 0 and w not in closed:
+                    closed.add(w)
+                    queue.append(w)
+    return frozenset(closed)
+
+
+def _trapped(model, F):
+    """Vertices outside F that, for some matrix, have no out-neighbour outside F."""
+    return frozenset(
+        v
+        for v in range(model.dim)
+        if v not in F
+        and any(not any(mat[v][w] > 0 and w not in F for w in range(model.dim)) for mat in model.matrices)
+    )
+
+
+def _reference_least_support(model, seed):
+    """The frozenset fixpoint as first written: out-closure, then every
+    vertex that cannot escape it, until none is left."""
+    F = _out_closure(model, seed)
+    while True:
+        trapped = _trapped(model, F)
+        if not trapped:
+            return F
+        F = _out_closure(model, F | trapped)
 
 
 def _is_out_closed(model, F):
@@ -218,6 +252,56 @@ class TestSolveStateAt:
                 beyond_closure += len(got.support) > len(_out_closure(model, seed))
         assert checked > 400 and 0 < none < checked and beyond_closure > 10
 
+    def test_least_support_matches_frozenset_fixpoint(self):
+        rng = random.Random(83)
+        models = [random_model(rng) for _ in range(40)] + [sparse_model(rng) for _ in range(80)]
+        checked = beyond_closure = 0
+        for model in models:
+            n = model.dim
+            sides = [(1 << v, sum(1 << w for w in range(n) if mat[v][w]))
+                     for mat in model.matrices for v in range(n)]
+            seeds = [frozenset([v]) for v in range(n)]
+            seeds += [frozenset(v for v in range(n) if rng.random() < 0.4) for _ in range(3)]
+            for seed in seeds:
+                if not seed:
+                    continue
+                mask = least_admissible_support(sides, sum(1 << v for v in seed))
+                expected = _reference_least_support(model, seed)
+                assert frozenset(v for v in range(n) if mask >> v & 1) == expected
+                checked += 1
+                beyond_closure += expected != _out_closure(model, seed)
+        assert checked > 500 and beyond_closure > 20
+
+
+class TestStateCertificateRejectsMalformed:
+    def test_genuine_certificate_passes(self, one_loop):
+        cert = ts.StateCertificate(values=(Fraction(1),), target=(1,), support=(0,))
+        assert ts.verify_state_certificate(one_loop, cert)
+        assert ts.verify_state_certificate(one_loop, dataclasses.replace(cert, values=(1,)))
+
+    @pytest.mark.parametrize("values", [("1",), (1.0,), (True,), (INFINITY,), (Fraction(1), 0)])
+    def test_values(self, one_loop, values):
+        cert = ts.StateCertificate(values=values, target=(1,), support=(0,))
+        assert not ts.verify_state_certificate(one_loop, cert)
+
+    @pytest.mark.parametrize("support", [(0, 7), (7,), (0, 0), (0.0,), (True,), ()])
+    def test_support(self, one_loop, support):
+        cert = ts.StateCertificate(values=(Fraction(1),), target=(1,), support=support)
+        assert not ts.verify_state_certificate(one_loop, cert)
+
+    @pytest.mark.parametrize("target", [(1, 0), (), (1.0,), (True,), ("1",), (-1,)])
+    def test_target(self, one_loop, target):
+        cert = ts.StateCertificate(values=(Fraction(1),), target=target, support=(0,))
+        assert not ts.verify_state_certificate(one_loop, cert)
+
+    def test_infinity_only_off_the_support(self, triangular):
+        cert = ts.solve_state_at(triangular, (0, 1))
+        assert cert.values == (INFINITY, 1) and ts.verify_state_certificate(triangular, cert)
+        assert not ts.verify_state_certificate(
+            triangular, dataclasses.replace(cert, values=(float("nan"), Fraction(1))))
+        assert not ts.verify_state_certificate(
+            triangular, dataclasses.replace(cert, support=(0, 1)))
+
 
 class TestFaithfulFiniteState:
     def test_identity_loop(self, one_loop):
@@ -245,6 +329,32 @@ class TestFaithfulFiniteState:
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
         with pytest.raises(ts.ConsistencyError):
             ts.faithful_finite_state(m)
+
+    def test_builds_one_lp_and_matches_per_vertex_rebuild(self, monkeypatch):
+        def reference(model):
+            n = model.dim
+            maximizers = []
+            for v in range(n):
+                lp, names = _invariance_lp(model, frozenset(range(n)))
+                lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
+                sol = lp.solve(objective={names[v]: 1}, maximize=True)
+                if sol.status != OPTIMAL or sol.objective == 0:
+                    return None
+                maximizers.append([sol.values[names[w]] for w in range(n)])
+            return tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
+
+        built = []
+        real = states_module._invariance_lp
+        monkeypatch.setattr(states_module, "_invariance_lp",
+                            lambda *args: built.append(1) or real(*args))
+        rng = random.Random(89)
+        found = 0
+        for model in [random_model(rng, max_vertices=5) for _ in range(40)]:
+            built.clear()
+            got = ts.faithful_finite_state(model)
+            assert got == reference(model) and len(built) == 1
+            found += got is not None
+        assert 0 < found < 40
 
 
 class TestCoboundary:
@@ -281,6 +391,14 @@ class TestCoboundary:
                 witness_z=tuple(tuple(7 * z for z in zi) for zi in res.witness_z),
             )
             assert ts.verify_coboundary_witness(model, scaled)
+
+
+    @pytest.mark.parametrize("y, z", [
+        ((1.0,), ((-1,),)), ((1,), ((-1.0,),)), ((True,), ((-1,),)), ((1,), ()),
+        ((1,), ((-1,), (0,))), ((1,), ((),)), ((1, 0), ((-1,),)), (None, ((-1,),)),
+        ((1,), None), (("1",), ((-1,),))])
+    def test_malformed_witness_rejected(self, two_loops, y, z):
+        assert not ts.verify_coboundary_witness(two_loops, ts.CoboundaryResult(False, y, z))
 
 
 class TestStiemke:
