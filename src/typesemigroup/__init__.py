@@ -56,7 +56,6 @@ from .graphs import (
     structural_checks,
     theta,
     validate_kgraph,
-    vertex_delta,
     vertex_word,
 )
 from .monoid import (
@@ -72,7 +71,6 @@ from .monoid import (
     RewriteStep,
     SearchBudget,
     SeparatorKind,
-    UnperforationCounterexample,
     UnperforationSweep,
     Verdict,
     almost_unperforated_up_to,

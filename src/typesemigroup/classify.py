@@ -30,7 +30,6 @@ from .graphs import (
     KGraphModel,
     StructuralReport,
     kgraph_skeleton,
-    presentation_from_kgraph,
     structural_checks,
 )
 from .monoid import (
@@ -122,7 +121,7 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
 
     if not proxies_ok:
         if state is None:
-            paradoxes = _paradox_sweep(model, presentation_from_kgraph(model), budgets.search)
+            paradoxes = _paradox_sweep(model, model._presentation, budgets.search)
         verdict = HYPOTHESES_NOT_MET
         if state is not None:
             notes.append(
@@ -136,7 +135,7 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
             "algebra is quasidiagonal as well"
         )
     else:
-        pres = presentation_from_kgraph(model)
+        pres = model._presentation
         paradoxes = _paradox_sweep(model, pres, budgets.search)
         if all(outcome.is_equiv for (_, outcome) in paradoxes):
             verdict = PURELY_INFINITE

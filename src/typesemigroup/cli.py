@@ -141,23 +141,12 @@ def _coboundary_dict(res: CoboundaryResult) -> dict:
 
 
 def _sweep_dict(sweep: UnperforationSweep) -> dict:
-    out: dict[str, Any] = {
+    return {
         "counterexample": None,
         "pairs_checked": sweep.pairs_checked,
         "unknown_pairs": sweep.unknown_pairs,
         "truncated": sweep.truncated,
     }
-    if sweep.counterexample is not None:
-        ce = sweep.counterexample
-        out["counterexample"] = {
-            "theta": list(ce.theta),
-            "eta": list(ce.eta),
-            "n": ce.n,
-            "m": ce.m,
-            "scaled_leq": _outcome_dict(ce.scaled_leq),
-            "order_separator": _separator_dict(ce.order_separator),
-        }
-    return out
 
 
 def _report_dict(report: ClassificationReport) -> dict:

@@ -8,7 +8,9 @@ matrices; rows must be nonzero (no sources).
 
 The vertex-count transfer operator is theta(n, f) = (A^n)^t f.  The
 presentation of the associated commutative monoid has one move per vertex
-and matrix, identifying the vertex basis vector with its transfer image.
+and matrix, identifying the vertex basis vector with its transfer image.  A
+k-graph model carries its presentation: it is derived once, when the model
+is constructed, and every decider, state solver and verifier reads it.
 Cylinder calculus on path space is provided for ordinary graphs: depth
 normalization splits a cylinder along all one-edge extensions, and the class
 map sends a union of same-depth cylinders to the sum of the source vertex
@@ -17,7 +19,7 @@ basis vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -111,9 +113,20 @@ def graph_adjacency(graph: DirectedGraph) -> Matrix:
 
 @dataclass(frozen=True)
 class KGraphModel:
+    """k commuting adjacency matrices on named vertices.
+
+    `__post_init__` derives the monoid presentation once; like
+    `MonoidPresentation._unit` it is a private field outside `==`, `hash`
+    and `repr`, and `presentation_from_kgraph` returns it.
+    """
+
     k: int
     vertices: tuple[str, ...]
     matrices: tuple[Matrix, ...]
+    _presentation: MonoidPresentation = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_presentation", _kgraph_presentation(self))
 
     @property
     def dim(self) -> int:
@@ -217,7 +230,7 @@ def theta(model: KGraphModel, n: Sequence[int], f: Sequence[int]) -> Vector:
     )
 
 
-def presentation_from_kgraph(model: KGraphModel) -> MonoidPresentation:
+def _kgraph_presentation(model: KGraphModel) -> MonoidPresentation:
     """One move per (vertex, matrix): the vertex class equals its transfer image."""
     moves = []
     for vi in range(model.dim):
@@ -227,11 +240,9 @@ def presentation_from_kgraph(model: KGraphModel) -> MonoidPresentation:
     return build_presentation(model.dim, moves)
 
 
-def vertex_delta(model: KGraphModel, vertex: str) -> Vector:
-    idx = model.vertices.index(vertex) if vertex in model.vertices else -1
-    if idx < 0:
-        raise InputError(BAD_REFERENCE, f"unknown vertex {vertex!r}", vertex=vertex)
-    return unit_vector(model.dim, idx)
+def presentation_from_kgraph(model: KGraphModel) -> MonoidPresentation:
+    """The model's presentation, derived when the model was constructed."""
+    return model._presentation
 
 
 def relabel_kgraph(model: KGraphModel, perm: Sequence[int]) -> KGraphModel:

@@ -22,14 +22,21 @@ breadth-first search.  Both searches grow their levels with the same
 `_SearchTree.expand`.
 
 What depends on the moves alone is derived once, when the presentation is
-constructed: the unit-move structure, or else the move-side supports.  Both
-are private fields of the frozen `MonoidPresentation`, outside equality,
-hashing and repr; every query reads them and still validates its own
-vectors.  The order decider also takes a memo of order-separator results
-keyed by (support, gap on it), which is all the separator LP depends on:
-`decide_leq` passes a fresh one, so its result never depends on earlier
-calls, and `almost_unperforated_up_to`, which asks thousands of order
-questions of one presentation, passes one that lives only for that call.
+constructed: the unit-move structure (if every move is unit) and the
+move-side supports.  Both are private fields of the frozen
+`MonoidPresentation`, outside equality, hashing and repr; every query reads
+them and still validates its own vectors.  The order decider also takes a
+memo of order-separator results keyed by (support, gap on it), which is all
+the separator LP depends on: `decide_leq` passes a fresh one, so its result
+never depends on earlier calls, and `almost_unperforated_up_to`, which asks
+thousands of order questions of one presentation, passes one that lives
+only for that call.
+
+An order separator and a state (`states.solve_state_at`) are the same kind
+of object: an additive map into [0, oo] that every move leaves invariant,
+finite exactly on an admissible support.  One builder, `_cone_lp`, sets up
+the invariant cone on a support for both, and one check, `_ext_invariant`,
+verifies invariance for both in extended arithmetic.
 
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
@@ -105,22 +112,21 @@ class MonoidPresentation:
 
     `__post_init__` derives what the deciders need of the moves alone, once:
     the unit-move structure (None unless every move is a basis vector on
-    both sides), and otherwise the supports of the move sides as bitmasks,
-    one tuple for the left sides and one for the right.  Both fields stay
-    out of `==`, `hash` and `repr`, and equal presentations derive equal
-    forms, so no verdict can depend on how a presentation was built.
+    both sides) and the supports of the move sides as bitmasks, one tuple
+    for the left sides and one for the right.  Both fields stay out of
+    `==`, `hash` and `repr`, and equal presentations derive equal forms, so
+    no verdict can depend on how a presentation was built.
     """
 
     dim: int
     moves: tuple[Move, ...]
     _unit: _UnitStructure | None = field(init=False, repr=False, compare=False)
-    _supports: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+    _supports: tuple[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        unit = _unit_structure(self)
-        object.__setattr__(self, "_unit", unit)
-        object.__setattr__(self, "_supports", None if unit is not None else _move_supports(self))
+        object.__setattr__(self, "_unit", _unit_structure(self))
+        object.__setattr__(self, "_supports", _move_supports(self))
 
 
 @dataclass(frozen=True)
@@ -189,18 +195,8 @@ class DecisionOutcome:
 
 
 @dataclass(frozen=True)
-class UnperforationCounterexample:
-    theta: Vector
-    eta: Vector
-    n: int
-    m: int
-    scaled_leq: DecisionOutcome
-    order_separator: LinearSeparator
-
-
-@dataclass(frozen=True)
 class UnperforationSweep:
-    counterexample: UnperforationCounterexample | None
+    counterexample: None  # see `almost_unperforated_up_to`
     pairs_checked: int
     unknown_pairs: int
     truncated: bool
@@ -236,7 +232,7 @@ def _move_supports(pres: MonoidPresentation) -> tuple[tuple[int, ...], tuple[int
     """`_support` of every left side and of every right side.
 
     One pass over the moves, written out, because it runs at every
-    construction of a presentation that is not unit-move.
+    construction of a presentation.
     """
     lhs, rhs = [], []
     for mv in pres.moves:
@@ -274,7 +270,9 @@ def build_presentation(dim: int, moves: Iterable) -> MonoidPresentation:
 def replay(pres: MonoidPresentation, start: Sequence[int], cert: EquivCertificate) -> Vector:
     """Apply a certificate step by step; pure, independent of any search.
 
-    Raises STEP_NOT_APPLICABLE at the first step whose required side does not
+    Raises CERTIFICATE_MISMATCH unless the steps are a tuple of
+    `RewriteStep`s, each with an int move index in range and a `Direction`,
+    and STEP_NOT_APPLICABLE at the first step whose required side does not
     embed into the current vector.
     """
     start_v = as_vector(start, pres.dim)
@@ -283,8 +281,13 @@ def replay(pres: MonoidPresentation, start: Sequence[int], cert: EquivCertificat
             CERTIFICATE_MISMATCH,
             "certificate start does not match the given start vector",
         )
+    if type(cert.steps) is not tuple:
+        raise InputError(CERTIFICATE_MISMATCH, "certificate steps must be a tuple")
     x = start_v
     for i, step in enumerate(cert.steps):
+        if (type(step) is not RewriteStep or type(step.move_index) is not int
+                or type(step.direction) is not Direction):
+            raise InputError(CERTIFICATE_MISMATCH, f"step {i} is malformed", index=i)
         if not 0 <= step.move_index < len(pres.moves):
             raise InputError(CERTIFICATE_MISMATCH, f"step {i} references unknown move", index=i)
         mv = pres.moves[step.move_index]
@@ -299,6 +302,8 @@ def replay(pres: MonoidPresentation, start: Sequence[int], cert: EquivCertificat
 
 
 def verify_certificate(pres: MonoidPresentation, cert: EquivCertificate) -> bool:
+    if not _is_int_tuple(cert.end, pres.dim):
+        return False
     try:
         return replay(pres, cert.start, cert) == cert.end
     except InputError:
@@ -314,6 +319,11 @@ def _ext_dot(coeffs, vec):
             return INFINITY
         total += c * v
     return total
+
+
+def _ext_invariant(pres: MonoidPresentation, coeffs) -> bool:
+    """Every move takes the same value on both sides, in [0, oo] arithmetic."""
+    return all(_ext_dot(coeffs, mv.lhs) == _ext_dot(coeffs, mv.rhs) for mv in pres.moves)
 
 
 def _is_infinity(x) -> bool:
@@ -372,9 +382,8 @@ def verify_separator(
     for c in coeffs:
         if not (_is_infinity(c) or (type(c) is int and c >= 0)):
             return False
-    for mv in pres.moves:
-        if _ext_dot(coeffs, mv.lhs) != _ext_dot(coeffs, mv.rhs):
-            return False
+    if not _ext_invariant(pres, coeffs):
+        return False
     vf, vg = _ext_dot(coeffs, f), _ext_dot(coeffs, g)
     return vg != INFINITY and vf > vg
 
@@ -382,12 +391,18 @@ def verify_separator(
 def verify_leq_outcome(
     pres: MonoidPresentation, f: Sequence[int], g: Sequence[int], outcome: DecisionOutcome
 ) -> bool:
-    """Replay a LEQ certificate: chain from g to some g' >= f with the stated slack."""
+    """Replay a LEQ certificate: chain from g to some g' >= f with the stated slack.
+
+    The certificate's start and end and the slack must be tuples of
+    `pres.dim` ints; anything else is rejected, never coerced.
+    """
     if not outcome.is_equiv or outcome.certificate is None or outcome.slack is None:
         return False
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
     cert = outcome.certificate
+    if not all(_is_int_tuple(v, pres.dim) for v in (cert.start, cert.end, outcome.slack)):
+        return False
     if cert.start != g:
         return False
     try:
@@ -503,6 +518,25 @@ def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector, memo: dict)
     return _separator_on_support(pres, F, f, g, memo)
 
 
+def _cone_lp(pres: MonoidPresentation, F: int) -> tuple[LinearProgram, dict[int, str]]:
+    """The cone of c >= 0 on the support F that the moves inside F leave
+    invariant: one variable per vertex of F, in ascending order, and one row
+    lhs - rhs == 0 per move with both sides inside F (zero rows dropped).
+
+    The only builder of invariance LPs: order separators add c.gap >= 1,
+    states a normalization at the target, invariant vectors positivity.
+    """
+    support = [i for i in range(pres.dim) if F >> i & 1]
+    lp = LinearProgram()
+    names = {i: lp.variable(f"c{i}") for i in support}
+    for mv, ls, rs in zip(pres.moves, *pres._supports):
+        if not (ls | rs) & ~F:
+            coeffs = {names[i]: mv.lhs[i] - mv.rhs[i] for i in support if mv.lhs[i] != mv.rhs[i]}
+            if coeffs:
+                lp.constrain(coeffs, "==", 0)
+    return lp, names
+
+
 def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector,
                           memo: dict) -> LinearSeparator | None:
     """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1,
@@ -514,17 +548,7 @@ def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector
         return None
     if (F, gap) in memo:
         return memo[F, gap]
-    lp = LinearProgram()
-    names = {i: lp.variable(f"c{i}") for i in support}
-    for mv, ls, rs in zip(pres.moves, *pres._supports):
-        if not (ls | rs) & ~F:
-            coeffs = {}
-            for i in support:
-                v = mv.lhs[i] - mv.rhs[i]
-                if v:
-                    coeffs[names[i]] = v
-            if coeffs:
-                lp.constrain(coeffs, "==", 0)
+    lp, names = _cone_lp(pres, F)
     lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
     sol = lp.solve()
     sep = None
@@ -893,7 +917,7 @@ def kl_paradoxical(
     :func:`decide_leq` on the scalar multiples; theta = 0 is trivially
     paradoxical and short-circuits before any search.
     """
-    if not (isinstance(k, int) and isinstance(l, int) and k > l >= 1):
+    if not (type(k) is int and type(l) is int and k > l >= 1):  # also rejects bool
         raise InputError(INVALID_PAIR, f"need integers k > l >= 1, got k={k}, l={l}", k=k, l=l)
     theta = as_vector(theta, pres.dim)
     return decide_leq(pres, vec_scale(k, theta), vec_scale(l, theta), budget)

@@ -1,11 +1,14 @@
 """Exact solvers for normalized states, invariant vectors, and coboundaries.
 
-A state certificate assigns each vertex a value in [0, oo]: finite values
-form an exact-rational vector c with A_i c = c on the finite support, every
-vertex outside the support escapes to infinity through each matrix, and the
-normalization c . target = 1 holds exactly.  Fixing the finite support
-first replaces extended arithmetic inside the linear program, which stays
-purely rational.
+A state on the type semigroup is an additive map into [0, oo] that respects
+the defining relations, normalized at a target class: an extended invariant
+functional, the same kind of object as an EXTENDED order separator, with
+c . target = 1 in place of c(f) > c(g).  So the same code solves and checks
+both, on the presentation the k-graph model carries: the least admissible
+support F containing the target (`monoid.least_admissible_support`), the
+invariant cone on F (`monoid._cone_lp`), with values infinite off F, and the
+move check in extended arithmetic (`monoid._ext_invariant`).  Fixing the
+finite support first keeps the linear program purely rational.
 
 The coboundary check decides whether the integer lattice spanned by the
 columns of the operators (I - A_i^t) meets the positive cone nontrivially;
@@ -20,15 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ZERO_TARGET, ConsistencyError, InputError
-from .graphs import KGraphModel, presentation_from_kgraph
+from .graphs import KGraphModel
 from .monoid import (
     INFINITY,
     Vector,
+    _cone_lp,
+    _ext_dot,
+    _ext_invariant,
     _is_infinity,
     _is_int_tuple,
+    _support,
     as_vector,
     least_admissible_support,
 )
@@ -63,61 +70,40 @@ class DifferenceLattice:
 
 def difference_lattice(model: KGraphModel) -> DifferenceLattice:
     """Move differences lhs - rhs of the induced presentation."""
-    pres = presentation_from_kgraph(model)
     gens = tuple(
-        tuple(l - r for l, r in zip(mv.lhs, mv.rhs)) for mv in pres.moves
+        tuple(l - r for l, r in zip(mv.lhs, mv.rhs)) for mv in model._presentation.moves
     )
     return DifferenceLattice(generators=gens)
-
-
-def _invariance_lp(model: KGraphModel, F: Iterable[int]) -> tuple[LinearProgram, dict[int, str]]:
-    F = sorted(F)
-    lp = LinearProgram()
-    names = {v: lp.variable(f"c{v}") for v in F}
-    for mat in model.matrices:
-        for v in F:
-            coeffs: dict[str, int] = {}
-            for w in F:
-                a = mat[v][w]
-                if a:
-                    coeffs[names[w]] = coeffs.get(names[w], 0) + a
-            coeffs[names[v]] = coeffs.get(names[v], 0) - 1
-            coeffs = {k: c for k, c in coeffs.items() if c}
-            if coeffs:
-                lp.constrain(coeffs, "==", 0)
-    return lp, names
 
 
 def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificate | None:
     """First normalized invariant extended vector at `target`, or None.
 
-    "First" is over admissible finite supports ordered by size, then
-    lexicographically.  A support is admissible when it is out-closed and
-    every vertex outside it escapes it through each matrix, that is, when
-    each side pair (v, out-neighbours of v under A_i) of the induced
-    presentation lies inside it or sticks out on both sides.  Every
-    admissible support contains the least one containing the target's
-    support, F (`monoid.least_admissible_support`), which comes first; F is
-    out-closed, so a solution on any admissible support restricts to one on
-    F.  One LP on F therefore decides: a solution on F is the answer, and
-    infeasibility on F is a complete negative answer over all admissible
-    supports.
+    A state is an extended invariant functional normalized at the target,
+    solved as the order separators are.  "First" is over admissible finite
+    supports ordered by size, then lexicographically.  A support is
+    admissible when every move of the model's presentation has both sides
+    inside it or both sticking out: it is out-closed, and every vertex
+    outside it escapes it through each matrix.  Every admissible support
+    contains the least one containing the target's support, F
+    (`monoid.least_admissible_support`), which comes first; F is out-closed,
+    so a solution on any admissible support restricts to one on F.  One LP,
+    the invariant cone on F (`monoid._cone_lp`) with c . target = 1,
+    therefore decides: a solution on F is the answer, and infeasibility on F
+    is a complete negative answer over all admissible supports.
     """
     target = as_vector(target, model.dim)
-    seed = sum(1 << v for v, x in enumerate(target) if x)
+    seed = _support(target)
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")
-    sides = [(1 << v, sum(1 << w for w, a in enumerate(row) if a))
-             for mat in model.matrices for v, row in enumerate(mat)]
-    mask = least_admissible_support(sides, seed)
-    F = [v for v in range(model.dim) if mask >> v & 1]
-    lp, names = _invariance_lp(model, F)
-    lp.constrain({names[v]: target[v] for v in F if target[v]}, "==", 1)
+    pres = model._presentation
+    lp, names = _cone_lp(pres, least_admissible_support(zip(*pres._supports), seed))
+    lp.constrain({names[v]: target[v] for v in names if target[v]}, "==", 1)
     sol = lp.solve()
     if sol.status != OPTIMAL:
         return None
     values = tuple(sol.values[names[v]] if v in names else INFINITY for v in range(model.dim))
-    return StateCertificate(values=values, target=target, support=tuple(F))
+    return StateCertificate(values=values, target=target, support=tuple(names))
 
 
 def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool:
@@ -125,9 +111,10 @@ def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool
 
     Verifies the shape (a nonnegative int target and one value per vertex,
     a Fraction or int exactly on the support, which lists its vertices in
-    order, and INFINITY off it), nonnegativity, invariance in extended
-    arithmetic at every vertex (finite = finite, infinite = infinite), and
-    exact normalization.  Malformed certificates are rejected, never coerced.
+    order, and INFINITY off it), nonnegativity, exact normalization, and
+    invariance under every move of the model's presentation in extended
+    arithmetic, the check `verify_separator` makes of an EXTENDED separator.
+    Malformed certificates are rejected, never coerced.
     """
     n = model.dim
     vals, target, support = cert.values, cert.target, cert.support
@@ -138,35 +125,9 @@ def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool
     finite = tuple(v for v in range(n) if not _is_infinity(vals[v]))
     if not _is_int_tuple(support, len(finite)) or support != finite:
         return False
-    if any(type(vals[v]) not in (int, Fraction) for v in support):
+    if any(type(vals[v]) not in (int, Fraction) or vals[v] < 0 for v in support):
         return False
-    total = Fraction(0)
-    for v, t in enumerate(target):
-        if t == 0:
-            continue
-        if vals[v] == INFINITY:
-            return False
-        total += vals[v] * t
-    if total != 1:
-        return False
-    for v in range(n):
-        for mat in model.matrices:
-            acc: Fraction | float = Fraction(0)
-            for w in range(n):
-                a = mat[v][w]
-                if not a:
-                    continue
-                if vals[w] == INFINITY:
-                    acc = INFINITY
-                    break
-                acc += a * vals[w]
-            if vals[v] == INFINITY:
-                if acc != INFINITY:
-                    return False
-            else:
-                if vals[v] < 0 or acc != vals[v]:
-                    return False
-    return True
+    return _ext_dot(vals, target) == 1 and _ext_invariant(model._presentation, vals)
 
 
 def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
@@ -178,7 +139,7 @@ def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
     maximum is positive, and the average of the maximizers is then a witness.
     """
     n = model.dim
-    lp, names = _invariance_lp(model, range(n))
+    lp, names = _cone_lp(model._presentation, (1 << n) - 1)
     lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
     maximizers = []
     for v in range(n):
@@ -260,7 +221,7 @@ def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> b
 def positive_invariant_vector(model: KGraphModel) -> tuple[Fraction, ...] | None:
     """Strictly positive y with A_i y = y for all i (entries >= 1 after scaling)."""
     n = model.dim
-    lp, names = _invariance_lp(model, frozenset(range(n)))
+    lp, names = _cone_lp(model._presentation, (1 << n) - 1)
     for v in range(n):
         lp.constrain({names[v]: 1}, ">=", 1)
     sol = lp.solve()

@@ -1,7 +1,7 @@
 """Model-only structure is derived once, when the model is constructed.
 
-A presentation carries its unit-move structure (or, when some move is not
-unit, the supports of its move sides) and an action its orbit index.  These
+A presentation carries its unit-move structure and the supports of its move
+sides, a k-graph model its presentation, and an action its orbit index.  These
 tests pin that the derived fields stay out of equality, hashing and repr,
 that every way of building a model derives the same form, that the deciders
 agree with reference copies that rebuild the form on every call, and that no
@@ -15,14 +15,15 @@ import random
 import pytest
 
 import typesemigroup as ts
-from typesemigroup import actions, monoid
+from typesemigroup import actions, graphs, monoid
 from typesemigroup.actions import _compose, _inverse, _orbit_index
 from typesemigroup.monoid import _equiv_unit, _leq_unit, _unit_structure, as_vector
 
 from test_acceptance import _all_small_actions, _dedupe
 from test_monoid import _kgraph_presentation
 
-DERIVED = {ts.MonoidPresentation: ("_unit", "_supports"), ts.FiniteGroupAction: ("_roots",)}
+DERIVED = {ts.MonoidPresentation: ("_unit", "_supports"), ts.KGraphModel: ("_presentation",),
+           ts.FiniteGroupAction: ("_roots",)}
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +40,13 @@ def _presentation_form(p):
 
 
 def _fresh_presentation_form(p):
+    def masks(side):
+        return tuple(sum(1 << i for i, x in enumerate(v) if x) for v in side)
+    supports = masks(mv.lhs for mv in p.moves), masks(mv.rhs for mv in p.moves)
     unit = _unit_structure(p)
     if unit is None:
-        def masks(side):
-            return tuple(sum(1 << i for i, x in enumerate(v) if x) for v in side)
-        return None, (masks(mv.lhs for mv in p.moves), masks(mv.rhs for mv in p.moves))
-    return (tuple(unit.comp), tuple(map(tuple, unit.adj))), None
+        return None, supports
+    return (tuple(unit.comp), tuple(map(tuple, unit.adj))), supports
 
 
 # reference copies that derive the model's structure on every call
@@ -108,6 +110,8 @@ class TestDerivedFields:
             (ts.build_presentation(2, [((1, 0), (0, 1))]),
              "MonoidPresentation(dim=2, moves=(Move(lhs=(1, 0), rhs=(0, 1)),))"),
             (_kgraph_presentation([[1, 1], [0, 1]]), None),
+            (ts.validate_kgraph(["u", "w"], [[[1, 1], [0, 1]]]),
+             "KGraphModel(k=1, vertices=('u', 'w'), matrices=(((1, 1), (0, 1)),))"),
             (ts.build_action([1, 2], [[2, 1]]),
              "FiniteGroupAction(points=(1, 2), generators=((1, 0),))"),
         ]
@@ -149,6 +153,27 @@ class TestDerivedFields:
                     == _fresh_presentation_form(built))
             kinds.add(built._unit is None)
         assert kinds == {True, False}
+
+        def fresh(model):
+            n = model.dim
+            return ts.build_presentation(
+                n, [(ts.unit_vector(n, v), mat[v]) for v in range(n) for mat in model.matrices])
+
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            mats = [[[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]]
+            for row in mats[0]:
+                row[rng.randrange(n)] += 1
+            mats.append(rng.choice((mats[0], [[int(i == j) for j in range(n)] for i in range(n)])))
+            built = ts.validate_kgraph([f"v{i}" for i in range(n)], mats)
+            direct = ts.KGraphModel(built.k, built.vertices, built.matrices)
+            relabeled = ts.relabel_kgraph(built, rng.sample(range(n), n))
+            assert built == direct and hash(built) == hash(direct)
+            for model in (built, direct, relabeled):
+                assert ts.presentation_from_kgraph(model) is model._presentation
+                assert model._presentation == fresh(model)
+                assert (_presentation_form(model._presentation)
+                        == _fresh_presentation_form(fresh(model)))
 
         for n in range(1, 5):
             pts = list(range(1, n + 1))
@@ -202,7 +227,9 @@ def test_queries_never_rebuild_the_derived_form(monkeypatch, representatives):
     rng = random.Random(17)
     models = [(a, ts.transformation_presentation(a)) for a in representatives[::8]]
     non_unit = [_kgraph_presentation(m) for m in ([[1, 1], [0, 1]], [[0, 2], [2, 0]], [[2]])]
-    calls = {"unit": 0, "orbit": 0}
+    kgraphs = [ts.validate_kgraph([f"v{i}" for i in range(len(mats[0]))], mats) for mats in (
+        [[[1, 1], [0, 1]]], [[[0, 1], [1, 0]]], [[[2]], [[3]]], [[[1, 1], [1, 1]], [[2, 2], [2, 2]]])]
+    calls = {"unit": 0, "orbit": 0, "kgraph": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -212,6 +239,8 @@ def test_queries_never_rebuild_the_derived_form(monkeypatch, representatives):
 
     monkeypatch.setattr(monoid, "_unit_structure", counting("unit", monoid._unit_structure))
     monkeypatch.setattr(actions, "_orbit_index", counting("orbit", actions._orbit_index))
+    monkeypatch.setattr(graphs, "_kgraph_presentation",
+                        counting("kgraph", graphs._kgraph_presentation))
     queries = 0
     while queries < 1000:
         action, pres = rng.choice(models)
@@ -228,8 +257,18 @@ def test_queries_never_rebuild_the_derived_form(monkeypatch, representatives):
         queries += 7
     for p in non_unit:
         ts.almost_unperforated_up_to(p, [ts.unit_vector(p.dim, i) for i in range(p.dim)], 2)
-    assert calls == {"unit": 0, "orbit": 0}
+    for model in kgraphs:
+        for v in range(model.dim):
+            cert = ts.solve_state_at(model, ts.unit_vector(model.dim, v))
+            assert cert is None or ts.verify_state_certificate(model, cert)
+        ts.stiemke_crosscheck(model)
+        ts.difference_lattice(model)
+        ts.classify(model, ts.ClassifyBudgets(ts.SearchBudget(200, 6), 1, 1, 50))
+        assert ts.presentation_from_kgraph(model) is model._presentation
+    assert calls == {"unit": 0, "orbit": 0, "kgraph": 0}
     # the counters are live: constructing a model derives its form once
     ts.build_presentation(2, [((1, 0), (0, 1))])
     ts.build_action([1, 2], [[2, 1]])
-    assert calls == {"unit": 1, "orbit": 1}
+    assert calls == {"unit": 1, "orbit": 1, "kgraph": 0}
+    ts.validate_kgraph(["v"], [[[2]]])
+    assert calls == {"unit": 2, "orbit": 1, "kgraph": 1}

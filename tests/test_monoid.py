@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -95,6 +96,52 @@ class TestReplay:
         with pytest.raises(ts.InputError) as e:
             ts.replay(TWO_LOOPS, (2,), cert)
         assert e.value.code == "CERTIFICATE_MISMATCH"
+
+    @pytest.mark.parametrize("steps", [
+        (ts.RewriteStep(0, "forward"),), (ts.RewriteStep(0, "backward"),),
+        (ts.RewriteStep(0, None),),
+        (ts.RewriteStep(False, ts.Direction.BACKWARD),),
+        (ts.RewriteStep(0.0, ts.Direction.BACKWARD),), ((0, ts.Direction.BACKWARD),),
+        [ts.RewriteStep(0, ts.Direction.BACKWARD)], None])
+    def test_malformed_steps_rejected(self, steps):
+        # a direction that is not a Direction would replay as BACKWARD, a
+        # bool move index as move 0 or 1; a step that is not a RewriteStep,
+        # or steps that are not a tuple, raised AttributeError or TypeError
+        cert = ts.EquivCertificate((2,), steps, (1,))
+        with pytest.raises(ts.InputError) as e:
+            ts.replay(TWO_LOOPS, (2,), cert)
+        assert e.value.code == "CERTIFICATE_MISMATCH"
+        assert not ts.verify_certificate(TWO_LOOPS, cert)
+        genuine = ts.EquivCertificate((2,), (ts.RewriteStep(0, ts.Direction.BACKWARD),), (1,))
+        assert ts.verify_certificate(TWO_LOOPS, genuine)
+        outcome = ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=cert, slack=(0,))
+        assert not ts.verify_leq_outcome(TWO_LOOPS, (1,), (2,), outcome)
+        assert ts.verify_leq_outcome(TWO_LOOPS, (1,), (2,), dataclasses.replace(
+            outcome, certificate=genuine))
+
+    @pytest.mark.parametrize("end", [(1.0,), (True,), [1], (1, 0)])
+    def test_malformed_end_rejected(self, end):
+        cert = ts.EquivCertificate((2,), (ts.RewriteStep(0, ts.Direction.BACKWARD),), end)
+        assert not ts.verify_certificate(TWO_LOOPS, cert)
+
+
+class TestVerifyLeqOutcomeRejectsMalformed:
+    # on two_loops, (2,) <= (1,) by one forward step from (1,) to (2,)
+    GENUINE = ts.DecisionOutcome(
+        ts.Verdict.EQUIV,
+        certificate=ts.EquivCertificate((1,), (ts.RewriteStep(0, ts.Direction.FORWARD),), (2,)),
+        slack=(0,))
+
+    def test_genuine_outcome_passes(self):
+        assert ts.verify_leq_outcome(TWO_LOOPS, (2,), (1,), self.GENUINE)
+
+    @pytest.mark.parametrize("start, end, slack", [
+        ((True,), (2,), (0,)), ((1,), (2.0,), (0,)), ((1,), (2,), (0.0,)),
+        ((1,), (2,), (False,)), ((1,), (2,), [0]), ((1,), (2,), (0, 0))])
+    def test_vectors_must_be_int_tuples(self, start, end, slack):
+        cert = ts.EquivCertificate(start, self.GENUINE.certificate.steps, end)
+        outcome = ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=cert, slack=slack)
+        assert not ts.verify_leq_outcome(TWO_LOOPS, (2,), (1,), outcome)
 
 
 class TestDecideEquiv:
@@ -219,9 +266,10 @@ class TestKlParadoxical:
         assert out.is_not_equiv
         assert out.separator.coeffs == (1,)
 
-    def test_invalid_pair(self):
+    @pytest.mark.parametrize("k, l", [(1, 1), (2, True), (True, 0), (2.0, 1), (2, 1.0)])
+    def test_invalid_pair(self, k, l):
         with pytest.raises(ts.InputError) as e:
-            ts.kl_paradoxical(TWO_LOOPS, (1,), 1, 1)
+            ts.kl_paradoxical(TWO_LOOPS, (1,), k, l)
         assert e.value.code == "INVALID_PAIR"
 
     def test_additivity_by_concatenation(self):
@@ -819,7 +867,7 @@ class TestCompiledSweep:
         for dim in range(1, 6):
             for p in _sweep_presentations(rng, dim):
                 memo = {}
-                assert (p._unit is None) is (p._supports is not None)
+                assert p._supports is not None
                 _, pairs = _sweep_pairs(p, 3 if dim <= 2 else 1, 400)
                 for theta, eta in pairs:
                     expected = ts.decide_leq(p, theta, eta, budget)

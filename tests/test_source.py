@@ -31,3 +31,23 @@ def test_no_true_division_or_floats_in_exact_arithmetic():
                     isinstance(node, ast.Constant) and type(node.value) is float):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_one_builder_of_invariance_lps():
+    # order separators, states and invariant vectors all solve the invariant
+    # cone on a support, built by `monoid._cone_lp`; the coboundary check
+    # solves the dual problem on the matrices.  No other code builds an LP.
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = f"{where.split(':')[0]}:{getattr(node, 'name', '<lambda>')}"
+        if isinstance(node, ast.Call) and "LinearProgram" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), f"{path.name}:")
+    assert sorted(found) == ["monoid.py:_cone_lp", "states.py:coboundary_check"]

@@ -1,15 +1,19 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import typesemigroup as ts
 import typesemigroup.states as states_module
 from typesemigroup.monoid import INFINITY, least_admissible_support
+from typesemigroup.cli import _as_kgraph, _build_model
 from typesemigroup.simplex import OPTIMAL, LinearProgram
-from typesemigroup.states import _invariance_lp
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def random_model(rng, max_vertices=6, max_entry=3, max_k=2):
@@ -33,6 +37,28 @@ def random_model(rng, max_vertices=6, max_entry=3, max_k=2):
     return ts.validate_kgraph([f"v{i}" for i in range(n)], mats)
 
 
+def ensemble_model(rng, n, style, k):
+    """The classify ensemble's generator: a permutation (style 0), sparse
+    0/1 (1) or dense 0..3 (2) matrix, with a commuting second colour."""
+    while True:
+        if style == 0:
+            perm = rng.sample(range(n), n)
+            a = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+        elif style == 1:
+            a = [[int(rng.random() < 0.4) for _ in range(n)] for _ in range(n)]
+        else:
+            a = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        if all(any(row) for row in a):
+            break
+    mats = [a]
+    if k == 2:
+        second = rng.choice(([[int(i == j) for j in range(n)] for i in range(n)],
+                             [row[:] for row in a],
+                             [[a[i][j] + int(i == j) for j in range(n)] for i in range(n)]))
+        mats.append(second)
+    return ts.validate_kgraph([f"v{i}" for i in range(n)], mats)
+
+
 def sparse_model(rng, max_vertices=6):
     n = rng.randint(1, max_vertices)
     a = [[rng.choice((0, 1, 1, 2)) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
@@ -43,6 +69,70 @@ def sparse_model(rng, max_vertices=6):
     if rng.random() < 0.3:
         mats.append([[a[i][j] + int(i == j) for j in range(n)] for i in range(n)])
     return ts.validate_kgraph([f"v{i}" for i in range(n)], mats)
+
+
+# The invariance LPs as first written, from the matrices: one row
+# sum_w A_i[v][w] c_w - c_v == 0 per matrix, then per vertex of F.  The
+# library builds them from the presentation's moves (`monoid._cone_lp`), with
+# rows lhs - rhs; these copies are the reference the differential tests
+# compare it with.
+
+
+def _invariance_lp(model, F):
+    F = sorted(F)
+    lp = LinearProgram()
+    names = {v: lp.variable(f"c{v}") for v in F}
+    for mat in model.matrices:
+        for v in F:
+            coeffs = {}
+            for w in F:
+                a = mat[v][w]
+                if a:
+                    coeffs[names[w]] = coeffs.get(names[w], 0) + a
+            coeffs[names[v]] = coeffs.get(names[v], 0) - 1
+            coeffs = {k: c for k, c in coeffs.items() if c}
+            if coeffs:
+                lp.constrain(coeffs, "==", 0)
+    return lp, names
+
+
+def _matrix_solve_state_at(model, target):
+    n = model.dim
+    sides = [(1 << v, sum(1 << w for w, a in enumerate(row) if a))
+             for mat in model.matrices for v, row in enumerate(mat)]
+    mask = least_admissible_support(sides, sum(1 << v for v, x in enumerate(target) if x))
+    F = [v for v in range(n) if mask >> v & 1]
+    lp, names = _invariance_lp(model, F)
+    lp.constrain({names[v]: target[v] for v in F if target[v]}, "==", 1)
+    sol = lp.solve()
+    if sol.status != OPTIMAL:
+        return None
+    values = tuple(sol.values[names[v]] if v in names else INFINITY for v in range(n))
+    return ts.StateCertificate(values=values, target=tuple(target), support=tuple(F))
+
+
+def _matrix_faithful_finite_state(model):
+    n = model.dim
+    lp, names = _invariance_lp(model, range(n))
+    lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
+    maximizers = []
+    for v in range(n):
+        sol = lp.solve(objective={names[v]: 1}, maximize=True)
+        if sol.status != OPTIMAL or sol.objective == 0:
+            return None
+        maximizers.append([sol.values[names[w]] for w in range(n)])
+    return tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
+
+
+def _matrix_positive_invariant_vector(model):
+    n = model.dim
+    lp, names = _invariance_lp(model, range(n))
+    for v in range(n):
+        lp.constrain({names[v]: 1}, ">=", 1)
+    sol = lp.solve()
+    if sol.status != OPTIMAL:
+        return None
+    return tuple(sol.values[names[v]] for v in range(n))
 
 
 def _out_closure(model, seed):
@@ -273,6 +363,61 @@ class TestSolveStateAt:
         assert checked > 500 and beyond_closure > 20
 
 
+class TestMatchesMatrixInvarianceLP:
+    """States and invariant vectors solved on the cone LP of the model's
+    presentation equal those of the LPs built from the matrices (the copies
+    above), outside one pinned case."""
+
+    @staticmethod
+    def _file_models():
+        models = []
+        for path in sorted(MODELS.glob("*.json")):
+            kind, model = _build_model(json.loads(path.read_text(encoding="utf-8")))
+            if kind != "action":
+                models.append(_as_kgraph(kind, model))
+        return models
+
+    def test_ensembles_and_model_files(self):
+        rng = random.Random(97)
+        models = [ensemble_model(rng, n, style, k)
+                  for _ in range(4) for n in range(1, 9) for style in range(3) for k in (1, 2)]
+        models += self._file_models()
+        calls = found = faithful = positive = 0
+        for model in models:
+            n = model.dim
+            targets = [ts.unit_vector(n, v) for v in range(n)]
+            targets.append(tuple(rng.randint(0, 2) for _ in range(n)))
+            for target in filter(any, targets):
+                got = ts.solve_state_at(model, target)
+                assert got == _matrix_solve_state_at(model, target)
+                assert got is None or ts.verify_state_certificate(model, got)
+                calls += 1
+                found += got is not None
+            got = ts.faithful_finite_state(model)
+            assert got == _matrix_faithful_finite_state(model)
+            faithful += got is not None
+            got = ts.positive_invariant_vector(model)
+            assert got == _matrix_positive_invariant_vector(model)
+            positive += got is not None
+        assert calls > 1000 and 0 < found < calls
+        assert 0 < faithful < len(models) and 0 < positive < len(models)
+
+    def test_pinned_divergence(self):
+        # the cone has several extreme rays, and rows lhs - rhs in place of
+        # A c - c send Phase I to another vertex of it; both states verify
+        a = [[0, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 1, 1, 0, 0], [2, 1, 0, 1, 0], [2, 0, 2, 2, 0]]
+        b = [[sum(a[i][t] * a[t][j] for t in range(5)) for j in range(5)] for i in range(5)]
+        model = ts.validate_kgraph([f"v{i}" for i in range(5)], [a, b])
+        target = (0, 1, 0, 1, 1)
+        got = ts.solve_state_at(model, target)
+        expected = _matrix_solve_state_at(model, target)
+        assert got.values == (0, 0, Fraction(1, 2), 0, 1)
+        assert expected.values == (0, 0, 0, Fraction(1, 3), Fraction(2, 3))
+        assert got.support == expected.support == (0, 1, 2, 3, 4)
+        assert ts.verify_state_certificate(model, got)
+        assert ts.verify_state_certificate(model, expected)
+
+
 class TestStateCertificateRejectsMalformed:
     def test_genuine_certificate_passes(self, one_loop):
         cert = ts.StateCertificate(values=(Fraction(1),), target=(1,), support=(0,))
@@ -293,6 +438,16 @@ class TestStateCertificateRejectsMalformed:
     def test_target(self, one_loop, target):
         cert = ts.StateCertificate(values=(Fraction(1),), target=target, support=(0,))
         assert not ts.verify_state_certificate(one_loop, cert)
+
+    @pytest.mark.parametrize("matrix, values, target, support", [
+        ([[2]], (Fraction(1),), (1,), (0,)),  # 2c = c fails
+        ([[1, 1], [0, 1]], (Fraction(1), Fraction(1)), (1, 0), (0, 1)),  # c_u = c_u + c_w fails
+        ([[1, 0], [1, 0]], (Fraction(1), INFINITY), (1, 0), (0,)),  # w = u: oo against 1
+    ])
+    def test_invariance_in_extended_arithmetic(self, matrix, values, target, support):
+        model = ts.validate_kgraph([f"v{i}" for i in range(len(matrix))], [matrix])
+        cert = ts.StateCertificate(values=values, target=target, support=support)
+        assert not ts.verify_state_certificate(model, cert)
 
     def test_infinity_only_off_the_support(self, triangular):
         cert = ts.solve_state_at(triangular, (0, 1))
@@ -344,8 +499,8 @@ class TestFaithfulFiniteState:
             return tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
 
         built = []
-        real = states_module._invariance_lp
-        monkeypatch.setattr(states_module, "_invariance_lp",
+        real = states_module._cone_lp
+        monkeypatch.setattr(states_module, "_cone_lp",
                             lambda *args: built.append(1) or real(*args))
         rng = random.Random(89)
         found = 0
