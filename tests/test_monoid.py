@@ -266,8 +266,13 @@ class TestKlParadoxical:
         assert out.is_not_equiv
         assert out.separator.coeffs == (1,)
 
-    @pytest.mark.parametrize("k, l", [(1, 1), (2, True), (True, 0), (2.0, 1), (2, 1.0)])
-    def test_invalid_pair(self, k, l):
+    def test_invalid_pair(self):
+        with pytest.raises(ts.InputError) as e:
+            ts.kl_paradoxical(TWO_LOOPS, (1,), 1, 1)
+        assert e.value.code == "INVALID_PAIR"
+
+    @pytest.mark.parametrize("k, l", [(2, True), (True, 0), (2.0, 1), (2, 1.0)])
+    def test_non_int_pair(self, k, l):
         with pytest.raises(ts.InputError) as e:
             ts.kl_paradoxical(TWO_LOOPS, (1,), k, l)
         assert e.value.code == "INVALID_PAIR"
