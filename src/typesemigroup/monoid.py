@@ -15,11 +15,13 @@ Decision procedures return one of three verdicts:
 * UNKNOWN with a budget report when the bounded search was inconclusive.
 
 Each decider takes one path: the trivial case, then the unit-move fast path,
-then one separator search (`find_separator` for congruence,
-`_order_separator` for the order: the full support gives a rational
-separator, the least admissible support an extended one), then one bounded
-breadth-first search.  Both searches grow their levels with the same
-`_SearchTree.expand`.
+then its separators, then one bounded breadth-first search.  Congruence
+tries `find_separator` (rational, then modular), then `_support_separator`:
+vectors with different least admissible supports are never congruent, and
+the extended separator 0 on one of those supports and oo off it shows it.
+The order tries `_order_separator`: the full support gives a rational
+separator, the least admissible support an extended one.  Both searches
+grow their levels with the same `_SearchTree.expand`.
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
@@ -149,7 +151,9 @@ class LinearSeparator:
     kind RATIONAL: integer coefficients, exact dot products.
     kind MODULAR: integer coefficients evaluated mod `modulus`.
     kind EXTENDED: nonnegative integer-or-infinity coefficients, evaluated in
-    [0, oo]; used for order (divisibility) refutations only.
+    [0, oo].  An invariant one is a monoid homomorphism into [0, oo], so it
+    refutes congruence when its values differ and divisibility when the
+    value at f exceeds a finite value at g.
     """
 
     kind: SeparatorKind
@@ -270,12 +274,14 @@ def build_presentation(dim: int, moves: Iterable) -> MonoidPresentation:
 def replay(pres: MonoidPresentation, start: Sequence[int], cert: EquivCertificate) -> Vector:
     """Apply a certificate step by step; pure, independent of any search.
 
-    Raises CERTIFICATE_MISMATCH unless the steps are a tuple of
-    `RewriteStep`s, each with an int move index in range and a `Direction`,
-    and STEP_NOT_APPLICABLE at the first step whose required side does not
-    embed into the current vector.
+    Raises CERTIFICATE_MISMATCH unless `cert` is an `EquivCertificate`
+    whose steps are a tuple of `RewriteStep`s, each with an int move index
+    in range and a `Direction`, and STEP_NOT_APPLICABLE at the first step
+    whose required side does not embed into the current vector.
     """
     start_v = as_vector(start, pres.dim)
+    if type(cert) is not EquivCertificate:
+        raise InputError(CERTIFICATE_MISMATCH, "certificate is not an EquivCertificate")
     if cert.start != start_v:
         raise InputError(
             CERTIFICATE_MISMATCH,
@@ -302,7 +308,7 @@ def replay(pres: MonoidPresentation, start: Sequence[int], cert: EquivCertificat
 
 
 def verify_certificate(pres: MonoidPresentation, cert: EquivCertificate) -> bool:
-    if not _is_int_tuple(cert.end, pres.dim):
+    if type(cert) is not EquivCertificate or not _is_int_tuple(cert.end, pres.dim):
         return False
     try:
         return replay(pres, cert.start, cert) == cert.end
@@ -344,14 +350,19 @@ def verify_separator(
 ) -> bool:
     """Check move invariance plus separation of f from g by substitution.
 
-    With order=True the separator must refute f <= g: coefficients must be
-    nonnegative and the value at f strictly exceeds the value at g.  The
-    coefficients must be a tuple of `pres.dim` ints, INFINITY being allowed
-    only in an EXTENDED separator, and only a MODULAR one has a modulus, an
-    int >= 2; anything else is rejected, never coerced.
+    With order=False the values at f and g must differ (mod the modulus for
+    a MODULAR separator).  With order=True the separator must refute f <= g:
+    coefficients must be nonnegative and the value at f strictly exceeds the
+    value at g, which must be finite.  The separator
+    must be a `LinearSeparator` whose coefficients are a tuple of `pres.dim`
+    ints, INFINITY being allowed only in an EXTENDED one, whose ints are
+    nonnegative; only a MODULAR one has a modulus, an int >= 2.  Anything
+    else is rejected, never coerced.
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
+    if type(sep) is not LinearSeparator:
+        return False
     coeffs = sep.coeffs
     if sep.kind is SeparatorKind.MODULAR:
         m = sep.modulus
@@ -374,8 +385,9 @@ def verify_separator(
                 return False
             return vec_dot(coeffs, f) > vec_dot(coeffs, g)
         return vec_dot(coeffs, f) != vec_dot(coeffs, g)
-    # extended-valued: only meaningful as an order separator
-    if sep.kind is not SeparatorKind.EXTENDED or not order:
+    # extended-valued: an invariant map into [0, oo] is additive, so it is
+    # constant on congruence classes and monotone in the algebraic order
+    if sep.kind is not SeparatorKind.EXTENDED:
         return False
     if type(coeffs) is not tuple or len(coeffs) != pres.dim:
         return False
@@ -385,7 +397,9 @@ def verify_separator(
     if not _ext_invariant(pres, coeffs):
         return False
     vf, vg = _ext_dot(coeffs, f), _ext_dot(coeffs, g)
-    return vg != INFINITY and vf > vg
+    if order:
+        return vg != INFINITY and vf > vg
+    return vf != vg
 
 
 def verify_leq_outcome(
@@ -393,14 +407,18 @@ def verify_leq_outcome(
 ) -> bool:
     """Replay a LEQ certificate: chain from g to some g' >= f with the stated slack.
 
-    The certificate's start and end and the slack must be tuples of
-    `pres.dim` ints; anything else is rejected, never coerced.
+    The outcome must be an EQUIV `DecisionOutcome` whose certificate is an
+    `EquivCertificate`, and the certificate's start and end and the slack
+    must be tuples of `pres.dim` ints; anything else is rejected, never
+    coerced.
     """
-    if not outcome.is_equiv or outcome.certificate is None or outcome.slack is None:
+    if type(outcome) is not DecisionOutcome or not outcome.is_equiv:
+        return False
+    cert = outcome.certificate
+    if type(cert) is not EquivCertificate:
         return False
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
-    cert = outcome.certificate
     if not all(_is_int_tuple(v, pres.dim) for v in (cert.start, cert.end, outcome.slack)):
         return False
     if cert.start != g:
@@ -513,9 +531,36 @@ def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector, memo: dict)
     if F == full:
         return None
     if _support(f) & ~F:
-        return LinearSeparator(SeparatorKind.EXTENDED, tuple(
-            0 if F >> i & 1 else INFINITY for i in range(pres.dim)))
+        return _zero_on_support(pres.dim, F)
     return _separator_on_support(pres, F, f, g, memo)
+
+
+def _zero_on_support(dim: int, F: int) -> LinearSeparator:
+    """The EXTENDED separator 0 on F and infinite off it.  Every move takes
+    the same value on both sides exactly when F is admissible: 0 when both
+    sides lie inside F, infinite when both stick out."""
+    return LinearSeparator(SeparatorKind.EXTENDED, tuple(
+        0 if F >> i & 1 else INFINITY for i in range(dim)))
+
+
+def _support_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSeparator | None:
+    """`_zero_on_support` on the least admissible support of one vector
+    when the other sticks out of it, or None.
+
+    Congruent vectors have the same least admissible support, and this finds
+    every pair whose supports differ: if each vector lies inside the other's
+    least support, the two least supports contain each other.  For a graph
+    monoid these supports are the hereditary saturated vertex sets, which
+    index its order ideals (Ara, Moreno and Pardo, Algebr. Represent.
+    Theory 10, 2007), so this refutes exactly the pairs that generate
+    different order ideals.  No LP and no search.
+    """
+    sides = list(zip(*pres._supports))
+    for a, b in ((f, g), (g, f)):
+        F = least_admissible_support(sides, _support(b))
+        if _support(a) & ~F:
+            return _zero_on_support(pres.dim, F)
+    return None
 
 
 def _cone_lp(pres: MonoidPresentation, F: int) -> tuple[LinearProgram, dict[int, str]]:
@@ -811,9 +856,10 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
                 return DecisionOutcome(Verdict.EQUIV, certificate=cert)
         if not mine.frontier and not mine.cap_hit:
             # This side's congruence class is fully enumerated and misses the
-            # other endpoint, so the classes are disjoint.  The verdict stays
-            # UNKNOWN because no separator certificate is available here; the
-            # report records the clean exhaustion.
+            # other endpoint, so the classes are disjoint.  Every separator
+            # `decide_equiv` tries has failed by now, and the enumeration is
+            # no certificate a verifier could check without redoing it, so
+            # the verdict stays UNKNOWN; the report records the exhaustion.
             return report(exhausted=True)
         if len(from_f.visited) + len(from_g.visited) > budget.max_states:
             return report(exhausted=False)
@@ -873,7 +919,7 @@ def decide_equiv(
         return DecisionOutcome(Verdict.EQUIV, certificate=EquivCertificate(f, (), g))
     if pres._unit is not None:
         return _equiv_unit(pres, pres._unit, f, g)
-    sep = find_separator(pres, f, g)
+    sep = find_separator(pres, f, g) or _support_separator(pres, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
     return _bfs_equiv(pres, f, g, budget)

@@ -114,8 +114,11 @@ def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool
     order, and INFINITY off it), nonnegativity, exact normalization, and
     invariance under every move of the model's presentation in extended
     arithmetic, the check `verify_separator` makes of an EXTENDED separator.
-    Malformed certificates are rejected, never coerced.
+    Malformed certificates, and objects that are not a `StateCertificate`,
+    are rejected, never coerced.
     """
+    if type(cert) is not StateCertificate:
+        return False
     n = model.dim
     vals, target, support = cert.values, cert.target, cert.support
     if type(vals) is not tuple or len(vals) != n:

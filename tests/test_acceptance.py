@@ -403,7 +403,8 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     # exit-code contract
     code, _ = run(["classify", str(MODELS / "two_loops.json")])
     assert code == 0
-    code, _ = run(["equiv", str(MODELS / "two_loops.json"), "--lhs", "1", "--rhs", "0"])
+    code, _ = run(["equiv", str(MODELS / "two_loops.json"), "--lhs", "1", "--rhs", "7",
+                   "--budget-states", "2"])
     assert code == 3
     malformed = [
         "not json",

@@ -105,12 +105,16 @@ class TestModelsAndExitCodes:
                 "--lhs",
                 "1",
                 "--rhs",
-                "0",
+                "7",
+                "--budget-states",
+                "2",
             ],
             capsys,
         )
         assert code == 3
-        assert json.loads(out)["outcome"]["verdict"] == "unknown"
+        outcome = json.loads(out)["outcome"]
+        assert outcome["verdict"] == "unknown"
+        assert outcome["budget"]["exhausted"] is False
 
     def test_inconclusive_classify_exit_code(self, models_dir, capsys):
         code, out = run_cli(

@@ -313,14 +313,11 @@ class TestSingleVertexClosedForm:
                     )
                     out = ts.decide_equiv(pres, (a,), (b,))
                     assert out.is_equiv == expected, (m, a, b, out.verdict)
+                    assert not out.is_unknown, (m, a, b)
                     if out.is_equiv:
                         assert ts.replay(pres, (a,), out.certificate) == (b,)
-                    elif out.is_not_equiv:
-                        assert ts.verify_separator(pres, out.separator, (a,), (b,))
                     else:
-                        # provably distinct but not linearly separable: the
-                        # exhausted flag certifies the closed enumeration
-                        assert out.budget.exhausted
+                        assert ts.verify_separator(pres, out.separator, (a,), (b,))
 
     def test_order_matches_arithmetic_characterization(self):
         # [a] <= [b] iff some b' = b + k(m-1) >= a exists in [b], i.e. b = 0

@@ -16,9 +16,11 @@ from typesemigroup.monoid import (
     _compiled_moves,
     _decide_leq,
     _difference_rows,
+    _equiv_unit,
     _flip,
     _order_separator,
     _scale_extended,
+    _support_separator,
     _unit_path,
     _unit_structure,
     _UnitStructure,
@@ -124,6 +126,14 @@ class TestReplay:
         cert = ts.EquivCertificate((2,), (ts.RewriteStep(0, ts.Direction.BACKWARD),), end)
         assert not ts.verify_certificate(TWO_LOOPS, cert)
 
+    @pytest.mark.parametrize("cert", [None, ((2,), (), (2,)), "certificate"])
+    def test_not_an_equiv_certificate(self, cert):
+        # a certificate of the wrong type raised AttributeError
+        assert not ts.verify_certificate(TWO_LOOPS, cert)
+        with pytest.raises(ts.InputError) as e:
+            ts.replay(TWO_LOOPS, (2,), cert)
+        assert e.value.code == "CERTIFICATE_MISMATCH"
+
 
 class TestVerifyLeqOutcomeRejectsMalformed:
     # on two_loops, (2,) <= (1,) by one forward step from (1,) to (2,)
@@ -141,6 +151,16 @@ class TestVerifyLeqOutcomeRejectsMalformed:
     def test_vectors_must_be_int_tuples(self, start, end, slack):
         cert = ts.EquivCertificate(start, self.GENUINE.certificate.steps, end)
         outcome = ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=cert, slack=slack)
+        assert not ts.verify_leq_outcome(TWO_LOOPS, (2,), (1,), outcome)
+
+    @pytest.mark.parametrize("cert", [(1,), None, "certificate"])
+    def test_certificate_must_be_an_equiv_certificate(self, cert):
+        # a certificate of the wrong type raised AttributeError
+        outcome = ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=cert, slack=(0,))
+        assert not ts.verify_leq_outcome(TWO_LOOPS, (2,), (1,), outcome)
+
+    @pytest.mark.parametrize("outcome", [None, GENUINE.certificate, "equiv"])
+    def test_outcome_must_be_a_decision_outcome(self, outcome):
         assert not ts.verify_leq_outcome(TWO_LOOPS, (2,), (1,), outcome)
 
 
@@ -172,13 +192,20 @@ class TestDecideEquiv:
         b = ts.decide_equiv(TWO_LOOPS, (1,), (4,))
         assert a == b
 
-    def test_unknown_on_clean_exhaustion_without_separator(self):
-        # class of (1) under x <-> x+2 is {1, 3, 5, ...}; (3) is in it, but
-        # (1) vs 0-move-reachable... use f=(1), g=(0): class(0) = {0} is
-        # finite, no separator exists mod anything for two-loops
-        out = ts.decide_equiv(TWO_LOOPS, (1,), (0,))
-        assert out.is_unknown
-        assert out.budget.exhausted
+    def test_extended_separator_on_clean_exhaustion(self):
+        # under x <-> 2x, class(0) = {0} is finite and misses (1), and no
+        # rational or modular functional separates them (the search alone
+        # exhausts class(0) and stays UNKNOWN); the least admissible support
+        # of (0) is empty and (1) sticks out of it, so 0 there and oo off it
+        # separates
+        assert ts.find_separator(TWO_LOOPS, (1,), (0,)) is None
+        search = _bfs_equiv(TWO_LOOPS, (1,), (0,), ts.DEFAULT_BUDGET)
+        assert search.is_unknown and search.budget.exhausted
+        for f, g in (((1,), (0,)), ((0,), (1,))):
+            out = ts.decide_equiv(TWO_LOOPS, f, g)
+            assert out.is_not_equiv
+            assert out.separator == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, (INFINITY,))
+            assert ts.verify_separator(TWO_LOOPS, out.separator, f, g)
 
     def test_modular_separator(self):
         # doubling jump: move (2) <-> (4) preserves parity; (1) vs (2)
@@ -812,6 +839,39 @@ class TestVerifySeparatorRejectsMalformed:
         sep = ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
         assert not ts.verify_separator(self.TRIANGULAR, sep, (0, 2), (0, 1), order=True)
 
+    @pytest.mark.parametrize("sep", [None, ((1, 0),), "separator"])
+    def test_not_a_linear_separator(self, sep):
+        # a separator of the wrong type raised AttributeError
+        assert not ts.verify_separator(self.TRIANGULAR, sep, (2, 0), (1, 0))
+        assert not ts.verify_separator(self.TRIANGULAR, sep, (2, 0), (1, 0), order=True)
+
+    def test_extended_separators_refute_congruence(self):
+        # (oo, 0) is 0 on the admissible support {1} and oo off it
+        p = self.TRIANGULAR
+        for coeffs, f, g in [((INFINITY, 0), (1, 0), (0, 1)), ((INFINITY, 0), (0, 1), (1, 0)),
+                             ((INFINITY, 1), (0, 1), (0, 2)), ((INFINITY, 2), (0, 3), (0, 1))]:
+            sep = ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+            assert ts.verify_separator(p, sep, f, g)
+
+    @pytest.mark.parametrize("coeffs, f, g", [
+        ((INFINITY, 0), (0, 1), (0, 2)),  # both 0
+        ((INFINITY, 0), (1, 0), (2, 1)),  # both oo
+        ((0, INFINITY), (1, 0), (0, 1)),  # 0 against oo, but {0} is not admissible
+        ((INFINITY, -1), (0, 1), (0, 2)),
+        ((INFINITY, True), (0, 1), (0, 2)),
+        ((INFINITY, 1.0), (0, 1), (0, 2)),
+        ((INFINITY, 1, 5), (0, 1), (0, 2)),
+    ])
+    def test_extended_congruence_rejections(self, coeffs, f, g):
+        sep = ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+        assert not ts.verify_separator(self.TRIANGULAR, sep, f, g)
+
+    def test_extended_equal_finite_values_rejected(self):
+        # no moves: every extended vector is invariant; both values are 1
+        sep = ts.LinearSeparator(ts.SeparatorKind.EXTENDED, (INFINITY, 1, 1))
+        assert ts.verify_separator(pres(3, []), sep, (0, 1, 0), (0, 0, 2))
+        assert not ts.verify_separator(pres(3, []), sep, (0, 1, 0), (0, 0, 1))
+
     def test_infinity_only_in_extended_separators(self):
         p = self.TRIANGULAR
         sep = ts.LinearSeparator(ts.SeparatorKind.RATIONAL, (INFINITY, 1))
@@ -956,3 +1016,84 @@ class TestCompiledSweep:
         assert {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
                 for k, v in vars(monoid).items()} == module_state
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first
+
+
+def _graph_presentation(rng, n):
+    """A 1-graph or a commuting 2-graph on n vertices with entries 0..2, the
+    second colour being the identity, the first itself, or the first + I."""
+    while True:
+        a = [[rng.choice((0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(n)]
+        if all(any(row) for row in a):
+            break
+    mats = [a]
+    if rng.random() < 0.5:
+        mats.append(rng.choice((
+            [[int(i == j) for j in range(n)] for i in range(n)],
+            [row[:] for row in a],
+            [[a[i][j] + int(i == j) for j in range(n)] for i in range(n)])))
+    return ts.presentation_from_kgraph(ts.validate_kgraph([f"v{i}" for i in range(n)], mats))
+
+
+def _separator_then_search(p, f, g, budget):
+    """`decide_equiv` without the support rule: `find_separator`, then the
+    bidirectional search."""
+    if f == g:
+        return ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=ts.EquivCertificate(f, (), g))
+    if p._unit is not None:
+        return _equiv_unit(p, p._unit, f, g)
+    sep = ts.find_separator(p, f, g)
+    if sep is not None:
+        return ts.DecisionOutcome(ts.Verdict.NOT_EQUIV, separator=sep)
+    return _bfs_equiv(p, f, g, budget)
+
+
+def _random_pair(rng, n):
+    return (tuple(rng.randint(0, 2) for _ in range(n)),
+            tuple(rng.randint(0, 2) for _ in range(n)))
+
+
+class TestSupportSeparator:
+    def test_separates_only_pairs_the_search_never_joins(self):
+        rng = random.Random(83)
+        deep = ts.SearchBudget(50_000, 64)
+        separated = passed = 0
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            p = _graph_presentation(rng, n)
+            for _ in range(3):
+                f, g = _random_pair(rng, n)
+                sep = _support_separator(p, f, g)
+                if sep is None:
+                    passed += 1
+                    continue
+                separated += 1
+                assert sep.kind is ts.SeparatorKind.EXTENDED
+                assert set(sep.coeffs) <= {0, INFINITY}
+                assert ts.verify_separator(p, sep, f, g)
+                assert ts.verify_separator(p, sep, g, f)
+                assert not _bfs_equiv(p, f, g, deep).is_equiv
+        assert separated >= 15 and passed >= 50
+
+    def test_changes_only_unknown_outcomes(self):
+        # at graph-decide's budget, every outcome the separators and search
+        # reach alone is kept; an UNKNOWN may become a verified NOT_EQUIV
+        rng = random.Random(89)
+        budget = ts.SearchBudget(1000, 64)
+        kept = settled = unknown = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            p = _graph_presentation(rng, n)
+            for _ in range(3):
+                f, g = _random_pair(rng, n)
+                before = _separator_then_search(p, f, g, budget)
+                after = ts.decide_equiv(p, f, g, budget)
+                if not before.is_unknown or after.is_unknown:
+                    assert after == before
+                    kept += 1
+                    unknown += after.is_unknown
+                    continue
+                settled += 1
+                assert after.is_not_equiv
+                assert after.separator == _support_separator(p, f, g)
+                assert ts.verify_separator(p, after.separator, f, g)
+        assert settled >= 10 and kept >= 400

@@ -449,6 +449,11 @@ class TestStateCertificateRejectsMalformed:
         cert = ts.StateCertificate(values=values, target=target, support=support)
         assert not ts.verify_state_certificate(model, cert)
 
+    @pytest.mark.parametrize("cert", [None, ((Fraction(1),), (1,), (0,)), "state"])
+    def test_not_a_state_certificate(self, one_loop, cert):
+        # a certificate of the wrong type raised AttributeError
+        assert not ts.verify_state_certificate(one_loop, cert)
+
     def test_infinity_only_off_the_support(self, triangular):
         cert = ts.solve_state_at(triangular, (0, 1))
         assert cert.values == (INFINITY, 1) and ts.verify_state_certificate(triangular, cert)
