@@ -20,8 +20,13 @@ tries `find_separator` (rational, then modular), then `_support_separator`:
 vectors with different least admissible supports are never congruent, and
 the extended separator 0 on one of those supports and oo off it shows it.
 The order tries `_order_separator`: the full support gives a rational
-separator, the least admissible support an extended one.  Both searches
-grow their levels with the same `_SearchTree.expand`.
+separator, the least admissible support an extended one.  Each of those LPs
+is solved only after the zero-cone rule (`_cone_misses_gap`) fails to show
+it infeasible from the rays of the move matrices, which it can when every
+move's left side is a unit vector, as in a k-graph presentation.  Both
+searches grow their levels with the same `_SearchTree.expand`, over the
+moves compiled once per search (`_compiled_moves`) to their nonzero
+coordinates.
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
@@ -50,6 +55,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -211,7 +217,14 @@ class UnperforationSweep:
 
 
 def as_vector(entries: Sequence[int], dim: int) -> Vector:
-    vec = tuple(entries)
+    try:
+        vec = tuple(entries)
+    except TypeError:
+        raise InputError(
+            DIMENSION_MISMATCH,
+            f"vector must be a sequence of {dim} integers, got {type(entries).__name__}",
+            dim=dim,
+        ) from None
     if len(vec) != dim:
         raise InputError(
             DIMENSION_MISMATCH,
@@ -452,6 +465,13 @@ def find_separator(
 
     Rational kernel vectors are tried first (echelon basis order), then the
     moduli m = 2..modulus_bound ascending.  Deterministic.
+
+    The moduli are read off the diagonal form: with the rows diagonalized
+    to s_j by the unimodular V, the kernel mod m is generated by
+    (m / gcd(s_j, m)) V_j, and such a generator separates f from g exactly
+    when gcd(s_j, m) does not divide t_j = V_j . (f - g) (s_j = 0 past the
+    rank).  So when every s_j divides t_j no modulus separates, and
+    generators are built only for the first m with a separating column.
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
@@ -462,8 +482,16 @@ def find_separator(
             return LinearSeparator(SeparatorKind.RATIONAL, primitive_integer(cand))
     if rows and modulus_bound >= 2:
         diag, V = integer_diagonalize(rows, pres.dim)
+        d = pres.dim
+        s_all = diag + [0] * (d - len(diag))
+        t_all = [sum(V[i][j] * diff[i] for i in range(d)) for j in range(d)]
+        torsion = [(s, t) for s, t in zip(s_all, t_all) if (t % s if s else t)]
+        if not torsion:
+            return None
         for m in range(2, modulus_bound + 1):
-            for gen in modular_kernel_generators(diag, V, pres.dim, m):
+            if not any(t % gcd(s, m) for s, t in torsion):
+                continue
+            for gen in modular_kernel_generators(diag, V, d, m):
                 if vec_dot(gen, diff) % m != 0:
                     return LinearSeparator(SeparatorKind.MODULAR, gen, modulus=m)
     return None
@@ -585,7 +613,8 @@ def _cone_lp(pres: MonoidPresentation, F: int) -> tuple[LinearProgram, dict[int,
 def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector,
                           memo: dict) -> LinearSeparator | None:
     """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1,
-    once per (F, gap) in `memo`."""
+    once per (F, gap) in `memo`; no LP when `_cone_misses_gap` shows that
+    none exists."""
     d = pres.dim
     support = [i for i in range(d) if F >> i & 1]
     gap = tuple([f[i] - g[i] for i in support])
@@ -593,16 +622,92 @@ def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector
         return None
     if (F, gap) in memo:
         return memo[F, gap]
-    lp, names = _cone_lp(pres, F)
-    lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
-    sol = lp.solve()
     sep = None
-    if sol.status == OPTIMAL:
-        values = [sol.values[names[i]] if i in names else INFINITY for i in range(d)]
-        kind = SeparatorKind.RATIONAL if len(support) == d else SeparatorKind.EXTENDED
-        sep = LinearSeparator(kind, _scale_extended(values))
+    if not _cone_misses_gap(pres, F, support, gap):
+        lp, names = _cone_lp(pres, F)
+        lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
+        sol = lp.solve()
+        if sol.status == OPTIMAL:
+            values = [sol.values[names[i]] if i in names else INFINITY for i in range(d)]
+            kind = SeparatorKind.RATIONAL if len(support) == d else SeparatorKind.EXTENDED
+            sep = LinearSeparator(kind, _scale_extended(values))
     memo[F, gap] = sep
     return sep
+
+
+def _cone_misses_gap(pres: MonoidPresentation, F: int, support: list[int],
+                     gap: tuple) -> bool:
+    """True when some move matrix shows that no c in `_cone_lp`'s cone on F
+    has c.gap > 0, so the separator LP is infeasible; False when the rule
+    does not apply or finds no such matrix.
+
+    The rule applies when every move's left side is a unit vector e_v and
+    every vertex of F has a move, as in a k-graph presentation.  Then the
+    j-th moves of the vertices of F are the rows of a nonnegative integer
+    matrix B_j, and every c in the cone solves c = B_j c.  By the
+    Frobenius-Victory theorem (H. Schneider, Linear Algebra Appl. 84, 1986)
+    the nonnegative solutions of c = B c are generated by one ray per
+    distinguished class (`_distinguished_rays`), so c.gap > 0 somewhere in
+    that cone exactly when it holds at one of those rays.  A wrong True
+    could only drop a separator, never certify a false one.
+    """
+    rows: dict[int, list[Vector]] = {v: [] for v in support}
+    for mv, ls, rs in zip(pres.moves, *pres._supports):
+        if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
+            return False
+        if ls & F:
+            if rs & ~F:
+                return False  # not a move inside F; F is not admissible
+            rows[ls.bit_length() - 1].append(mv.rhs)
+    gap_at = dict(zip(support, gap))
+    for j in range(min(len(r) for r in rows.values())):
+        B = {v: rows[v][j] for v in support}
+        if not any(sum(c * gap_at[v] for v, c in ray.items()) > 0
+                   for ray in _distinguished_rays(B, support)):
+            return True
+    return False
+
+
+def _distinguished_rays(B: dict[int, Vector], support: list[int]):
+    """The integral generators of { c >= 0 : c = B c } on `support`, as
+    {vertex: value} maps of their nonzero entries, one per distinguished
+    class.
+
+    A strongly connected class C is distinguished when B restricted to C has
+    spectral radius 1, which for an integer matrix means every row sum
+    inside C is 1, and every other class with access to C has spectral
+    radius 0, which means it is one vertex without a loop.  Its ray is 1 on
+    C, B c on the vertices with access to C, filled in from C upwards, and 0
+    elsewhere.
+    """
+    succ = {v: [w for w in support if B[v][w]] for v in support}
+    reach = {}
+    for v in support:
+        mask, stack = 1 << v, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if not mask >> w & 1:
+                    mask |= 1 << w
+                    stack.append(w)
+        reach[v] = mask
+    cls = {v: sum(1 << w for w in support if reach[v] >> w & 1 and reach[w] >> v & 1)
+           for v in support}
+    for v in support:
+        C = cls[v]
+        if C & ((1 << v) - 1):
+            continue  # each class once, at its least vertex
+        members = [w for w in support if C >> w & 1]
+        if any(sum(B[w][x] for x in members) != 1 for w in members):
+            continue
+        upstream = [u for u in support if not C >> u & 1 and reach[u] & C]
+        if any(cls[u] != 1 << u or B[u][u] for u in upstream):
+            continue
+        # a vertex with access to C reaches strictly fewer vertices than
+        # each vertex with access to it, so this order fills successors first
+        ray = dict.fromkeys(members, 1)
+        for u in sorted(upstream, key=lambda u: reach[u].bit_count()):
+            ray[u] = sum(B[u][w] * ray[w] for w in succ[u] if w in ray)
+        yield ray
 
 
 # ---------------------------------------------------------------------------
@@ -752,10 +857,18 @@ def _leq_unit(pres: MonoidPresentation, unit: _UnitStructure, f: Vector, g: Vect
 
 
 def _compiled_moves(pres: MonoidPresentation):
+    """Both directions of every move, in move order, compiled once per
+    search: (idx, direction, need, delta, the nonzero (i, need_i), the
+    nonzero (i, delta_i), the coordinates the delta raises)."""
     comp = []
     for i, mv in enumerate(pres.moves):
-        comp.append((i, Direction.FORWARD, mv.lhs, vec_sub(mv.rhs, mv.lhs)))
-        comp.append((i, Direction.BACKWARD, mv.rhs, vec_sub(mv.lhs, mv.rhs)))
+        forward = tuple([b - a for a, b in zip(mv.lhs, mv.rhs)])
+        for dn, need, delta in ((Direction.FORWARD, mv.lhs, forward),
+                                (Direction.BACKWARD, mv.rhs, tuple([-x for x in forward]))):
+            comp.append((i, dn, need, delta,
+                         [(j, x) for j, x in enumerate(need) if x],
+                         [(j, x) for j, x in enumerate(delta) if x],
+                         [j for j, x in enumerate(delta) if x > 0]))
     return comp
 
 
@@ -766,7 +879,7 @@ def _back_steps(visited: dict, moves, state: Vector) -> list[RewriteStep]:
     steps = []
     prev = visited[state]
     while prev is not None:
-        for (idx, dn, need, delta) in moves:
+        for (idx, dn, need, delta, *_) in moves:
             if all(pv >= nv and pv + dv == sv
                    for pv, nv, dv, sv in zip(prev, need, delta, state)):
                 steps.append(RewriteStep(idx, dn))
@@ -789,31 +902,42 @@ class _SearchTree:
 
     def expand(self, moves, cap: int):
         """Advance the frontier one level, yielding each newly visited state
-        in discovery order.  A caller that stops early ends the search."""
+        in discovery order.  A caller that stops early ends the search.
+
+        `moves` is `_compiled_moves`' list.  A move applies when the state
+        covers its nonzero need coordinates, and the new state is the state
+        plus the move's nonzero delta coordinates.  A state within the cap
+        leaves it only through a coordinate the move raises, so only those
+        are checked.  Only a root can lie above the cap, and its new states
+        get the full test, on every coordinate.
+        """
         visited = self.visited
         nxt: list[Vector] = []
         for state in self.frontier:
-            for (idx, dn, need, delta) in moves:
-                ok = True
-                for sv, nv in zip(state, need):
-                    if sv < nv:
-                        ok = False
+            everywhere = range(len(state)) if max(state) > cap else None
+            for (_, _, _, _, need, delta, raised) in moves:
+                for i, nv in need:
+                    if state[i] < nv:
                         break
-                if not ok:
-                    continue
-                # From a list, the tuple is allocated at its final size;
-                # tuple() of a generator resizes a 10-slot tuple, and every
-                # freed state would then grow CPython's free list of
-                # dim-sized tuples, which only a full collection empties.
-                new = tuple([sv + dv for sv, dv in zip(state, delta)])
-                if max(new) > cap:
-                    self.cap_hit = True
-                    continue
-                if new in visited:
-                    continue
-                visited[new] = state
-                yield new
-                nxt.append(new)
+                else:
+                    new = list(state)
+                    for i, dv in delta:
+                        new[i] += dv
+                    for i in everywhere or raised:
+                        if new[i] > cap:
+                            self.cap_hit = True
+                            break
+                    else:
+                        # From a list, the tuple is allocated at its final
+                        # size; tuple() of a generator resizes a 10-slot
+                        # tuple, and every freed state would then grow
+                        # CPython's free list of dim-sized tuples, which only
+                        # a full collection empties.
+                        new = tuple(new)
+                        if new not in visited:
+                            visited[new] = state
+                            yield new
+                            nxt.append(new)
         self.frontier = nxt
 
 

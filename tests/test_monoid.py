@@ -8,12 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
 from typesemigroup import monoid, simplex
-from typesemigroup.linalg import primitive_integer
+from typesemigroup.linalg import (
+    integer_diagonalize,
+    modular_kernel_generators,
+    primitive_integer,
+    rational_kernel_basis,
+)
 from typesemigroup.monoid import (
     INFINITY,
     _bfs_equiv,
     _bfs_leq,
-    _compiled_moves,
+    _cone_lp,
+    _cone_misses_gap,
     _decide_leq,
     _difference_rows,
     _equiv_unit,
@@ -64,6 +70,22 @@ class TestBuildPresentation:
         with pytest.raises(ts.InputError) as e:
             pres(1, [((1,), (bad,))])
         assert e.value.code == "NON_INTEGRAL_ENTRY"
+
+    @pytest.mark.parametrize("bad", [None, 5])
+    def test_non_iterable_vector_rejected(self, bad):
+        # used to raise a bare TypeError
+        calls = [
+            lambda: ts.decide_equiv(TWO_LOOPS, bad, (1,)),
+            lambda: ts.decide_equiv(TWO_LOOPS, (1,), bad),
+            lambda: ts.decide_leq(TWO_LOOPS, bad, (1,)),
+            lambda: ts.decide_leq(TWO_LOOPS, (1,), bad),
+            lambda: ts.kl_paradoxical(TWO_LOOPS, bad, 2, 1),
+            lambda: ts.almost_unperforated_up_to(TWO_LOOPS, [(1,), bad]),
+        ]
+        for call in calls:
+            with pytest.raises(ts.InputError) as e:
+                call()
+            assert e.value.code == "DIMENSION_MISMATCH"
 
     def test_integer_entries_accepted_from_any_sequence(self):
         assert ts.decide_equiv(TWO_LOOPS, [1], range(2, 3)).is_equiv
@@ -597,6 +619,14 @@ def _reference_order_separator(p, f, g):
     return _reference_rational_separator(p, f, g) or _reference_extended_separator(p, f, g)
 
 
+def _reference_compiled_moves(p):
+    comp = []
+    for i, mv in enumerate(p.moves):
+        comp.append((i, ts.Direction.FORWARD, mv.lhs, tuple(b - a for a, b in zip(mv.lhs, mv.rhs))))
+        comp.append((i, ts.Direction.BACKWARD, mv.rhs, tuple(a - b for a, b in zip(mv.lhs, mv.rhs))))
+    return comp
+
+
 def _reference_back_steps(visited, state):
     steps = []
     while visited[state] is not None:
@@ -608,7 +638,7 @@ def _reference_back_steps(visited, state):
 
 
 def _reference_bfs_equiv(p, f, g, budget):
-    moves = _compiled_moves(p)
+    moves = _reference_compiled_moves(p)
     visited = ({f: None}, {g: None})
     frontier = [[f], [g]]
     cap_hit = [False, False]
@@ -649,7 +679,7 @@ def _reference_bfs_equiv(p, f, g, budget):
 
 
 def _reference_bfs_leq(p, f, g, budget):
-    moves = _compiled_moves(p)
+    moves = _reference_compiled_moves(p)
     visited = {g: None}
     frontier = [g]
     cap_hit = False
@@ -988,21 +1018,38 @@ class TestCompiledSweep:
             solved.append(1)
             return real_solve(self, *args, **kwargs)
 
+        keys = set()
+        real_separator = monoid._separator_on_support
+
+        def recording_separator(pres, F, f, g, memo):
+            gap = tuple(f[i] - g[i] for i in range(pres.dim) if F >> i & 1)
+            if any(gap):
+                keys.add((F, gap))
+            return real_separator(pres, F, f, g, memo)
+
         monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
         _, pairs = _sweep_pairs(p, 4, 5000)
         for theta, eta in pairs:
             ts.decide_leq(p, theta, eta)
         per_query = len(solved)
         memo = {}
+        monkeypatch.setattr(monoid, "_separator_on_support", recording_separator)
         for theta, eta in pairs:
             if any(t > e for t, e in zip(theta, eta)):
                 _decide_leq(p, theta, eta, ts.DEFAULT_BUDGET, memo)
+        monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
         solved.clear()
         sweep = ts.almost_unperforated_up_to(p, gens, 4, 4)
         assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
-        # one LP per distinct (support, gap) key; without the memo, 406
-        assert per_query == 406
-        assert len(solved) == len(memo) <= per_query // 5
+        # without the memo, 256 LPs (406 before the zero-cone rule); with it,
+        # one memo entry per distinct (support, gap) key and one LP per key
+        # the rule leaves
+        assert per_query == 256
+        assert len(memo) == len(keys)
+        assert len(solved) <= len(memo) and len(solved) <= per_query // 5
+        left = [(F, gap) for F, gap in keys if not _cone_misses_gap(
+            p, F, [i for i in range(p.dim) if F >> i & 1], gap)]
+        assert len(solved) == len(left) < len(keys)
 
     def test_no_state_outlives_the_sweep(self):
         p = _kgraph_presentation([[1, 1], [0, 1]])
@@ -1097,3 +1144,255 @@ class TestSupportSeparator:
                 assert after.separator == _support_separator(p, f, g)
                 assert ts.verify_separator(p, after.separator, f, g)
         assert settled >= 10 and kept >= 400
+
+
+# ---------------------------------------------------------------------------
+# the BFS level expansion as it was before moves were compiled sparse: every
+# move tested and applied on every coordinate, and the cap tested on all of
+# them
+
+
+class _DenseSearchTree(monoid._SearchTree):
+    def expand(self, moves, cap):
+        visited = self.visited
+        nxt = []
+        for state in self.frontier:
+            for (idx, dn, need, delta) in moves:
+                ok = True
+                for sv, nv in zip(state, need):
+                    if sv < nv:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                new = tuple([sv + dv for sv, dv in zip(state, delta)])
+                if max(new) > cap:
+                    self.cap_hit = True
+                    continue
+                if new in visited:
+                    continue
+                visited[new] = state
+                yield new
+                nxt.append(new)
+        self.frontier = nxt
+
+
+def _kernel_presentations(rng):
+    """Non-unit presentations of dimension 1-6, some with a move whose two
+    sides are equal."""
+    for dim in range(1, 7):
+        for _ in range(6):
+            p = _non_unit_presentation(rng, dim, rng.randint(1, 4))
+            if rng.random() < 0.4:
+                same = tuple(rng.randint(0, 2) for _ in range(dim))
+                moves = list(p.moves)
+                moves.insert(rng.randrange(len(moves) + 1), (same, same))
+                p = pres(dim, moves)
+            yield p
+
+
+class TestSparseKernelMatchesDense:
+    def test_levels(self):
+        # roots reach above the cap of 2-4, and the states are compared level
+        # by level, parents and cap flags included
+        rng = random.Random(97)
+        over = 0
+        for p in _kernel_presentations(rng):
+            sparse_moves = monoid._compiled_moves(p)
+            dense_moves = _reference_compiled_moves(p)
+            for _ in range(3):
+                cap = rng.randint(2, 4)
+                root = tuple(rng.randint(0, cap + 2) for _ in range(p.dim))
+                over += max(root) > cap
+                sparse, dense = monoid._SearchTree(root), _DenseSearchTree(root)
+                for _ in range(6):
+                    assert (list(sparse.expand(sparse_moves, cap))
+                            == list(dense.expand(dense_moves, cap)))
+                    assert sparse.visited == dense.visited
+                    assert sparse.frontier == dense.frontier
+                    assert sparse.cap_hit is dense.cap_hit
+        assert over > 30
+
+    def test_searches(self, monkeypatch):
+        rng = random.Random(101)
+        seen = set()
+        for p in _kernel_presentations(rng):
+            for _ in range(4):
+                budget = ts.SearchBudget(rng.choice((15, 60, 400)), rng.choice((2, 3, 5, 64)))
+                top = min(budget.max_coord + 1, 6)
+                f = tuple(rng.randint(0, top) for _ in range(p.dim))
+                g = tuple(rng.randint(0, top) for _ in range(p.dim))
+                sparse = (_bfs_equiv(p, f, g, budget), _bfs_leq(p, f, g, budget))
+                monkeypatch.setattr(monoid, "_compiled_moves", _reference_compiled_moves)
+                monkeypatch.setattr(monoid, "_SearchTree", _DenseSearchTree)
+                dense = (_bfs_equiv(p, f, g, budget), _bfs_leq(p, f, g, budget))
+                monkeypatch.undo()
+                assert sparse == dense
+                for out in sparse:
+                    seen.add(out.verdict if out.budget is None else
+                             (out.budget.coordinate_cap_hit, out.budget.exhausted))
+        # both verdicts, and budget reports bound by the cap, by the state
+        # budget and by clean exhaustion
+        assert seen >= {ts.Verdict.EQUIV, (True, False), (False, False), (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# the zero-cone rule in front of the order-separator LP
+
+
+def _cone_lp_feasible(p, F, support, gap):
+    lp, names = _cone_lp(p, F)
+    lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
+    return lp.solve().status == simplex.OPTIMAL
+
+
+def _random_supports_and_gaps(rng, p, count):
+    """Admissible supports (least ones around random seeds) and nonzero gaps."""
+    sides = list(zip(*p._supports))
+    for _ in range(count):
+        F = least_admissible_support(sides, rng.randint(1, (1 << p.dim) - 1))
+        support = [i for i in range(p.dim) if F >> i & 1]
+        gap = tuple(rng.randint(-2, 2) for _ in support)
+        if any(gap):
+            yield F, support, gap
+
+
+def _one_matrix_presentation(rng, n):
+    """e_v -> row v of a random 0..2 matrix; rows may be zero or unit."""
+    return pres(n, [(ts.unit_vector(n, v),
+                     tuple(rng.choice((0, 0, 0, 1, 1, 2)) for _ in range(n)))
+                    for v in range(n)])
+
+
+class TestZeroConeRule:
+    def test_one_matrix_exactly_when_the_lp_is_infeasible(self):
+        rng = random.Random(103)
+        refuted = kept = 0
+        for _ in range(300):
+            p = _one_matrix_presentation(rng, rng.randint(1, 7))
+            for F, support, gap in _random_supports_and_gaps(rng, p, 4):
+                zero = _cone_misses_gap(p, F, support, gap)
+                assert zero is not _cone_lp_feasible(p, F, support, gap)
+                refuted += zero
+                kept += not zero
+        assert refuted > 300 and kept > 100
+
+    def test_two_graphs_refute_only_infeasible_lps(self):
+        # one matrix at a time, the rule may miss an infeasible LP here
+        rng = random.Random(107)
+        refuted = 0
+        for _ in range(200):
+            p = _graph_presentation(rng, rng.randint(1, 6))
+            if len(p.moves) == p.dim:
+                continue
+            for F, support, gap in _random_supports_and_gaps(rng, p, 4):
+                if _cone_misses_gap(p, F, support, gap):
+                    assert not _cone_lp_feasible(p, F, support, gap)
+                    refuted += 1
+        assert refuted > 100
+
+    def test_not_used_outside_its_scope(self):
+        rng = random.Random(109)
+        infeasible = 0
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            p = _one_matrix_presentation(rng, n)
+            moves = list(p.moves)
+            moveless = 0
+            if rng.random() < 0.5:
+                # a left side that is not a unit vector
+                lhs = list(ts.unit_vector(n, rng.randrange(n)))
+                lhs[rng.randrange(n)] += 1
+                moves.append((tuple(lhs), tuple(rng.randint(0, 1) for _ in range(n))))
+            else:
+                # a vertex of F with no move
+                u = rng.randrange(n)
+                del moves[u]
+                moveless = 1 << u
+            q = pres(n, moves)
+            full = (1 << n) - 1
+            for F, support, gap in [(full, list(range(n)), None)] + list(
+                    _random_supports_and_gaps(rng, q, 3)):
+                gap = gap or tuple(rng.randint(-2, 2) for _ in support)
+                if not any(gap) or F & moveless != moveless:
+                    continue
+                assert _cone_misses_gap(q, F, support, gap) is False
+                infeasible += not _cone_lp_feasible(q, F, support, gap)
+        assert infeasible > 50
+
+    def test_separators_unchanged_on_graphs(self, monkeypatch):
+        # with the rule switched off, every order separator is the same
+        rng = random.Random(113)
+        cases = []
+        for _ in range(120):
+            n = rng.randint(1, 5)
+            p = _graph_presentation(rng, n)
+            cases += [(p, *_random_pair(rng, n)) for _ in range(3)]
+        with_rule = [_order_separator(p, f, g, {}) for p, f, g in cases]
+        monkeypatch.setattr(monoid, "_cone_misses_gap", lambda *args: False)
+        assert [_order_separator(p, f, g, {}) for p, f, g in cases] == with_rule
+        assert {None if s is None else s.kind for s in with_rule} == {
+            None, ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED}
+
+
+# ---------------------------------------------------------------------------
+# the modulus loop of `find_separator` as it was before the torsion test
+
+
+def _reference_modular_separator(p, f, g, modulus_bound):
+    rows = _difference_rows(p)
+    diff = tuple(a - b for a, b in zip(f, g))
+    if rows and modulus_bound >= 2:
+        diag, V = integer_diagonalize(rows, p.dim)
+        for m in range(2, modulus_bound + 1):
+            for gen in modular_kernel_generators(diag, V, p.dim, m):
+                if sum(a * b for a, b in zip(gen, diff)) % m != 0:
+                    return ts.LinearSeparator(ts.SeparatorKind.MODULAR, gen, modulus=m)
+    return None
+
+
+def _reference_find_separator(p, f, g, modulus_bound):
+    diff = tuple(a - b for a, b in zip(f, g))
+    for cand in rational_kernel_basis(_difference_rows(p), p.dim):
+        if sum(a * b for a, b in zip(cand, diff)) != 0:
+            return ts.LinearSeparator(ts.SeparatorKind.RATIONAL, primitive_integer(cand))
+    return _reference_modular_separator(p, f, g, modulus_bound)
+
+
+class TestTorsionFromDiagonalForm:
+    def test_matches_the_modulus_loop(self):
+        # torsion orders 2..9 and, at bound 4, above the bound; moves with
+        # zero left sides give negative diagonal entries
+        rng = random.Random(127)
+        moduli, negative = set(), 0
+        for _ in range(400):
+            dim = rng.randint(1, 4)
+            moves = []
+            for _ in range(rng.randint(1, 3)):
+                lhs = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(dim))
+                rhs = tuple(rng.choice((0, 0, 1, 3, 5, 9)) for _ in range(dim))
+                moves.append((lhs, rhs) if rng.random() < 0.5 else (rhs, lhs))
+            p = pres(dim, moves)
+            rows = _difference_rows(p)
+            negative += bool(rows) and any(s < 0 for s in integer_diagonalize(rows, dim)[0])
+            for _ in range(3):
+                f, g = (tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(2))
+                for bound in (0, 1, 2, 4, monoid.DEFAULT_MODULUS_BOUND):
+                    sep = ts.find_separator(p, f, g, bound)
+                    assert sep == _reference_find_separator(p, f, g, bound)
+                    if sep is not None and sep.kind is ts.SeparatorKind.MODULAR:
+                        moduli.add(sep.modulus)
+        assert {2, 3, 4, 5} <= moduli and negative > 20
+
+    @pytest.mark.parametrize("order", [2, 3, 5, 63, 64, 65, 67])
+    def test_one_torsion_order(self, order):
+        # 0 <-> order.x: x has order `order`, so a modulus up to the bound
+        # separates 0 from x exactly when it divides `order`
+        p = pres(1, [((0,), (order,))])
+        for bound in (0, 1, 2, 3, 64):
+            expected = _reference_find_separator(p, (1,), (0,), bound)
+            assert ts.find_separator(p, (1,), (0,), bound) == expected
+            if expected is not None:
+                assert expected.modulus == min(m for m in range(2, bound + 1) if order % m == 0)
+            else:
+                assert all(order % m for m in range(2, bound + 1))

@@ -287,6 +287,13 @@ class TestSolveStateAt:
             ts.solve_state_at(one_loop, (1, 0))
         assert e.value.code == "DIMENSION_MISMATCH"
 
+    @pytest.mark.parametrize("bad", [None, 5])
+    def test_non_iterable_target_rejected(self, one_loop, bad):
+        # used to raise a bare TypeError
+        with pytest.raises(ts.InputError) as e:
+            ts.solve_state_at(one_loop, bad)
+        assert e.value.code == "DIMENSION_MISMATCH"
+
     def test_support_must_respect_escape(self):
         # second vertex feeds only into the first: a state normalized at the
         # first vertex cannot be infinite at the second
