@@ -155,12 +155,12 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
             verdict = INCONCLUSIVE
             if any(cert is None for (_, cert) in state_results):
                 notes.append("traceless evidence: some vertex class admits no normalized state")
-                if unperforation.clear and not unperforation.truncated and unperforation.unknown_pairs == 0:
+                if not unperforation.truncated and unperforation.unknown_pairs == 0:
                     notes.append(
                         "purely infinite modulo almost unperforation "
-                        "(no counterexample within the swept bounds)"
+                        "(every pair in the swept box was decided)"
                     )
-                elif unperforation.clear:
+                else:
                     notes.append(
                         "almost-unperforation sweep incomplete "
                         f"(pairs={unperforation.pairs_checked}, "

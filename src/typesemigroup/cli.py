@@ -382,10 +382,7 @@ def _cmd_unperforation(args, kind: str, model) -> tuple[dict, int]:
         "mult_bound": args.mult_bound,
         "sweep": _sweep_dict(sweep),
     }
-    code = EXIT_OK
-    if sweep.clear and (sweep.truncated or sweep.unknown_pairs):
-        code = EXIT_UNKNOWN
-    return fields, code
+    return fields, EXIT_UNKNOWN if sweep.truncated or sweep.unknown_pairs else EXIT_OK
 
 
 def _cmd_oracle_compare(args, kind: str, model) -> tuple[dict, int]:

@@ -25,8 +25,8 @@ is solved only after the zero-cone rule (`_cone_misses_gap`) fails to show
 it infeasible from the rays of the move matrices, which it can when every
 move's left side is a unit vector, as in a k-graph presentation.  Both
 searches grow their levels with the same `_SearchTree.expand`, over the
-moves compiled once per search (`_compiled_moves`) to their nonzero
-coordinates.
+moves compiled to their nonzero coordinates (`_compiled_moves`) once per
+search, or once per sweep in `almost_unperforated_up_to`.
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
@@ -37,7 +37,7 @@ memo of order-separator results keyed by (support, gap on it), which is all
 the separator LP depends on: `decide_leq` passes a fresh one, so its result
 never depends on earlier calls, and `almost_unperforated_up_to`, which asks
 thousands of order questions of one presentation, passes one that lives
-only for that call.
+only for that call, as do the moves it compiles.
 
 An order separator and a state (`states.solve_state_at`) are the same kind
 of object: an additive map into [0, oo] that every move leaves invariant,
@@ -63,6 +63,7 @@ from .errors import (
     DIMENSION_MISMATCH,
     INVALID_PAIR,
     NEGATIVE_ENTRY,
+    NON_INTEGRAL_ENTRY,
     STEP_NOT_APPLICABLE,
     ConsistencyError,
     InputError,
@@ -210,10 +211,6 @@ class UnperforationSweep:
     pairs_checked: int
     unknown_pairs: int
     truncated: bool
-
-    @property
-    def clear(self) -> bool:
-        return self.counterexample is None
 
 
 def as_vector(entries: Sequence[int], dim: int) -> Vector:
@@ -990,9 +987,10 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
     return report(exhausted=not (from_f.cap_hit or from_g.cap_hit))
 
 
-def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
+def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
+             moves=None) -> DecisionOutcome:
     """Breadth-first search from g for a congruent vector dominating f."""
-    moves = _compiled_moves(pres)
+    moves = _compiled_moves(pres) if moves is None else moves
     tree = _SearchTree(g)
     while tree.frontier:
         for new in tree.expand(moves, budget.max_coord):
@@ -1014,15 +1012,15 @@ def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudge
 
 
 def _decide_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
-                memo: dict) -> DecisionOutcome:
+                memo: dict, moves=None) -> DecisionOutcome:
     """`decide_leq` on validated vectors with f not below g coordinatewise;
-    `memo` is passed to `_order_separator`."""
+    `memo` is passed to `_order_separator` and `moves` to `_bfs_leq`."""
     if pres._unit is not None:
         return _leq_unit(pres, pres._unit, f, g)
     sep = _order_separator(pres, f, g, memo)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    return _bfs_leq(pres, f, g, budget)
+    return _bfs_leq(pres, f, g, budget, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -1105,27 +1103,29 @@ def almost_unperforated_up_to(
 
     Decides theta <= eta for the first `max_pairs` pairs of the span with
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
-    left undecided.  Each pair gets the outcome `decide_leq` gives it, but
-    each order-separator LP is solved once per distinct (support, gap) key;
-    that memo lives only until the call returns.
+    left undecided.  Each pair gets the outcome `decide_leq` gives it.  A
+    unit presentation's pairs are only counted, since its unit path decides
+    every pair.  Otherwise each order-separator LP is solved once per
+    distinct (support, gap) key and the moves are compiled once; both live
+    only until the call returns.  `coeff_bound` and `max_pairs` are `int`s >= 0.
 
     Multipliers n > m need no search: a pair refuted by an order separator c
     has c(n theta) = n c(theta) > m c(eta), so every scaled pair
     n theta <= m eta is refuted as well.  `mult_bound` is accepted for
     compatibility and changes nothing.  A counterexample needs a refutation
     that is not a functional, which no decider here produces, so
-    `counterexample` is always None and clearance is only ever claimed
-    within the stated bounds.
+    `counterexample` is always None.
     """
     gens = [as_vector(gv, pres.dim) for gv in generators]
     if not gens:
         raise InputError(DIMENSION_MISMATCH, "generator list must be nonempty")
-    if coeff_bound < 0:
-        # an empty span would be reported as a complete, clear sweep
-        raise InputError(
-            NEGATIVE_ENTRY, f"coeff_bound must be nonnegative, got {coeff_bound}",
-            coeff_bound=coeff_bound,
-        )
+    for name, bound in (("coeff_bound", coeff_bound), ("max_pairs", max_pairs)):
+        if type(bound) is not int:  # also rejects bool
+            raise InputError(NON_INTEGRAL_ENTRY, f"{name} must be an integer, got {bound!r}",
+                             **{name: repr(bound)})
+        if bound < 0:  # rejected, not read as an empty span or no pairs
+            raise InputError(NEGATIVE_ENTRY, f"{name} must be nonnegative, got {bound}",
+                             **{name: bound})
     # one vector past max_pairs already gives more pairs than max_pairs
     span: list[Vector] = []
     seen = set()
@@ -1136,13 +1136,14 @@ def almost_unperforated_up_to(
             span.append(vec)
             if len(span) > max_pairs:
                 break
-    pairs = itertools.islice(itertools.product(span, repeat=2), max(max_pairs, 0))
-    memo: dict = {}
-    budget = budget or DEFAULT_BUDGET
-    pairs_checked = unknown = 0
-    for theta, eta in pairs:
-        pairs_checked += 1
-        # theta <= eta coordinatewise is decided without a search
-        if any(t > e for t, e in zip(theta, eta)):
-            unknown += _decide_leq(pres, theta, eta, budget, memo).is_unknown
+    pairs_checked = min(len(span) ** 2, max_pairs)
+    unknown = 0
+    if pres._unit is None:
+        memo: dict = {}
+        moves = _compiled_moves(pres)
+        budget = budget or DEFAULT_BUDGET
+        for theta, eta in itertools.islice(itertools.product(span, repeat=2), max_pairs):
+            # theta <= eta coordinatewise is decided without a search
+            if any(t > e for t, e in zip(theta, eta)):
+                unknown += _decide_leq(pres, theta, eta, budget, memo, moves).is_unknown
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)

@@ -98,6 +98,22 @@ class TestBudgetMonotonicity:
         r_big = ts.classify(two_loops, DEFAULT_CLASSIFY_BUDGETS)
         assert r_big.verdict == ts.PURELY_INFINITE
 
+    def test_inconclusive_note_says_what_the_sweep_checked(self, two_loops):
+        tiny = ts.SearchBudget(max_states=4, max_coord=1)
+        for extra, sweep, note in (
+            ({"unperforation_coeff": 0}, (1, 0, False),
+             "purely infinite modulo almost unperforation "
+             "(every pair in the swept box was decided)"),
+            ({}, (25, 6, False),
+             "almost-unperforation sweep incomplete (pairs=25, unknown=6, truncated=False)"),
+            ({"unperforation_max_pairs": 3}, (3, 0, True),
+             "almost-unperforation sweep incomplete (pairs=3, unknown=0, truncated=True)"),
+        ):
+            r = ts.classify(two_loops, ts.ClassifyBudgets(search=tiny, **extra))
+            assert r.verdict == ts.INCONCLUSIVE
+            assert r.unperforation == ts.UnperforationSweep(None, *sweep)
+            assert r.notes[-1] == note
+
     def test_definite_verdicts_stable_under_budget_increase(self):
         rng = random.Random(4)
         big = ts.ClassifyBudgets(search=ts.SearchBudget(max_states=500_000, max_coord=128))

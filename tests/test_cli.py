@@ -152,6 +152,16 @@ class TestModelsAndExitCodes:
         assert code == 0
         assert json.loads(out)["sweep"]["counterexample"] is None
 
+    def test_unperforation_with_unknown_pairs_exits_unknown(self, models_dir, capsys):
+        code, out = run_cli(
+            ["unperforation", str(models_dir / "two_loops.json"),
+             "--budget-states", "4", "--budget-coord", "1"],
+            capsys,
+        )
+        assert code == 3
+        sweep = json.loads(out)["sweep"]
+        assert (sweep["pairs_checked"], sweep["unknown_pairs"], sweep["truncated"]) == (25, 6, False)
+
     def test_oracle_compare(self, models_dir, capsys):
         code, out = run_cli(
             [

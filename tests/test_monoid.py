@@ -394,15 +394,15 @@ def _reference_sweep(p, gens, coeff_bound, mult_bound, budget, max_pairs):
 class TestAlmostUnperforated:
     def test_free_monoid_clear(self):
         sweep = ts.almost_unperforated_up_to(FREE_1, [(1,)], 4, 4)
-        assert sweep.clear and not sweep.truncated and sweep.unknown_pairs == 0
+        assert sweep == ts.UnperforationSweep(None, 25, 0, False)
 
     def test_two_loops_clear(self):
         sweep = ts.almost_unperforated_up_to(TWO_LOOPS, [(1,)], 4, 4)
-        assert sweep.clear
+        assert sweep == ts.UnperforationSweep(None, 25, 0, False)
 
     def test_free_rank_two_clear(self):
         sweep = ts.almost_unperforated_up_to(FREE_2, [(1, 0), (0, 1)], 3, 3)
-        assert sweep.clear and sweep.unknown_pairs == 0
+        assert sweep == ts.UnperforationSweep(None, 256, 0, False)
 
     def test_refuted_pairs_stay_refuted_under_scaling(self):
         # the sweep makes one decide_leq per pair because a separator c that
@@ -928,6 +928,26 @@ class TestSweepBounds:
         sweep = ts.almost_unperforated_up_to(TWO_LOOPS, [(1,)], 0, 4)
         assert (sweep.pairs_checked, sweep.truncated, sweep.unknown_pairs) == (1, False, 0)
 
+    # a unit and a non-unit presentation reject alike
+    @pytest.mark.parametrize("p", [pres(2, [((1, 0), (0, 1))]), TWO_LOOPS])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "3", None])
+    @pytest.mark.parametrize("name", ["coeff_bound", "max_pairs"])
+    def test_non_integral_bound_rejected(self, p, bad, name):
+        gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
+        with pytest.raises(ts.InputError) as e:
+            ts.almost_unperforated_up_to(p, gens, **{name: bad})
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+        assert e.value.details == {name: repr(bad)}
+
+    @pytest.mark.parametrize("p", [pres(2, [((1, 0), (0, 1))]), TWO_LOOPS])
+    @pytest.mark.parametrize("name", ["coeff_bound", "max_pairs"])
+    def test_negative_bound_rejected(self, p, name):
+        gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
+        for bad in (-1, -3):
+            with pytest.raises(ts.InputError) as e:
+                ts.almost_unperforated_up_to(p, gens, **{name: bad})
+            assert (e.value.code, e.value.details) == ("NEGATIVE_ENTRY", {name: bad})
+
 
 def _kgraph_presentation(matrix):
     model = ts.validate_kgraph([f"v{i}" for i in range(len(matrix))], [matrix])
@@ -1063,6 +1083,85 @@ class TestCompiledSweep:
         assert {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
                 for k, v in vars(monoid).items()} == module_state
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first
+
+    def test_moves_compiled_once_per_sweep(self, monkeypatch):
+        rng = random.Random(73)
+        budget = ts.SearchBudget(300, 6)
+        compiled, searched = [], []
+        real_compile, real_bfs = monoid._compiled_moves, monoid._bfs_leq
+
+        def counting_compile(p):
+            compiled.append(1)
+            return real_compile(p)
+
+        def counting_bfs(*args):
+            searched.append(1)
+            return real_bfs(*args)
+
+        monkeypatch.setattr(monoid, "_compiled_moves", counting_compile)
+        monkeypatch.setattr(monoid, "_bfs_leq", counting_bfs)
+        sweeps = 0
+        for dim in range(1, 5):
+            for p in _sweep_presentations(rng, dim):
+                compiled.clear()
+                searched.clear()
+                ts.almost_unperforated_up_to(
+                    p, [ts.unit_vector(dim, i) for i in range(dim)], 3 if dim <= 2 else 1, 4,
+                    budget)
+                if p._unit is not None:
+                    assert compiled == [] and searched == []
+                elif searched:
+                    assert len(compiled) == 1
+                    sweeps += len(searched) > 1
+        assert sweeps >= 5
+
+
+def _unit_presentations(rng):
+    """Permutation 1-graphs, commuting permutation 2-graphs and
+    transformation presentations of small actions, all with unit moves."""
+    out = []
+    for n in range(1, 5):
+        perm = rng.sample(range(n), n)
+        a = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+        out.append(_kgraph_presentation(a))
+        a2 = [[sum(a[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        out.append(ts.presentation_from_kgraph(
+            ts.validate_kgraph([f"v{i}" for i in range(n)], [a, a2])))
+        gens = [[x + 1 for x in rng.sample(range(n), n)] for _ in range(rng.randint(0, 2))]
+        out.append(ts.transformation_presentation(ts.build_action(list(range(1, n + 1)), gens)))
+    return out
+
+
+class TestUnitSweepIsCounted:
+    def test_sweep_matches_per_pair_loop(self, monkeypatch):
+        rng = random.Random(79)
+        calls = []
+        real_leq_unit = monoid._leq_unit
+
+        def counting_leq_unit(*args):
+            calls.append(1)
+            return real_leq_unit(*args)
+
+        monkeypatch.setattr(monoid, "_leq_unit", counting_leq_unit)
+        presentations = _unit_presentations(rng)
+        assert all(p._unit is not None for p in presentations)
+        for p in presentations:
+            gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
+            coeff_bound = 2 if p.dim <= 2 else 1
+            span = _span(p, gens, coeff_bound)
+            pairs = len(span) ** 2
+            outcomes = [ts.decide_leq(p, t, e) for t, e in itertools.product(span, repeat=2)]
+            assert not any(out.is_unknown for out in outcomes)
+            assert calls  # the counter sees the per-pair loop
+            for max_pairs in (0, 1, len(span) - 1, len(span), len(span) + 1,
+                              pairs - 1, pairs, pairs + 1):
+                calls.clear()
+                sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, None, max_pairs)
+                checked = outcomes[:max_pairs]
+                assert sweep == ts.UnperforationSweep(
+                    None, len(checked), sum(out.is_unknown for out in checked),
+                    pairs > len(checked))
+                assert calls == []
 
 
 def _graph_presentation(rng, n):
