@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     negative_entry,
     non_integral_entry,
+    require_int,
 )
 from .monoid import MonoidPresentation, Move, build_presentation, unit_vector
 
@@ -360,8 +361,10 @@ def stabilize(action: FiniteGroupAction, n: int) -> FiniteGroupAction:
 
     Points are (p, i) for i = 1..n; the original generators act on the first
     coordinate and, for n > 1, an n-cycle on the copy index makes each fibre
-    a single class.  Orbits are exactly (orbit of p) x {1..n}.
+    a single class.  Orbits are exactly (orbit of p) x {1..n}.  `n` is an
+    `int` >= 1.
     """
+    require_int("n", n)
     if n < 1:
         raise InputError(DIMENSION_MISMATCH, "need n >= 1", n=n)
     pts = tuple((p, i) for p in action.points for i in range(1, n + 1))

@@ -69,7 +69,6 @@ _SKELETON_CAVEAT = (
 class ClassifyBudgets:
     search: SearchBudget = SearchBudget()
     unperforation_coeff: int = 4
-    unperforation_mult: int = 4  # the sweep result does not depend on it
     unperforation_max_pairs: int = 5000
 
 
@@ -148,7 +147,6 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
                 pres,
                 [unit_vector(model.dim, vi) for vi in range(model.dim)],
                 coeff_bound=budgets.unperforation_coeff,
-                mult_bound=budgets.unperforation_mult,
                 budget=budgets.search,
                 max_pairs=budgets.unperforation_max_pairs,
             )

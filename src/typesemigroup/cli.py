@@ -142,7 +142,6 @@ def _coboundary_dict(res: CoboundaryResult) -> dict:
 
 def _sweep_dict(sweep: UnperforationSweep) -> dict:
     return {
-        "counterexample": None,
         "pairs_checked": sweep.pairs_checked,
         "unknown_pairs": sweep.unknown_pairs,
         "truncated": sweep.truncated,
@@ -312,7 +311,6 @@ def _cmd_classify(args, kind: str, model) -> tuple[dict, int]:
     budgets = ClassifyBudgets(
         search=_budget(args),
         unperforation_coeff=args.coeff_bound,
-        unperforation_mult=args.mult_bound,
     )
     report = classify(_as_kgraph(kind, model), budgets)
     code = EXIT_UNKNOWN if report.verdict == INCONCLUSIVE else EXIT_OK
@@ -374,12 +372,10 @@ def _cmd_unperforation(args, kind: str, model) -> tuple[dict, int]:
         pres,
         gens,
         coeff_bound=args.coeff_bound,
-        mult_bound=args.mult_bound,
         budget=_budget(args),
     )
     fields = {
         "coeff_bound": args.coeff_bound,
-        "mult_bound": args.mult_bound,
         "sweep": _sweep_dict(sweep),
     }
     return fields, EXIT_UNKNOWN if sweep.truncated or sweep.unknown_pairs else EXIT_OK
@@ -440,9 +436,6 @@ def _cmd_stabilize_test(args, kind: str, model) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-_MULT_BOUND_HELP = "accepted for compatibility; the sweep result does not depend on it"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="typesemi",
@@ -462,7 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="dichotomy classification with certificates")
     common(sp)
     sp.add_argument("--coeff-bound", type=int, default=4)
-    sp.add_argument("--mult-bound", type=int, default=4, help=_MULT_BOUND_HELP)
     sp.set_defaults(handler=_cmd_classify)
 
     for name, help_text in (
@@ -494,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("unperforation", help="bounded almost-unperforation sweep")
     common(sp)
     sp.add_argument("--coeff-bound", type=int, default=4)
-    sp.add_argument("--mult-bound", type=int, default=4, help=_MULT_BOUND_HELP)
     sp.set_defaults(handler=_cmd_unperforation)
 
     sp = sub.add_parser("oracle-compare", help="cross-check the three deciders on an action")

@@ -45,6 +45,17 @@ def negative_entry(x: int) -> InputError:
     return InputError(NEGATIVE_ENTRY, f"negative entry {x}", entry=x)
 
 
+def require_int(name: str, value: Any, nonnegative: bool = False) -> None:
+    """Reject a parameter that is not an `int` (a `bool` included) or, if
+    `nonnegative`, is below zero; never coerce it."""
+    if type(value) is not int:
+        raise InputError(NON_INTEGRAL_ENTRY, f"{name} must be an integer, got {value!r}",
+                         **{name: repr(value)})
+    if nonnegative and value < 0:
+        raise InputError(NEGATIVE_ENTRY, f"{name} must be nonnegative, got {value}",
+                         **{name: value})
+
+
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.
 

@@ -33,6 +33,7 @@ from .errors import (
     ROW_ZERO,
     InputError,
     non_integral_entry,
+    require_int,
 )
 from .monoid import MonoidPresentation, Move, Vector, build_presentation, unit_vector
 
@@ -68,10 +69,11 @@ class DirectedGraph:
 
 
 def build_graph(vertices: Sequence[str], edges: Iterable) -> DirectedGraph:
-    """Validate a directed graph: unique ids, resolvable endpoints, no sources."""
+    """Validate a directed graph: nonempty unique ids, resolvable endpoints,
+    no sources."""
     verts = tuple(str(v) for v in vertices)
-    if len(set(verts)) != len(verts):
-        raise InputError(BAD_REFERENCE, "duplicate vertex ids")
+    if not verts or len(set(verts)) != len(verts):
+        raise InputError(BAD_REFERENCE, "vertex ids must be nonempty and unique")
     built = []
     seen_ids = set()
     for e in edges:
@@ -317,15 +319,15 @@ def cylinder_normalize(
 ) -> CylinderUnion:
     """Split every cylinder to a common depth and form the union.
 
-    The target depth defaults to the longest input word; a larger `depth` may
-    be requested.  Duplicates after splitting mean the inputs overlapped (one
-    word extended another, or a word repeated); in strict mode that is an
-    error, otherwise the duplicates are silently merged.
+    The target depth defaults to the longest input word; a larger `depth`,
+    an `int`, may be requested.  Duplicates after splitting mean the inputs
+    overlapped (one word extended another, or a word repeated); in strict
+    mode that is an error, otherwise the duplicates are silently merged.
     """
     longest = max((len(w) for w in words), default=0)
-    if depth is None:
-        depth = longest
-    elif depth < longest:
+    depth = longest if depth is None else depth
+    require_int("depth", depth)
+    if depth < longest:
         raise InputError(
             OVERLAPPING_CYLINDERS,
             f"requested depth {depth} is below the longest input word ({longest})",

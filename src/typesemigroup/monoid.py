@@ -20,10 +20,7 @@ tries `find_separator` (rational, then modular), then `_support_separator`:
 vectors with different least admissible supports are never congruent, and
 the extended separator 0 on one of those supports and oo off it shows it.
 The order tries `_order_separator`: the full support gives a rational
-separator, the least admissible support an extended one.  Each of those LPs
-is solved only after the zero-cone rule (`_cone_misses_gap`) fails to show
-it infeasible from the rays of the move matrices, which it can when every
-move's left side is a unit vector, as in a k-graph presentation.  Both
+separator, the least admissible support an extended one.  Both
 searches grow their levels with the same `_SearchTree.expand`, over the
 moves compiled to their nonzero coordinates (`_compiled_moves`) once per
 search, or once per sweep in `almost_unperforated_up_to`.
@@ -39,11 +36,12 @@ never depends on earlier calls, and `almost_unperforated_up_to`, which asks
 thousands of order questions of one presentation, passes one that lives
 only for that call, as do the moves it compiles.
 
-An order separator and a state (`states.solve_state_at`) are the same kind
-of object: an additive map into [0, oo] that every move leaves invariant,
-finite exactly on an admissible support.  One builder, `_cone_lp`, sets up
-the invariant cone on a support for both, and one check, `_ext_invariant`,
-verifies invariance for both in extended arithmetic.
+An order separator, a state (`states.solve_state_at`) and a positive
+invariant vector are the same kind of object: an additive map into [0, oo]
+that every move leaves invariant, finite exactly on an admissible support,
+and normalised.  One function, `_cone_solution`, solves that cone for all of
+them, by the zero-cone rule or one exact LP, and one check, `_ext_invariant`,
+verifies invariance for all of them in extended arithmetic.
 
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
@@ -62,13 +60,12 @@ from .errors import (
     CERTIFICATE_MISMATCH,
     DIMENSION_MISMATCH,
     INVALID_PAIR,
-    NEGATIVE_ENTRY,
-    NON_INTEGRAL_ENTRY,
     STEP_NOT_APPLICABLE,
     ConsistencyError,
     InputError,
     negative_entry,
     non_integral_entry,
+    require_int,
 )
 from .linalg import (
     integer_diagonalize,
@@ -79,7 +76,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .simplex import OPTIMAL, LinearProgram
+from .simplex import OPTIMAL, solve_lp
 
 Vector = tuple[int, ...]
 
@@ -177,8 +174,14 @@ class BudgetReport:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """States visited and largest coordinate of one search, `int`s >= 0."""
+
     max_states: int = 200_000
     max_coord: int = 64
+
+    def __post_init__(self) -> None:
+        require_int("max_states", self.max_states, nonnegative=True)
+        require_int("max_coord", self.max_coord, nonnegative=True)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -588,81 +591,80 @@ def _support_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> Linear
     return None
 
 
-def _cone_lp(pres: MonoidPresentation, F: int) -> tuple[LinearProgram, dict[int, str]]:
-    """The cone of c >= 0 on the support F that the moves inside F leave
-    invariant: one variable per vertex of F, in ascending order, and one row
-    lhs - rhs == 0 per move with both sides inside F (zero rows dropped).
-
-    The only builder of invariance LPs: order separators add c.gap >= 1,
-    states a normalization at the target, invariant vectors positivity.
-    """
-    support = [i for i in range(pres.dim) if F >> i & 1]
-    lp = LinearProgram()
-    names = {i: lp.variable(f"c{i}") for i in support}
-    for mv, ls, rs in zip(pres.moves, *pres._supports):
-        if not (ls | rs) & ~F:
-            coeffs = {names[i]: mv.lhs[i] - mv.rhs[i] for i in support if mv.lhs[i] != mv.rhs[i]}
-            if coeffs:
-                lp.constrain(coeffs, "==", 0)
-    return lp, names
-
-
 def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector,
                           memo: dict) -> LinearSeparator | None:
-    """Solve c >= 0 on F, invariant under the moves inside F, with c.gap >= 1,
-    once per (F, gap) in `memo`; no LP when `_cone_misses_gap` shows that
-    none exists."""
+    """The cone solution on F with c.gap >= 1, scaled to a separator, once
+    per (F, gap) in `memo`."""
     d = pres.dim
     support = [i for i in range(d) if F >> i & 1]
     gap = tuple([f[i] - g[i] for i in support])
     if not any(gap):
         return None
-    if (F, gap) in memo:
-        return memo[F, gap]
-    sep = None
-    if not _cone_misses_gap(pres, F, support, gap):
-        lp, names = _cone_lp(pres, F)
-        lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
-        sol = lp.solve()
-        if sol.status == OPTIMAL:
-            values = [sol.values[names[i]] if i in names else INFINITY for i in range(d)]
-            kind = SeparatorKind.RATIONAL if len(support) == d else SeparatorKind.EXTENDED
-            sep = LinearSeparator(kind, _scale_extended(values))
-    memo[F, gap] = sep
-    return sep
+    if (F, gap) not in memo:
+        values = _cone_solution(pres, F, [({i: v for i, v in zip(support, gap) if v}, ">=")])
+        kind = SeparatorKind.RATIONAL if len(support) == d else SeparatorKind.EXTENDED
+        memo[F, gap] = None if values is None else LinearSeparator(kind, _scale_extended(values))
+    return memo[F, gap]
 
 
-def _cone_misses_gap(pres: MonoidPresentation, F: int, support: list[int],
-                     gap: tuple) -> bool:
-    """True when some move matrix shows that no c in `_cone_lp`'s cone on F
-    has c.gap > 0, so the separator LP is infeasible; False when the rule
-    does not apply or finds no such matrix.
+def _cone_solution(pres: MonoidPresentation, F: int,
+                   rows: list[tuple[dict[int, int], str]]) -> list | None:
+    """A c >= 0 on F, invariant under every move inside F, with c.w >= 1 or
+    c.w == 1 for each of one or more rows (w, op), w a map from vertices of
+    F to nonzero coefficients: separators pass c.gap >= 1, states
+    c.target == 1, invariant vectors c_v >= 1 for every v.  Returns its
+    values, INFINITY off F, or None when there is none.
 
-    The rule applies when every move's left side is a unit vector e_v and
-    every vertex of F has a move, as in a k-graph presentation.  Then the
-    j-th moves of the vertices of F are the rows of a nonnegative integer
-    matrix B_j, and every c in the cone solves c = B_j c.  By the
-    Frobenius-Victory theorem (H. Schneider, Linear Algebra Appl. 84, 1986)
-    the nonnegative solutions of c = B c are generated by one ray per
-    distinguished class (`_distinguished_rays`), so c.gap > 0 somewhere in
-    that cone exactly when it holds at one of those rays.  A wrong True
-    could only drop a separator, never certify a false one.
+    The zero-cone rule comes first.  It applies when the left side of every
+    move inside F is a unit vector e_v and every vertex of F has such a
+    move, as in a k-graph presentation.  Then the j-th moves of the vertices
+    of F are the rows of a nonnegative integer matrix B_j, and every c in
+    the cone solves c = B_j c.  By the Frobenius-Victory theorem
+    (H. Schneider, Linear Algebra Appl. 84, 1986) the nonnegative solutions
+    of c = B c are generated by one ray per distinguished class
+    (`_distinguished_rays`), so a row that no ray of some B_j makes positive
+    has no solution, and no LP is solved.  The rays are generated only until
+    every row has a positive one.  A wrong refutation could only drop a
+    solution, never certify a false one.
+
+    Otherwise one exact LP decides: one column per vertex of F, ascending,
+    then a slack per row c.w >= 1; one row lhs - rhs == 0 per move inside F
+    (zero rows dropped), then the normalising rows in order; no objective.
     """
-    rows: dict[int, list[Vector]] = {v: [] for v in support}
-    for mv, ls, rs in zip(pres.moves, *pres._supports):
+    support = [i for i in range(pres.dim) if F >> i & 1]
+    inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]
+    moved: dict[int, list[Vector]] = {v: [] for v in support}
+    for mv, ls in inside:
         if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
-            return False
-        if ls & F:
-            if rs & ~F:
-                return False  # not a move inside F; F is not admissible
-            rows[ls.bit_length() - 1].append(mv.rhs)
-    gap_at = dict(zip(support, gap))
-    for j in range(min(len(r) for r in rows.values())):
-        B = {v: rows[v][j] for v in support}
-        if not any(sum(c * gap_at[v] for v, c in ray.items()) > 0
-                   for ray in _distinguished_rays(B, support)):
-            return True
-    return False
+            break  # the rule does not apply
+        moved[ls.bit_length() - 1].append(mv.rhs)
+    else:
+        for B in zip(*moved.values()):  # the j-th move of every vertex of F
+            pending = [w for w, _ in rows]
+            for ray in _distinguished_rays(dict(zip(support, B)), support):
+                pending = [w for w in pending
+                           if sum(c * w.get(v, 0) for v, c in ray.items()) <= 0]
+                if not pending:
+                    break
+            else:
+                return None
+    nslack = sum(op == ">=" for _, op in rows)
+    A = [row + [0] * nslack for row in (
+        [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
+    b = [0] * len(A)
+    slack = len(support)
+    for w, op in rows:
+        row = [w.get(i, 0) for i in support] + [0] * nslack
+        if op == ">=":
+            row[slack] = -1
+            slack += 1
+        A.append(row)
+        b.append(1)
+    sol = solve_lp(A, b, [0] * (len(support) + nslack))
+    if sol.status != OPTIMAL:
+        return None
+    x = iter(sol.x)
+    return [next(x) if F >> i & 1 else INFINITY for i in range(pres.dim)]
 
 
 def _distinguished_rays(B: dict[int, Vector], support: list[int]):
@@ -1119,13 +1121,9 @@ def almost_unperforated_up_to(
     gens = [as_vector(gv, pres.dim) for gv in generators]
     if not gens:
         raise InputError(DIMENSION_MISMATCH, "generator list must be nonempty")
-    for name, bound in (("coeff_bound", coeff_bound), ("max_pairs", max_pairs)):
-        if type(bound) is not int:  # also rejects bool
-            raise InputError(NON_INTEGRAL_ENTRY, f"{name} must be an integer, got {bound!r}",
-                             **{name: repr(bound)})
-        if bound < 0:  # rejected, not read as an empty span or no pairs
-            raise InputError(NEGATIVE_ENTRY, f"{name} must be nonnegative, got {bound}",
-                             **{name: bound})
+    # a negative bound is rejected, not read as an empty span or no pairs
+    require_int("coeff_bound", coeff_bound, nonnegative=True)
+    require_int("max_pairs", max_pairs, nonnegative=True)
     # one vector past max_pairs already gives more pairs than max_pairs
     span: list[Vector] = []
     seen = set()

@@ -15,6 +15,9 @@ over `Fraction`.
 
 `LinearProgram` is a small builder on top of `solve_lp` that supports free
 variables (split into differences) and inequality constraints (slacks).
+The library's own LPs are many and tiny, so it hands `solve_lp` their
+matrices directly: on a one-variable LP the builder's bookkeeping adds about
+half the cost of the solve.
 """
 
 from __future__ import annotations

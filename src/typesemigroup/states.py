@@ -6,9 +6,11 @@ functional, the same kind of object as an EXTENDED order separator, with
 c . target = 1 in place of c(f) > c(g).  So the same code solves and checks
 both, on the presentation the k-graph model carries: the least admissible
 support F containing the target (`monoid.least_admissible_support`), the
-invariant cone on F (`monoid._cone_lp`), with values infinite off F, and the
-move check in extended arithmetic (`monoid._ext_invariant`).  Fixing the
-finite support first keeps the linear program purely rational.
+invariant cone on F (`monoid._cone_solution`), with values infinite off F,
+and the move check in extended arithmetic (`monoid._ext_invariant`).  Fixing
+the finite support first keeps the linear program purely rational.  A
+positive invariant vector is the same cone on every vertex with c_v >= 1,
+and a faithful state is that vector scaled to mass one.
 
 The coboundary check decides whether the integer lattice spanned by the
 columns of the operators (I - A_i^t) meets the positive cone nontrivially;
@@ -28,9 +30,8 @@ from typing import Sequence
 from .errors import ZERO_TARGET, ConsistencyError, InputError
 from .graphs import KGraphModel
 from .monoid import (
-    INFINITY,
     Vector,
-    _cone_lp,
+    _cone_solution,
     _ext_dot,
     _ext_invariant,
     _is_infinity,
@@ -39,7 +40,7 @@ from .monoid import (
     as_vector,
     least_admissible_support,
 )
-from .simplex import OPTIMAL, LinearProgram
+from .simplex import OPTIMAL, solve_lp
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,22 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     outside it escapes it through each matrix.  Every admissible support
     contains the least one containing the target's support, F
     (`monoid.least_admissible_support`), which comes first; F is out-closed,
-    so a solution on any admissible support restricts to one on F.  One LP,
-    the invariant cone on F (`monoid._cone_lp`) with c . target = 1,
-    therefore decides: a solution on F is the answer, and infeasibility on F
-    is a complete negative answer over all admissible supports.
+    so a solution on any admissible support restricts to one on F.  The
+    invariant cone on F with c . target = 1 (`monoid._cone_solution`)
+    therefore decides: a solution on F is the answer, and none on F is a
+    complete negative answer over all admissible supports.
     """
     target = as_vector(target, model.dim)
     seed = _support(target)
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")
     pres = model._presentation
-    lp, names = _cone_lp(pres, least_admissible_support(zip(*pres._supports), seed))
-    lp.constrain({names[v]: target[v] for v in names if target[v]}, "==", 1)
-    sol = lp.solve()
-    if sol.status != OPTIMAL:
+    F = least_admissible_support(zip(*pres._supports), seed)
+    values = _cone_solution(pres, F, [({v: t for v, t in enumerate(target) if t}, "==")])
+    if values is None:
         return None
-    values = tuple(sol.values[names[v]] if v in names else INFINITY for v in range(model.dim))
-    return StateCertificate(values=values, target=target, support=tuple(names))
+    support = tuple(v for v in range(model.dim) if F >> v & 1)
+    return StateCertificate(values=tuple(values), target=target, support=support)
 
 
 def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool:
@@ -136,63 +136,51 @@ def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool
 def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
     """Strictly positive normalized invariant vector, or None.
 
-    Builds the invariant cone with total mass one once, then maximizes each
-    coordinate over it separately; a coordinate whose maximum is zero is
-    forced to vanish on the whole cone, so full support exists iff every
-    maximum is positive, and the average of the maximizers is then a witness.
+    A faithful state exists exactly when a strictly positive invariant
+    vector does, and is then that vector (`positive_invariant_vector`)
+    scaled to mass one, which is positive and invariant exactly when the
+    vector is.
     """
-    n = model.dim
-    lp, names = _cone_lp(model._presentation, (1 << n) - 1)
-    lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
-    maximizers = []
-    for v in range(n):
-        sol = lp.solve(objective={names[v]: 1}, maximize=True)
-        if sol.status != OPTIMAL or sol.objective == 0:
-            return None
-        maximizers.append([sol.values[names[w]] for w in range(n)])
-    avg = tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
-    if not (all(x > 0 for x in avg) and sum(avg) == 1):
-        raise ConsistencyError("averaged faithful state is not positive and normalized")
-    return avg
+    pos = positive_invariant_vector(model)
+    if pos is None:
+        return None
+    if not (all(x > 0 for x in pos) and _ext_invariant(model._presentation, pos)):
+        raise ConsistencyError("faithful state is not positive and invariant")
+    total = sum(pos)
+    return tuple(x / total for x in pos)
 
 
 def coboundary_check(model: KGraphModel) -> CoboundaryResult:
     """Does the span of the (I - A_i^t) images meet the positive cone?
 
     Rational feasibility of { y = sum_i (I - A_i^t) z_i, y >= 0, sum y = 1 }
-    scales to an integer witness, so HOLDS (infeasible) is exact.
+    scales to an integer witness, so HOLDS (infeasible) is exact.  One LP:
+    a column per y_v, then each free z_i[w] as the difference of two
+    adjacent nonnegative columns; a row per vertex, then the mass row.
     """
     n = model.dim
-    lp = LinearProgram()
-    ynames = [lp.variable(f"y{v}") for v in range(n)]
-    znames = [
-        [lp.variable(f"z{i}_{v}", free=True) for v in range(n)]
-        for i in range(model.k)
-    ]
+    ncols = n + 2 * model.k * n
+    A = []
     for v in range(n):
-        coeffs: dict[str, Fraction | int] = {ynames[v]: -1}
+        row = [0] * ncols
+        row[v] = -1
         for i, mat in enumerate(model.matrices):
             for w in range(n):
                 # ((I - A_i^t) z_i)_v = z_i[v] - sum_w A_i[w][v] z_i[w]
                 a = int(v == w) - mat[w][v]
-                if a:
-                    coeffs[znames[i][w]] = coeffs.get(znames[i][w], 0) + a
-        lp.constrain({k: c for k, c in coeffs.items() if c}, "==", 0)
-    lp.constrain({yn: 1 for yn in ynames}, "==", 1)
-    sol = lp.solve()
+                col = n + 2 * (i * n + w)
+                row[col], row[col + 1] = a, -a
+        A.append(row)
+    A.append([1] * n + [0] * (ncols - n))
+    sol = solve_lp(A, [0] * n + [1], [0] * ncols)
     if sol.status != OPTIMAL:
         return CoboundaryResult(holds=True)
-    scale = 1
-    for v in range(n):
-        scale = lcm(scale, sol.values[ynames[v]].denominator)
-    for i in range(model.k):
-        for v in range(n):
-            scale = lcm(scale, sol.values[znames[i][v]].denominator)
-    y = tuple(int(sol.values[ynames[v]] * scale) for v in range(n))
-    z = tuple(
-        tuple(int(sol.values[znames[i][v]] * scale) for v in range(n))
-        for i in range(model.k)
-    )
+    x = sol.x
+    zs = [[x[c] - x[c + 1] for c in range(n + 2 * i * n, n + 2 * (i + 1) * n, 2)]
+          for i in range(model.k)]
+    scale = lcm(*(q.denominator for q in x[:n]), *(q.denominator for z in zs for q in z))
+    y = tuple(int(q * scale) for q in x[:n])
+    z = tuple(tuple(int(q * scale) for q in zi) for zi in zs)
     result = CoboundaryResult(holds=False, witness_y=y, witness_z=z)
     if not verify_coboundary_witness(model, result):
         raise ConsistencyError("scaled coboundary witness fails substitution")
@@ -224,13 +212,8 @@ def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> b
 def positive_invariant_vector(model: KGraphModel) -> tuple[Fraction, ...] | None:
     """Strictly positive y with A_i y = y for all i (entries >= 1 after scaling)."""
     n = model.dim
-    lp, names = _cone_lp(model._presentation, (1 << n) - 1)
-    for v in range(n):
-        lp.constrain({names[v]: 1}, ">=", 1)
-    sol = lp.solve()
-    if sol.status != OPTIMAL:
-        return None
-    return tuple(sol.values[names[v]] for v in range(n))
+    values = _cone_solution(model._presentation, (1 << n) - 1, [({v: 1}, ">=") for v in range(n)])
+    return None if values is None else tuple(values)
 
 
 def stiemke_crosscheck(model: KGraphModel) -> StiemkeResult:

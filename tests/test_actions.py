@@ -266,6 +266,19 @@ class TestStabilize:
             for copies in range(1, 5):
                 assert ts.orbit_fingerprint(ts.stabilize(a, copies)) == ts.orbit_fingerprint(a)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+    def test_non_integral_copies_rejected(self, bad):
+        # 2.5 raised a bare TypeError and True was read as 1
+        with pytest.raises(ts.InputError) as e:
+            ts.stabilize(transposition(), bad)
+        assert (e.value.code, e.value.details) == ("NON_INTEGRAL_ENTRY", {"n": repr(bad)})
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_fewer_than_one_copy_rejected(self, bad):
+        with pytest.raises(ts.InputError) as e:
+            ts.stabilize(transposition(), bad)
+        assert e.value.code == "DIMENSION_MISMATCH"
+
 
 class TestActionGroupoid:
     def test_arrow_count_and_maps(self):

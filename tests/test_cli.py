@@ -144,13 +144,20 @@ class TestModelsAndExitCodes:
                 str(models_dir / "two_loops.json"),
                 "--coeff-bound",
                 "3",
-                "--mult-bound",
-                "3",
             ],
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["sweep"]["counterexample"] is None
+        payload = json.loads(out)
+        assert set(payload) == {"command", "model", "coeff_bound", "sweep"}
+        assert payload["sweep"] == {"pairs_checked": 16, "unknown_pairs": 0, "truncated": False}
+
+    @pytest.mark.parametrize("command", ["classify", "unperforation"])
+    def test_mult_bound_flag_removed(self, models_dir, command):
+        # the flag changed nothing and is no longer accepted
+        with pytest.raises(SystemExit) as e:
+            main([command, str(models_dir / "two_loops.json"), "--mult-bound", "3"])
+        assert e.value.code == 2
 
     def test_unperforation_with_unknown_pairs_exits_unknown(self, models_dir, capsys):
         code, out = run_cli(
@@ -247,9 +254,10 @@ class TestModelsAndExitCodes:
         assert (sweep["pairs_checked"], sweep["truncated"]) == (1, False)
 
     def test_internal_failure_is_a_consistency_diagnostic(self, models_dir, capsys, monkeypatch):
-        # two_loops has no faithful state, so classify proves an LP infeasible
+        # one_loop is a coboundary, so classify proves the coboundary LP
+        # infeasible, and the Farkas certificate of that proof is rejected
         monkeypatch.setattr(simplex, "_check_farkas", lambda A, b, y: False)
-        code, out = run_cli(["classify", str(models_dir / "two_loops.json")], capsys)
+        code, out = run_cli(["classify", str(models_dir / "one_loop.json")], capsys)
         assert code == 1
         assert json.loads(out)["error"]["code"] == "CONSISTENCY_FAILURE"
 

@@ -263,7 +263,7 @@ def test_queries_never_rebuild_the_derived_form(monkeypatch, representatives):
             assert cert is None or ts.verify_state_certificate(model, cert)
         ts.stiemke_crosscheck(model)
         ts.difference_lattice(model)
-        ts.classify(model, ts.ClassifyBudgets(ts.SearchBudget(200, 6), 1, 1, 50))
+        ts.classify(model, ts.ClassifyBudgets(ts.SearchBudget(200, 6), 1, 50))
         assert ts.presentation_from_kgraph(model) is model._presentation
     assert calls == {"unit": 0, "orbit": 0, "kgraph": 0}
     # the counters are live: constructing a model derives its form once

@@ -62,6 +62,17 @@ class TestValidation:
             ts.build_graph(["u", "w"], [("a", "u", "w")])
         assert e.value.code == "ROW_ZERO"
 
+    @pytest.mark.parametrize("vertices", [[], ["v", "v"]])
+    def test_graph_vertices_nonempty_and_unique(self, vertices):
+        # an empty vertex list built an empty graph, which validate_kgraph
+        # rejects with the same code
+        with pytest.raises(ts.InputError) as e:
+            ts.build_graph(vertices, [])
+        assert e.value.code == "BAD_REFERENCE"
+        with pytest.raises(ts.InputError) as e:
+            ts.validate_kgraph(vertices, [[[1] * len(vertices)] * len(vertices)])
+        assert e.value.code == "BAD_REFERENCE"
+
 
 class TestAdjacencyPower:
     def test_cube(self):
@@ -198,6 +209,21 @@ class TestCylinders:
         g = two_loops_graph()
         u = ts.cylinder_normalize(g, [])
         assert u.depth == 0 and u.words == ()
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "2"])
+    def test_non_integral_depth_rejected(self, bad):
+        # 1.5 gave a union of depth 1.5, True was read as 1, "2" raised a
+        # bare TypeError
+        g = two_loops_graph()
+        with pytest.raises(ts.InputError) as e:
+            ts.cylinder_normalize(g, [ts.vertex_word(g, "v")], depth=bad)
+        assert (e.value.code, e.value.details) == ("NON_INTEGRAL_ENTRY", {"depth": repr(bad)})
+
+    def test_depth_below_longest_word_rejected(self):
+        g = two_loops_graph()
+        with pytest.raises(ts.InputError) as e:
+            ts.cylinder_normalize(g, [ts.path_word(g, ["a"])], depth=0)
+        assert e.value.code == "OVERLAPPING_CYLINDERS"
 
     def test_duplicate_strict(self):
         g = two_loops_graph()

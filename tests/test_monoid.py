@@ -18,8 +18,7 @@ from typesemigroup.monoid import (
     INFINITY,
     _bfs_equiv,
     _bfs_leq,
-    _cone_lp,
-    _cone_misses_gap,
+    _cone_solution,
     _decide_leq,
     _difference_rows,
     _equiv_unit,
@@ -757,11 +756,11 @@ class TestOnePathMatchesReference:
         # most one LP beyond the full support
         rng = random.Random(61)
         solved = []
-        real_solve = simplex.LinearProgram.solve
+        real_solve = monoid.solve_lp
 
-        def counting_solve(self, *args, **kwargs):
+        def counting_solve(*args, **kwargs):
             solved.append(1)
-            return real_solve(self, *args, **kwargs)
+            return real_solve(*args, **kwargs)
 
         p = _non_unit_presentation(rng, 13, 6)
         kinds = set()
@@ -769,10 +768,10 @@ class TestOnePathMatchesReference:
             f = tuple(rng.randint(0, 2) for _ in range(13))
             g = tuple(rng.randint(0, 2) for _ in range(13))
             expected = _reference_order_separator(p, f, g)
-            monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
+            monkeypatch.setattr(monoid, "solve_lp", counting_solve)
             solved.clear()
             sep = _order_separator(p, f, g, {})
-            monkeypatch.setattr(simplex.LinearProgram, "solve", real_solve)
+            monkeypatch.setattr(monoid, "solve_lp", real_solve)
             assert sep == expected
             assert len(solved) <= 2
             kinds.add(None if sep is None else sep.kind)
@@ -949,6 +948,30 @@ class TestSweepBounds:
             assert (e.value.code, e.value.details) == ("NEGATIVE_ENTRY", {name: bad})
 
 
+class TestSearchBudgetFields:
+    # malformed budgets were taken: max_states=-1 gave up after 2 states,
+    # max_coord=-1 or True hit the cap at the root, 2.5 was accepted and "x"
+    # raised a bare TypeError inside the search
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "x", None])
+    @pytest.mark.parametrize("name", ["max_states", "max_coord"])
+    def test_non_integral_field_rejected(self, name, bad):
+        with pytest.raises(ts.InputError) as e:
+            ts.SearchBudget(**{name: bad})
+        assert (e.value.code, e.value.details) == ("NON_INTEGRAL_ENTRY", {name: repr(bad)})
+
+    @pytest.mark.parametrize("bad", [-1, -200_000])
+    @pytest.mark.parametrize("name", ["max_states", "max_coord"])
+    def test_negative_field_rejected(self, name, bad):
+        with pytest.raises(ts.InputError) as e:
+            ts.SearchBudget(**{name: bad})
+        assert (e.value.code, e.value.details) == ("NEGATIVE_ENTRY", {name: bad})
+
+    def test_zero_fields_accepted(self):
+        budget = ts.SearchBudget(0, 0)
+        assert (budget.max_states, budget.max_coord) == (0, 0)
+        assert ts.decide_equiv(TWO_LOOPS, (2,), (1,), budget).is_unknown
+
+
 def _kgraph_presentation(matrix):
     model = ts.validate_kgraph([f"v{i}" for i in range(len(matrix))], [matrix])
     return ts.presentation_from_kgraph(model)
@@ -1032,11 +1055,11 @@ class TestCompiledSweep:
         p = _kgraph_presentation([[1, 1], [0, 1]])
         gens = [ts.unit_vector(2, i) for i in range(2)]
         solved = []
-        real_solve = simplex.LinearProgram.solve
+        real_solve = monoid.solve_lp
 
-        def counting_solve(self, *args, **kwargs):
+        def counting_solve(*args, **kwargs):
             solved.append(1)
-            return real_solve(self, *args, **kwargs)
+            return real_solve(*args, **kwargs)
 
         keys = set()
         real_separator = monoid._separator_on_support
@@ -1047,7 +1070,7 @@ class TestCompiledSweep:
                 keys.add((F, gap))
             return real_separator(pres, F, f, g, memo)
 
-        monkeypatch.setattr(simplex.LinearProgram, "solve", counting_solve)
+        monkeypatch.setattr(monoid, "solve_lp", counting_solve)
         _, pairs = _sweep_pairs(p, 4, 5000)
         for theta, eta in pairs:
             ts.decide_leq(p, theta, eta)
@@ -1059,6 +1082,13 @@ class TestCompiledSweep:
                 _decide_leq(p, theta, eta, ts.DEFAULT_BUDGET, memo)
         monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
         solved.clear()
+        left = set()
+        for F, gap in keys:
+            before = len(solved)
+            _cone_solution(p, F, [_gap_row(p, F, gap)])
+            if len(solved) > before:
+                left.add((F, gap))
+        solved.clear()
         sweep = ts.almost_unperforated_up_to(p, gens, 4, 4)
         assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
         # without the memo, 256 LPs (406 before the zero-cone rule); with it,
@@ -1067,8 +1097,6 @@ class TestCompiledSweep:
         assert per_query == 256
         assert len(memo) == len(keys)
         assert len(solved) <= len(memo) and len(solved) <= per_query // 5
-        left = [(F, gap) for F, gap in keys if not _cone_misses_gap(
-            p, F, [i for i in range(p.dim) if F >> i & 1], gap)]
         assert len(solved) == len(left) < len(keys)
 
     def test_no_state_outlives_the_sweep(self):
@@ -1339,10 +1367,43 @@ class TestSparseKernelMatchesDense:
 # the zero-cone rule in front of the order-separator LP
 
 
-def _cone_lp_feasible(p, F, support, gap):
-    lp, names = _cone_lp(p, F)
-    lp.constrain({names[i]: v for i, v in zip(support, gap) if v}, ">=", 1)
-    return lp.solve().status == simplex.OPTIMAL
+def _reference_cone_solution(p, F, rows):
+    """The invariant-cone LP as first written, without the zero-cone rule."""
+    support = [i for i in range(p.dim) if F >> i & 1]
+    lp = simplex.LinearProgram()
+    names = {i: lp.variable(f"c{i}") for i in support}
+    for mv in p.moves:
+        if all(F >> i & 1 for i in range(p.dim) if mv.lhs[i] or mv.rhs[i]):
+            coeffs = {names[i]: mv.lhs[i] - mv.rhs[i] for i in support if mv.lhs[i] != mv.rhs[i]}
+            if coeffs:
+                lp.constrain(coeffs, "==", 0)
+    for w, op in rows:
+        lp.constrain({names[v]: c for v, c in w.items()}, op, 1)
+    sol = lp.solve()
+    if sol.status != simplex.OPTIMAL:
+        return None
+    return [sol.values[names[i]] if i in names else INFINITY for i in range(p.dim)]
+
+
+def _counted_cone_solution(p, F, rows):
+    """`_cone_solution` and the number of LPs it solved: 0 when the zero-cone
+    rule refutes the rows, 1 otherwise."""
+    solved = []
+    real = monoid.solve_lp
+
+    def counting(*args, **kwargs):
+        solved.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monoid, "solve_lp", counting)
+        values = _cone_solution(p, F, rows)
+    return values, len(solved)
+
+
+def _gap_row(p, F, gap):
+    support = [i for i in range(p.dim) if F >> i & 1]
+    return {i: v for i, v in zip(support, gap) if v}, ">="
 
 
 def _random_supports_and_gaps(rng, p, count):
@@ -1356,6 +1417,17 @@ def _random_supports_and_gaps(rng, p, count):
             yield F, support, gap
 
 
+def _random_rows(rng, p, count):
+    """Admissible supports with one of the three kinds of normalising rows:
+    an order gap c.gap >= 1, a state target c.t == 1, or c_v >= 1 on every
+    vertex of the support."""
+    for F, support, gap in _random_supports_and_gaps(rng, p, count):
+        target = {v: t for v, t in zip(support, map(abs, gap)) if t}
+        yield F, [_gap_row(p, F, gap)]
+        yield F, [(target, "==")]
+        yield F, [({v: 1}, ">=") for v in support]
+
+
 def _one_matrix_presentation(rng, n):
     """e_v -> row v of a random 0..2 matrix; rows may be zero or unit."""
     return pres(n, [(ts.unit_vector(n, v),
@@ -1365,16 +1437,19 @@ def _one_matrix_presentation(rng, n):
 
 class TestZeroConeRule:
     def test_one_matrix_exactly_when_the_lp_is_infeasible(self):
+        # every kind of row is refuted without an LP exactly when the LP is
+        # infeasible, and otherwise solved as the rule-free LP solves it
         rng = random.Random(103)
         refuted = kept = 0
         for _ in range(300):
             p = _one_matrix_presentation(rng, rng.randint(1, 7))
-            for F, support, gap in _random_supports_and_gaps(rng, p, 4):
-                zero = _cone_misses_gap(p, F, support, gap)
-                assert zero is not _cone_lp_feasible(p, F, support, gap)
-                refuted += zero
-                kept += not zero
-        assert refuted > 300 and kept > 100
+            for F, rows in _random_rows(rng, p, 4):
+                got, lps = _counted_cone_solution(p, F, rows)
+                expected = _reference_cone_solution(p, F, rows)
+                assert got == expected and lps == (expected is not None)
+                refuted += not lps
+                kept += lps
+        assert refuted > 2500 and kept > 300
 
     def test_two_graphs_refute_only_infeasible_lps(self):
         # one matrix at a time, the rule may miss an infeasible LP here
@@ -1384,43 +1459,53 @@ class TestZeroConeRule:
             p = _graph_presentation(rng, rng.randint(1, 6))
             if len(p.moves) == p.dim:
                 continue
-            for F, support, gap in _random_supports_and_gaps(rng, p, 4):
-                if _cone_misses_gap(p, F, support, gap):
-                    assert not _cone_lp_feasible(p, F, support, gap)
+            for F, rows in _random_rows(rng, p, 4):
+                got, lps = _counted_cone_solution(p, F, rows)
+                assert got == _reference_cone_solution(p, F, rows) and lps <= 1
+                if not lps:
+                    assert got is None
                     refuted += 1
-        assert refuted > 100
+        assert refuted > 800
 
     def test_not_used_outside_its_scope(self):
+        # the rule reads only the moves inside F, so it stays out exactly
+        # when one of them has a left side that is not a unit vector, or a
+        # vertex of F has no move
         rng = random.Random(109)
         infeasible = 0
         for _ in range(150):
             n = rng.randint(2, 6)
             p = _one_matrix_presentation(rng, n)
             moves = list(p.moves)
-            moveless = 0
             if rng.random() < 0.5:
                 # a left side that is not a unit vector
                 lhs = list(ts.unit_vector(n, rng.randrange(n)))
                 lhs[rng.randrange(n)] += 1
                 moves.append((tuple(lhs), tuple(rng.randint(0, 1) for _ in range(n))))
+                scope = sum(1 << i for i in range(n) if moves[-1][0][i] or moves[-1][1][i])
             else:
                 # a vertex of F with no move
                 u = rng.randrange(n)
                 del moves[u]
-                moveless = 1 << u
+                scope = 1 << u
             q = pres(n, moves)
             full = (1 << n) - 1
             for F, support, gap in [(full, list(range(n)), None)] + list(
                     _random_supports_and_gaps(rng, q, 3)):
                 gap = gap or tuple(rng.randint(-2, 2) for _ in support)
-                if not any(gap) or F & moveless != moveless:
+                if not any(gap):
                     continue
-                assert _cone_misses_gap(q, F, support, gap) is False
-                infeasible += not _cone_lp_feasible(q, F, support, gap)
+                rows = [_gap_row(q, F, gap)]
+                got, lps = _counted_cone_solution(q, F, rows)
+                expected = _reference_cone_solution(q, F, rows)
+                assert got == expected and lps <= 1
+                if F & scope == scope:
+                    assert lps == 1
+                    infeasible += expected is None
         assert infeasible > 50
 
-    def test_separators_unchanged_on_graphs(self, monkeypatch):
-        # with the rule switched off, every order separator is the same
+    def test_separators_unchanged_on_graphs(self):
+        # every order separator is the one the rule-free reference finds
         rng = random.Random(113)
         cases = []
         for _ in range(120):
@@ -1428,8 +1513,7 @@ class TestZeroConeRule:
             p = _graph_presentation(rng, n)
             cases += [(p, *_random_pair(rng, n)) for _ in range(3)]
         with_rule = [_order_separator(p, f, g, {}) for p, f, g in cases]
-        monkeypatch.setattr(monoid, "_cone_misses_gap", lambda *args: False)
-        assert [_order_separator(p, f, g, {}) for p, f, g in cases] == with_rule
+        assert [_reference_order_separator(p, f, g) for p, f, g in cases] == with_rule
         assert {None if s is None else s.kind for s in with_rule} == {
             None, ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED}
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import typesemigroup as ts
+import typesemigroup.monoid as monoid_module
 import typesemigroup.states as states_module
 from typesemigroup.monoid import INFINITY, least_admissible_support
 from typesemigroup.cli import _as_kgraph, _build_model
@@ -73,9 +74,9 @@ def sparse_model(rng, max_vertices=6):
 
 # The invariance LPs as first written, from the matrices: one row
 # sum_w A_i[v][w] c_w - c_v == 0 per matrix, then per vertex of F.  The
-# library builds them from the presentation's moves (`monoid._cone_lp`), with
-# rows lhs - rhs; these copies are the reference the differential tests
-# compare it with.
+# library builds them from the presentation's moves (`monoid._cone_solution`),
+# with rows lhs - rhs, after the zero-cone rule; these copies, without the
+# rule, are the reference the differential tests compare it with.
 
 
 def _invariance_lp(model, F):
@@ -216,14 +217,16 @@ def _reference_solve_state_at(model, target):
 
 
 def count_lp_solves(monkeypatch):
+    """Count the invariant-cone LPs the library solves (`monoid.solve_lp`);
+    the reference copies here solve theirs through `LinearProgram`."""
     calls = []
-    real = LinearProgram.solve
+    real = monoid_module.solve_lp
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real(self, *args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(LinearProgram, "solve", counted)
+    monkeypatch.setattr(monoid_module, "solve_lp", counted)
     return calls
 
 
@@ -314,9 +317,11 @@ class TestSolveStateAt:
         (feeder_model(16, 1), 0, (0, 1)),
     ])
     def test_one_lp_on_sixteen_vertices(self, monkeypatch, model, vertex, support):
+        # at most one LP; with one matrix the zero-cone rule is exact, so
+        # none exactly when there is no state
         calls = count_lp_solves(monkeypatch)
         cert = ts.solve_state_at(model, ts.unit_vector(16, vertex))
-        assert len(calls) == 1
+        assert len(calls) == (support is not None)
         if support is None:
             assert cert is None
         else:
@@ -324,11 +329,13 @@ class TestSolveStateAt:
 
     def test_matches_reference_enumerator(self, monkeypatch):
         # dense models mostly settle on the out-closure of the target; sparse
-        # ones also reach supports beyond it.  Every call solves one LP.
+        # ones also reach supports beyond it.  Every call solves at most one
+        # LP, and none only when the zero-cone rule refutes the target, which
+        # with one matrix it does exactly when there is no state.
         rng = random.Random(2024)
         models = [random_model(rng, max_vertices=6) for _ in range(40)]
         models += [sparse_model(rng) for _ in range(60)]
-        checked = none = beyond_closure = 0
+        checked = none = refuted = beyond_closure = 0
         for model in models:
             targets = [ts.unit_vector(model.dim, v) for v in range(model.dim)]
             targets.append(tuple(rng.randint(0, 2) for _ in range(model.dim)))
@@ -339,8 +346,11 @@ class TestSolveStateAt:
                 with monkeypatch.context() as patch:
                     calls = count_lp_solves(patch)
                     got = ts.solve_state_at(model, target)
-                assert got == expected and len(calls) == 1
+                assert got == expected and len(calls) <= 1 and (calls or got is None)
+                if len(model.matrices) == 1:
+                    assert len(calls) == (got is not None)
                 checked += 1
+                refuted += not calls
                 if got is None:
                     none += 1
                     continue
@@ -348,6 +358,7 @@ class TestSolveStateAt:
                 seed = frozenset(v for v, x in enumerate(target) if x)
                 beyond_closure += len(got.support) > len(_out_closure(model, seed))
         assert checked > 400 and 0 < none < checked and beyond_closure > 10
+        assert refuted > 0
 
     def test_least_support_matches_frozenset_fixpoint(self):
         rng = random.Random(83)
@@ -370,10 +381,23 @@ class TestSolveStateAt:
         assert checked > 500 and beyond_closure > 20
 
 
+def assert_faithful_state(model, got, expected):
+    """`got` exists exactly when the maximise-and-average `expected` does, and
+    is then the positive invariant vector scaled to mass one."""
+    assert (got is None) == (expected is None)
+    if got is not None:
+        pos = ts.positive_invariant_vector(model)
+        assert got == tuple(x / sum(pos) for x in pos)
+        assert all(x > 0 for x in got) and sum(got) == 1
+        assert ts.verify_state_certificate(
+            model, ts.StateCertificate(got, (1,) * model.dim, tuple(range(model.dim))))
+
+
 class TestMatchesMatrixInvarianceLP:
     """States and invariant vectors solved on the cone LP of the model's
     presentation equal those of the LPs built from the matrices (the copies
-    above), outside one pinned case."""
+    above), outside one pinned case; faithful states exist exactly when the
+    matrix copy finds one."""
 
     @staticmethod
     def _file_models():
@@ -401,7 +425,7 @@ class TestMatchesMatrixInvarianceLP:
                 calls += 1
                 found += got is not None
             got = ts.faithful_finite_state(model)
-            assert got == _matrix_faithful_finite_state(model)
+            assert_faithful_state(model, got, _matrix_faithful_finite_state(model))
             faithful += got is not None
             got = ts.positive_invariant_vector(model)
             assert got == _matrix_positive_invariant_vector(model)
@@ -485,19 +509,20 @@ class TestFaithfulFiniteState:
         assert ts.faithful_finite_state(two_loops) is None
 
     def test_bad_average_raises_consistency_error(self, monkeypatch):
-        # the check must survive python -O, so it cannot be an assert
-        real = LinearProgram.solve
+        # the check must survive python -O, so it cannot be an assert; the
+        # swap model's vector (1, 1) becomes (2, 1), which no move fixes
+        real = monoid_module.solve_lp
 
-        def doubled(self, *args, **kwargs):
-            sol = real(self, *args, **kwargs)
-            return dataclasses.replace(sol, values={k: 2 * v for k, v in sol.values.items()})
+        def skewed(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            return dataclasses.replace(sol, x=(sol.x[0] + 1,) + sol.x[1:])
 
-        monkeypatch.setattr(LinearProgram, "solve", doubled)
+        monkeypatch.setattr(monoid_module, "solve_lp", skewed)
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
         with pytest.raises(ts.ConsistencyError):
             ts.faithful_finite_state(m)
 
-    def test_builds_one_lp_and_matches_per_vertex_rebuild(self, monkeypatch):
+    def test_solves_at_most_one_lp_and_exists_iff_per_vertex_rebuild(self, monkeypatch):
         def reference(model):
             n = model.dim
             maximizers = []
@@ -510,18 +535,20 @@ class TestFaithfulFiniteState:
                 maximizers.append([sol.values[names[w]] for w in range(n)])
             return tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
 
-        built = []
-        real = states_module._cone_lp
-        monkeypatch.setattr(states_module, "_cone_lp",
-                            lambda *args: built.append(1) or real(*args))
         rng = random.Random(89)
-        found = 0
+        found = refuted = 0
         for model in [random_model(rng, max_vertices=5) for _ in range(40)]:
-            built.clear()
-            got = ts.faithful_finite_state(model)
-            assert got == reference(model) and len(built) == 1
+            expected = reference(model)
+            with monkeypatch.context() as patch:
+                calls = count_lp_solves(patch)
+                got = ts.faithful_finite_state(model)
+            # the n maximisations became one LP, and none when the zero-cone
+            # rule refutes positivity
+            assert len(calls) <= 1 and (calls or got is None)
+            assert_faithful_state(model, got, expected)
             found += got is not None
-        assert 0 < found < 40
+            refuted += not calls
+        assert 0 < found < 40 and refuted > 0
 
 
 class TestCoboundary:
