@@ -90,16 +90,18 @@ def rational_kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple
     return basis
 
 
-def primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
+def primitive_integer(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     The first nonzero entry is made positive, so the representative of each
-    ray is unique.
+    ray is unique.  `int` and `Fraction` entries are read as they are; any
+    other entry (a float, say) is converted by `Fraction` first.
     """
+    vec = [f if type(f) is int or type(f) is Fraction else Fraction(f) for f in vec]
     mult = 1
     for f in vec:
-        mult = lcm(mult, Fraction(f).denominator)
-    ints = [int(Fraction(f) * mult) for f in vec]
+        mult = lcm(mult, f.denominator)
+    ints = [f.numerator * (mult // f.denominator) for f in vec]
     g = 0
     for x in ints:
         g = gcd(g, x)

@@ -23,18 +23,20 @@ The order tries `_order_separator`: the full support gives a rational
 separator, the least admissible support an extended one.  Both
 searches grow their levels with the same `_SearchTree.expand`, over the
 moves compiled to their nonzero coordinates (`_compiled_moves`) once per
-search, or once per sweep in `almost_unperforated_up_to`.
+search.  `almost_unperforated_up_to` compiles them once per sweep and grows
+one tree per right-hand side eta, shared by every theta whose pair reaches
+the search (`_dominate`).
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
 move-side supports.  Both are private fields of the frozen
 `MonoidPresentation`, outside equality, hashing and repr; every query reads
-them and still validates its own vectors.  The order decider also takes a
-memo of order-separator results keyed by (support, gap on it), which is all
-the separator LP depends on: `decide_leq` passes a fresh one, so its result
+them and still validates its own vectors.  `_order_separator` also takes a
+memo of its results keyed by (support, gap on it), which is all the
+separator LP depends on: `decide_leq` passes a fresh one, so its result
 never depends on earlier calls, and `almost_unperforated_up_to`, which asks
 thousands of order questions of one presentation, passes one that lives
-only for that call, as do the moves it compiles.
+only for that call, as do the moves it compiles and the trees it grows.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
@@ -50,9 +52,9 @@ paths (`replay`, `verify_separator`); nothing is trusted from the search.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -500,18 +502,10 @@ def find_separator(
 def _scale_extended(values: list) -> tuple:
     """Scale the finite part of an extended vector to primitive integers."""
     finite = [v for v in values if v != INFINITY]
-    if not finite or all(v == 0 for v in finite):
+    if not any(finite):
         return tuple(0 if v != INFINITY else INFINITY for v in values)
-    scaled = primitive_integer([Fraction(v) for v in finite])
-    out = []
-    k = 0
-    for v in values:
-        if v == INFINITY:
-            out.append(INFINITY)
-        else:
-            out.append(scaled[k])
-            k += 1
-    return tuple(out)
+    scaled = iter(primitive_integer(finite))
+    return tuple(INFINITY if v == INFINITY else next(scaled) for v in values)
 
 
 def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int:
@@ -989,40 +983,50 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
     return report(exhausted=not (from_f.cap_hit or from_g.cap_hit))
 
 
-def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
-             moves=None) -> DecisionOutcome:
-    """Breadth-first search from g for a congruent vector dominating f."""
-    moves = _compiled_moves(pres) if moves is None else moves
-    tree = _SearchTree(g)
+def _dominate(tree: _SearchTree, moves, fs: list[Vector],
+              budget: SearchBudget) -> tuple[dict, list[Vector], bool]:
+    """Grow `tree` by whole levels until a visited state dominates every f in
+    `fs`, the frontier runs out, or a level ends with more than
+    `budget.max_states` states visited.
+
+    Returns the first new state that dominates each f found, as a dict, the
+    fs left undominated, in order, and whether the budget stopped the search.
+    The root is not tested.  The levels do not depend on `fs`, and the search
+    stops only at the end of a level or once no f is left, so f is found
+    exactly when a search for f alone would find it.
+    """
+    found: dict = {}
+    left = list(fs)
     while tree.frontier:
         for new in tree.expand(moves, budget.max_coord):
-            if all(nv >= fv for nv, fv in zip(new, f)):
-                return DecisionOutcome(
-                    Verdict.EQUIV,
-                    certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, moves, new)), new),
-                    slack=vec_sub(new, f),
-                )
+            hit = [f for f in left if all(map(operator.ge, new, f))]
+            if hit:
+                found.update(dict.fromkeys(hit, new))
+                left = [f for f in left if f not in found]
+                if not left:
+                    return found, left, False
         if len(tree.visited) > budget.max_states:
-            return DecisionOutcome(
-                Verdict.UNKNOWN,
-                budget=BudgetReport(len(tree.visited), tree.cap_hit, exhausted=False),
-            )
+            return found, left, True
+    return found, left, False
+
+
+def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
+    """Breadth-first search from g for a congruent vector dominating f."""
+    moves = _compiled_moves(pres)
+    tree = _SearchTree(g)
+    found, _, stopped = _dominate(tree, moves, [f], budget)
+    if found:
+        new = found[f]
+        return DecisionOutcome(
+            Verdict.EQUIV,
+            certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, moves, new)), new),
+            slack=vec_sub(new, f),
+        )
     return DecisionOutcome(
         Verdict.UNKNOWN,
-        budget=BudgetReport(len(tree.visited), tree.cap_hit, exhausted=not tree.cap_hit),
+        budget=BudgetReport(len(tree.visited), tree.cap_hit,
+                            exhausted=not (stopped or tree.cap_hit)),
     )
-
-
-def _decide_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
-                memo: dict, moves=None) -> DecisionOutcome:
-    """`decide_leq` on validated vectors with f not below g coordinatewise;
-    `memo` is passed to `_order_separator` and `moves` to `_bfs_leq`."""
-    if pres._unit is not None:
-        return _leq_unit(pres, pres._unit, f, g)
-    sep = _order_separator(pres, f, g, memo)
-    if sep is not None:
-        return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    return _bfs_leq(pres, f, g, budget, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,7 +1075,12 @@ def decide_leq(
             certificate=EquivCertificate(g, (), g),
             slack=vec_sub(g, f),
         )
-    return _decide_leq(pres, f, g, budget, {})
+    if pres._unit is not None:
+        return _leq_unit(pres, pres._unit, f, g)
+    sep = _order_separator(pres, f, g, {})
+    if sep is not None:
+        return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
+    return _bfs_leq(pres, f, g, budget)
 
 
 def kl_paradoxical(
@@ -1105,11 +1114,21 @@ def almost_unperforated_up_to(
 
     Decides theta <= eta for the first `max_pairs` pairs of the span with
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
-    left undecided.  Each pair gets the outcome `decide_leq` gives it.  A
+    left undecided.  Each pair is counted as `decide_leq` would count it.  A
     unit presentation's pairs are only counted, since its unit path decides
     every pair.  Otherwise each order-separator LP is solved once per
-    distinct (support, gap) key and the moves are compiled once; both live
-    only until the call returns.  `coeff_bound` and `max_pairs` are `int`s >= 0.
+    distinct (support, gap) key, and the pairs no separator refutes are
+    searched with one tree per distinct eta, over moves compiled once; all
+    of it lives only until the call returns.  `coeff_bound` and `max_pairs`
+    are `int`s >= 0.
+
+    One tree per eta counts what one search per pair would.  The search
+    from eta has the same levels whatever theta is, and it stops only at the
+    end of a level that leaves more than `budget.max_states` states visited,
+    or when the frontier runs out.  So theta is decided exactly when a new
+    state in the levels up to that stop dominates it, and `_dominate` grows
+    the shared tree to that stop unless every theta is dominated sooner.
+    No certificate is built: the sweep only counts.
 
     Multipliers n > m need no search: a pair refuted by an order separator c
     has c(n theta) = n c(theta) > m c(eta), so every scaled pair
@@ -1138,10 +1157,15 @@ def almost_unperforated_up_to(
     unknown = 0
     if pres._unit is None:
         memo: dict = {}
-        moves = _compiled_moves(pres)
-        budget = budget or DEFAULT_BUDGET
+        searches: dict[Vector, list[Vector]] = {}  # eta -> the thetas it must dominate
         for theta, eta in itertools.islice(itertools.product(span, repeat=2), max_pairs):
             # theta <= eta coordinatewise is decided without a search
-            if any(t > e for t, e in zip(theta, eta)):
-                unknown += _decide_leq(pres, theta, eta, budget, memo, moves).is_unknown
+            if (any(t > e for t, e in zip(theta, eta))
+                    and _order_separator(pres, theta, eta, memo) is None):
+                searches.setdefault(eta, []).append(theta)
+        if searches:
+            moves = _compiled_moves(pres)
+            budget = budget or DEFAULT_BUDGET
+            for eta, thetas in searches.items():
+                unknown += len(_dominate(_SearchTree(eta), moves, thetas, budget)[1])
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)

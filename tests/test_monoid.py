@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from typesemigroup.monoid import (
     _bfs_equiv,
     _bfs_leq,
     _cone_solution,
-    _decide_leq,
     _difference_rows,
     _equiv_unit,
     _flip,
@@ -1012,7 +1012,11 @@ class TestCompiledSweep:
                     if all(t <= e for t, e in zip(theta, eta)):
                         assert expected.is_equiv and not expected.certificate.steps
                         continue
-                    assert _decide_leq(p, theta, eta, budget, memo) == expected
+                    # a memo shared across queries answers as a fresh one
+                    sep = _order_separator(p, theta, eta, memo)
+                    assert sep == _order_separator(p, theta, eta, {})
+                    if p._unit is None:  # decide_leq takes the unit path otherwise
+                        assert sep == (expected.separator if expected.is_not_equiv else None)
                     seen.add(expected.separator.kind if expected.is_not_equiv
                              else expected.verdict)
                 if p._unit is None:
@@ -1028,9 +1032,9 @@ class TestCompiledSweep:
         memo = {}
         for f, g, coeffs in (((2, 0), (1, 0), (1, INFINITY)),
                              ((0, 2), (0, 1), (INFINITY, 1))):
-            out = _decide_leq(p, f, g, ts.DEFAULT_BUDGET, memo)
-            assert out == ts.decide_leq(p, f, g)
-            assert out.separator == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+            sep = _order_separator(p, f, g, memo)
+            assert ts.decide_leq(p, f, g) == ts.DecisionOutcome(ts.Verdict.NOT_EQUIV, separator=sep)
+            assert sep == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
         assert len(memo) == 4  # full support and one point, per query
 
     def test_sweep_matches_per_pair_loop(self):
@@ -1079,7 +1083,7 @@ class TestCompiledSweep:
         monkeypatch.setattr(monoid, "_separator_on_support", recording_separator)
         for theta, eta in pairs:
             if any(t > e for t, e in zip(theta, eta)):
-                _decide_leq(p, theta, eta, ts.DEFAULT_BUDGET, memo)
+                _order_separator(p, theta, eta, memo)
         monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
         solved.clear()
         left = set()
@@ -1113,35 +1117,191 @@ class TestCompiledSweep:
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first
 
     def test_moves_compiled_once_per_sweep(self, monkeypatch):
+        # moves are compiled once per sweep that searches, never for a unit
+        # presentation, and one search tree is grown per right-hand side eta
+        # that has a pair left after the separators, no more
         rng = random.Random(73)
         budget = ts.SearchBudget(300, 6)
-        compiled, searched = [], []
-        real_compile, real_bfs = monoid._compiled_moves, monoid._bfs_leq
+        compiled, roots = [], []
+        real_compile, real_tree = monoid._compiled_moves, monoid._SearchTree
 
         def counting_compile(p):
             compiled.append(1)
             return real_compile(p)
 
-        def counting_bfs(*args):
-            searched.append(1)
-            return real_bfs(*args)
+        class CountingTree(real_tree):
+            def __init__(self, root):
+                roots.append(root)
+                super().__init__(root)
 
-        monkeypatch.setattr(monoid, "_compiled_moves", counting_compile)
-        monkeypatch.setattr(monoid, "_bfs_leq", counting_bfs)
-        sweeps = 0
+        shared = 0
         for dim in range(1, 5):
             for p in _sweep_presentations(rng, dim):
+                coeff_bound = 3 if dim <= 2 else 1
+                gens = [ts.unit_vector(dim, i) for i in range(dim)]
+                _, pairs = _sweep_pairs(p, coeff_bound, 5000)
+                # the etas of the pairs that reach the search, one entry per pair
+                searched = [] if p._unit is not None else [
+                    eta for theta, eta in pairs
+                    if any(t > e for t, e in zip(theta, eta))
+                    and not ts.decide_leq(p, theta, eta, budget).is_not_equiv]
                 compiled.clear()
-                searched.clear()
-                ts.almost_unperforated_up_to(
-                    p, [ts.unit_vector(dim, i) for i in range(dim)], 3 if dim <= 2 else 1, 4,
-                    budget)
+                roots.clear()
+                monkeypatch.setattr(monoid, "_compiled_moves", counting_compile)
+                monkeypatch.setattr(monoid, "_SearchTree", CountingTree)
+                ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, budget)
+                monkeypatch.undo()
                 if p._unit is not None:
-                    assert compiled == [] and searched == []
-                elif searched:
-                    assert len(compiled) == 1
-                    sweeps += len(searched) > 1
-        assert sweeps >= 5
+                    assert compiled == [] and roots == []
+                    continue
+                assert len(compiled) == (1 if searched else 0)
+                assert sorted(roots) == sorted(set(searched))
+                shared += len(searched) > len(roots)
+        assert shared >= 5
+
+def _parent_bfs_leq(p, f, g, budget):
+    """`_bfs_leq` with its own level loop, as it was before the sweep shared
+    its searches."""
+    moves = monoid._compiled_moves(p)
+    tree = monoid._SearchTree(g)
+    while tree.frontier:
+        for new in tree.expand(moves, budget.max_coord):
+            if all(nv >= fv for nv, fv in zip(new, f)):
+                return ts.DecisionOutcome(
+                    ts.Verdict.EQUIV,
+                    certificate=ts.EquivCertificate(
+                        g, tuple(monoid._back_steps(tree.visited, moves, new)), new),
+                    slack=tuple(a - b for a, b in zip(new, f)),
+                )
+        if len(tree.visited) > budget.max_states:
+            return ts.DecisionOutcome(ts.Verdict.UNKNOWN, budget=ts.BudgetReport(
+                len(tree.visited), tree.cap_hit, exhausted=False))
+    return ts.DecisionOutcome(ts.Verdict.UNKNOWN, budget=ts.BudgetReport(
+        len(tree.visited), tree.cap_hit, exhausted=not tree.cap_hit))
+
+
+# tiny budgets put the level boundary where the searches stop
+_TINY_BUDGETS = [ts.SearchBudget(states, coord)
+                 for states in (0, 1, 2, 3, 5, 8, 13, 30) for coord in (1, 2, 4, 64)]
+
+
+class TestSharedSearchLevels:
+    def test_sweep_counts_as_the_per_pair_loop(self):
+        # one tree per eta counts exactly the pairs `decide_leq` leaves
+        # UNKNOWN, wherever the budget stops the search
+        rng = random.Random(83)
+        with_unknowns = 0
+        for dim in range(1, 4):
+            for p in _sweep_presentations(rng, dim)[1:]:  # the unit one searches nothing
+                coeff_bound = {1: 3, 2: 2, 3: 1}[dim]
+                gens = [ts.unit_vector(dim, i) for i in range(dim)]
+                span, pairs = _sweep_pairs(p, coeff_bound, 5000)
+                # a refutation does not depend on the budget
+                refuted = [ts.decide_leq(p, t, e).is_not_equiv for t, e in pairs]
+                for budget in _TINY_BUDGETS:
+                    unknown = [not r and ts.decide_leq(p, t, e, budget).is_unknown
+                               for r, (t, e) in zip(refuted, pairs)]
+                    for max_pairs in (7, 50, 5000):
+                        sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4,
+                                                             budget, max_pairs)
+                        checked = unknown[:max_pairs]
+                        assert sweep == ts.UnperforationSweep(
+                            None, len(checked), sum(checked), len(pairs) > len(checked))
+                        with_unknowns += sweep.unknown_pairs > 0
+        assert with_unknowns >= 50
+
+    def test_bfs_leq_matches_its_own_loop(self):
+        rng = random.Random(89)
+        seen = set()
+        for dim in range(1, 4):
+            for p in _sweep_presentations(rng, dim) + [
+                    _non_unit_presentation(rng, dim, rng.randint(1, 4)) for _ in range(3)]:
+                for _ in range(4):
+                    f = tuple(rng.randint(0, 3) for _ in range(dim))
+                    g = tuple(rng.randint(0, 3) for _ in range(dim))
+                    for budget in _TINY_BUDGETS:
+                        out = _bfs_leq(p, f, g, budget)
+                        assert repr(out) == repr(_parent_bfs_leq(p, f, g, budget))
+                        seen.add(out.verdict if out.is_equiv else
+                                 (out.budget.coordinate_cap_hit, out.budget.exhausted))
+        # a found chain, and UNKNOWN with the frontier run out, stopped by
+        # the coordinate cap and stopped by the state budget
+        assert seen == {ts.Verdict.EQUIV, (False, True), (True, False), (False, False)}
+
+    def test_budget_stop_on_the_last_level_is_not_exhaustion(self):
+        # no move applies to (1,), so the first level visits nothing and
+        # empties the frontier; the root alone passes max_states=0, so that
+        # search was stopped by the budget, not exhausted
+        p = pres(1, [((2,), (3,))])
+        for states, exhausted in ((0, False), (1, True)):
+            budget = ts.SearchBudget(states, 64)
+            out = _bfs_leq(p, (2,), (1,), budget)
+            assert out == _parent_bfs_leq(p, (2,), (1,), budget)
+            assert out.budget == ts.BudgetReport(1, False, exhausted)
+            sweep = ts.almost_unperforated_up_to(p, [(1,)], 2, 4, budget)
+            assert sweep.unknown_pairs == sum(
+                ts.decide_leq(p, (t,), (e,), budget).is_unknown
+                for t in range(3) for e in range(3))
+
+
+def _parent_primitive_integer(vec):
+    """`primitive_integer` as it was, wrapping every entry in `Fraction`."""
+    mult = 1
+    for f in vec:
+        mult = math.lcm(mult, Fraction(f).denominator)
+    ints = [int(Fraction(f) * mult) for f in vec]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    for x in ints:
+        if x:
+            if x < 0:
+                ints = [-y for y in ints]
+            break
+    return tuple(ints)
+
+
+def _parent_scale_extended(values):
+    """`_scale_extended` as it was, wrapping every finite value in `Fraction`."""
+    finite = [v for v in values if v != INFINITY]
+    if not finite or all(v == 0 for v in finite):
+        return tuple(0 if v != INFINITY else INFINITY for v in values)
+    scaled = _parent_primitive_integer([Fraction(v) for v in finite])
+    out = []
+    k = 0
+    for v in values:
+        if v == INFINITY:
+            out.append(INFINITY)
+        else:
+            out.append(scaled[k])
+            k += 1
+    return tuple(out)
+
+
+class TestScaleWithoutRewrapping:
+    def test_matches_the_wrapping_version(self):
+        rng = random.Random(97)
+        big = 10**30 + 57
+        cases = [[0], [0, 0, INFINITY], [INFINITY], [0, Fraction(0)],
+                 [Fraction(-3, 4), Fraction(1, 2)], [-2, 4, 0, INFINITY], [0, -5, Fraction(5, 3)],
+                 [Fraction(1, big), Fraction(3, 10**20), INFINITY, Fraction(-7, big * 11)]]
+        for _ in range(2000):
+            cases.append([rng.choice((
+                0, Fraction(0), INFINITY, rng.randint(-6, 9),
+                Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 12, 10**18 + 9, big)))))
+                for _ in range(rng.randint(1, 6))])
+        for values in cases:
+            assert repr(_scale_extended(values)) == repr(_parent_scale_extended(values))
+            finite = [v for v in values if v != INFINITY]
+            if finite:
+                assert repr(primitive_integer(finite)) == repr(_parent_primitive_integer(finite))
+
+    def test_other_entries_still_go_through_fraction(self):
+        for vec in ([0.5, 0.25], [-1.5, 3, Fraction(1, 4)], [True, 2], [0.1, 0.2]):
+            assert repr(primitive_integer(vec)) == repr(_parent_primitive_integer(vec))
+        assert primitive_integer([0.5, 0.25]) == (2, 1)
 
 
 def _unit_presentations(rng):
