@@ -50,6 +50,7 @@ from .graphs import (
     presentation_from_kgraph,
     validate_kgraph,
 )
+from .linalg import vec_scale
 from .monoid import (
     INFINITY,
     DecisionOutcome,
@@ -307,6 +308,23 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(max_states=args.budget_states, max_coord=args.budget_coord)
 
 
+def _check_evidence(command: str, pres, f, g, outcome: DecisionOutcome, order: bool) -> None:
+    """Replay an outcome's evidence for f against g with the independent
+    verifiers: an EQUIV chain from f to g, a LEQ chain from g to some g' >= f
+    with its slack, or a separator of f from g.  UNKNOWN carries none."""
+    if outcome.is_equiv and order:
+        ok = verify_leq_outcome(pres, f, g, outcome)
+    elif outcome.is_equiv:
+        cert = outcome.certificate
+        ok = verify_certificate(pres, cert) and cert.start == f and cert.end == g
+    elif outcome.is_not_equiv:
+        ok = verify_separator(pres, outcome.separator, f, g, order=order)
+    else:
+        ok = True
+    if not ok:
+        raise ConsistencyError(f"{command}: emitted evidence failed independent verification")
+
+
 def _cmd_classify(args, kind: str, model) -> tuple[dict, int]:
     budgets = ClassifyBudgets(
         search=_budget(args),
@@ -323,17 +341,7 @@ def _cmd_decide(args, kind: str, model) -> tuple[dict, int]:
     rhs = _parse_vector(args.rhs, pres.dim, "--rhs")
     order = args.command == "leq"
     outcome = (decide_leq if order else decide_equiv)(pres, lhs, rhs, _budget(args))
-    if outcome.is_equiv:
-        if order:
-            ok = verify_leq_outcome(pres, lhs, rhs, outcome)
-        else:
-            ok = verify_certificate(pres, outcome.certificate) and outcome.certificate.end == rhs
-    elif outcome.is_not_equiv:
-        ok = verify_separator(pres, outcome.separator, lhs, rhs, order=order)
-    else:
-        ok = True
-    if not ok:
-        raise ConsistencyError(f"{args.command}: emitted evidence failed independent verification")
+    _check_evidence(args.command, pres, lhs, rhs, outcome, order)
     fields = {"lhs": list(lhs), "rhs": list(rhs), "outcome": _outcome_dict(outcome)}
     return fields, EXIT_UNKNOWN if outcome.is_unknown else EXIT_OK
 
@@ -342,6 +350,9 @@ def _cmd_paradox(args, kind: str, model) -> tuple[dict, int]:
     pres = _presentation(kind, model)
     target = _parse_vector(args.target, pres.dim, "--target")
     outcome = kl_paradoxical(pres, target, args.k, args.l, _budget(args))
+    # kl_paradoxical decides k.target <= l.target
+    _check_evidence(args.command, pres, vec_scale(args.k, target), vec_scale(args.l, target),
+                    outcome, True)
     fields = {
         "target": list(target),
         "k": args.k,
@@ -446,14 +457,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("model", help="model JSON file, or - for stdin")
+        sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.add_argument("--out", default=None, help="also write the report to this path")
+
+    def budget(sp):  # only for the commands that search
         sp.add_argument("--budget-states", type=int, default=200_000)
         sp.add_argument("--budget-coord", type=int, default=64)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None, help="also write the report to this path")
 
     sp = sub.add_parser("classify", help="dichotomy classification with certificates")
     common(sp)
+    budget(sp)
     sp.add_argument("--coeff-bound", type=int, default=4)
     sp.set_defaults(handler=_cmd_classify)
 
@@ -463,12 +476,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         common(sp)
+        budget(sp)
         sp.add_argument("--lhs", required=True)
         sp.add_argument("--rhs", required=True)
         sp.set_defaults(handler=_cmd_decide)
 
     sp = sub.add_parser("paradox", help="(k,l)-paradoxicality of a class")
     common(sp)
+    budget(sp)
     sp.add_argument("--target", required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
@@ -485,12 +500,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("unperforation", help="bounded almost-unperforation sweep")
     common(sp)
+    budget(sp)
     sp.add_argument("--coeff-bound", type=int, default=4)
     sp.set_defaults(handler=_cmd_unperforation)
 
     sp = sub.add_parser("oracle-compare", help="cross-check the three deciders on an action")
     common(sp)
+    budget(sp)
     sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_cmd_oracle_compare)
 
     sp = sub.add_parser("stabilize-test", help="orbit fingerprint invariance under stabilization")

@@ -621,9 +621,10 @@ def _cone_solution(pres: MonoidPresentation, F: int,
     every row has a positive one.  A wrong refutation could only drop a
     solution, never certify a false one.
 
-    Otherwise one exact LP decides: one column per vertex of F, ascending,
-    then a slack per row c.w >= 1; one row lhs - rhs == 0 per move inside F
-    (zero rows dropped), then the normalising rows in order; no objective.
+    Otherwise one exact feasibility LP decides: one column per vertex of F,
+    ascending, then a slack per row c.w >= 1; one row lhs - rhs == 0 per
+    move inside F (zero rows dropped), then the normalising rows in order.
+    The solver returns the point its Phase I ends at.
     """
     support = [i for i in range(pres.dim) if F >> i & 1]
     inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]

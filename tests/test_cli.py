@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import typesemigroup as ts
 from typesemigroup import cli, simplex
 from typesemigroup.cli import main
 
@@ -159,6 +161,24 @@ class TestModelsAndExitCodes:
             main([command, str(models_dir / "two_loops.json"), "--mult-bound", "3"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("command,flag", [
+        *((c, "--seed") for c in ("classify", "equiv", "leq", "paradox", "state", "coboundary",
+                                  "unperforation", "stabilize-test")),
+        *((c, f) for c in ("state", "coboundary", "stabilize-test")
+          for f in ("--budget-states", "--budget-coord")),
+    ])
+    def test_unread_flags_removed(self, models_dir, capsys, command, flag):
+        # registered only where a command reads it
+        argv = [command, str(models_dir / "two_loops.json")] + {
+            "equiv": ["--lhs", "1", "--rhs", "2"], "leq": ["--lhs", "1", "--rhs", "2"],
+            "paradox": ["--target", "1", "--k", "2", "--l", "1"], "state": ["--target", "1"],
+        }.get(command, [])
+        main(argv)  # the command itself parses
+        with pytest.raises(SystemExit) as e:
+            main(argv + [flag, "3"])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
     def test_unperforation_with_unknown_pairs_exits_unknown(self, models_dir, capsys):
         code, out = run_cli(
             ["unperforation", str(models_dir / "two_loops.json"),
@@ -236,7 +256,7 @@ class TestModelsAndExitCodes:
         ["classify", "--coeff-bound", "-1"],
         ["classify", "--budget-states", "-1"],
         ["equiv", "--lhs", "1", "--rhs", "2", "--budget-coord", "-1"],
-        ["coboundary", "--budget-states", "-5"],
+        ["paradox", "--target", "1", "--k", "2", "--l", "1", "--budget-states", "-5"],
     ])
     def test_negative_budget_rejected(self, models_dir, capsys, argv):
         code, out = run_cli([argv[0], str(models_dir / "two_loops.json")] + argv[1:], capsys)
@@ -258,6 +278,41 @@ class TestModelsAndExitCodes:
         # infeasible, and the Farkas certificate of that proof is rejected
         monkeypatch.setattr(simplex, "_check_farkas", lambda A, b, y: False)
         code, out = run_cli(["classify", str(models_dir / "one_loop.json")], capsys)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "CONSISTENCY_FAILURE"
+
+    @pytest.mark.parametrize("argv,decider,forge", [
+        # an EQUIV chain that ends at the right-hand side but does not start
+        # at the left-hand one
+        (["equiv", "two_loops.json", "--lhs", "1", "--rhs", "7"], "decide_equiv",
+         lambda out: ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=ts.EquivCertificate((7,), (), (7,)))),
+        # a true LEQ chain whose slack is off by one
+        (["leq", "cross_double.json", "--lhs", "1,0", "--rhs", "0,2"], "decide_leq",
+         lambda out: dataclasses.replace(out, slack=(1, 0))),
+        (["paradox", "rank2_single_vertex.json", "--target", "1", "--k", "2", "--l", "1"],
+         "kl_paradoxical", lambda out: dataclasses.replace(out, slack=(1,))),
+        # a chain from k.target, not l.target
+        (["paradox", "rank2_single_vertex.json", "--target", "1", "--k", "2", "--l", "1"],
+         "kl_paradoxical",
+         lambda out: ts.DecisionOutcome(ts.Verdict.EQUIV, certificate=ts.EquivCertificate((2,), (), (2,)),
+                                        slack=(0,))),
+        # invariant separators that do not separate
+        (["paradox", "rank2_single_vertex.json", "--target", "1", "--k", "2", "--l", "1"],
+         "kl_paradoxical",
+         lambda out: ts.DecisionOutcome(ts.Verdict.NOT_EQUIV,
+                                        separator=ts.LinearSeparator(ts.SeparatorKind.RATIONAL, (0,)))),
+        (["equiv", "one_loop.json", "--lhs", "1", "--rhs", "2"], "decide_equiv",
+         lambda out: dataclasses.replace(
+             out, separator=ts.LinearSeparator(ts.SeparatorKind.RATIONAL, (0,)))),
+    ], ids=["equiv-start", "leq-slack", "paradox-slack", "paradox-start", "paradox-separator",
+            "equiv-separator"])
+    def test_forged_evidence_is_a_consistency_failure(self, models_dir, capsys, monkeypatch,
+                                                      argv, decider, forge):
+        argv = [argv[0], str(models_dir / argv[1])] + argv[2:]
+        assert run_cli(argv, capsys)[0] == 0
+        real = getattr(cli, decider)
+        monkeypatch.setattr(cli, decider, lambda *args: forge(real(*args)))
+        code, out = run_cli(argv, capsys)
         assert code == 1
         assert json.loads(out)["error"]["code"] == "CONSISTENCY_FAILURE"
 

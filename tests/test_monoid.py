@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
-from typesemigroup import monoid, simplex
+from typesemigroup import monoid
 from typesemigroup.linalg import (
     integer_diagonalize,
     modular_kernel_generators,
@@ -31,6 +31,8 @@ from typesemigroup.monoid import (
     _UnitStructure,
     least_admissible_support,
 )
+
+from lp_reference import feasible_point
 
 
 def pres(dim, moves):
@@ -561,21 +563,15 @@ def test_zero_faithfulness_on_expansive_presentations():
 
 
 def _reference_rational_separator(p, f, g):
-    lp = simplex.LinearProgram()
-    names = [lp.variable(f"c{i}") for i in range(p.dim)]
-    for row in _difference_rows(p):
-        lp.constrain({names[i]: row[i] for i in range(p.dim) if row[i]}, "==", 0)
+    rows = [({i: row[i] for i in range(p.dim) if row[i]}, "==", 0) for row in _difference_rows(p)]
     diff = tuple(a - b for a, b in zip(f, g))
-    gap = {names[i]: diff[i] for i in range(p.dim) if diff[i]}
+    gap = {i: diff[i] for i in range(p.dim) if diff[i]}
     if not gap:
         return None
-    lp.constrain(gap, ">=", 1)
-    sol = lp.solve()
-    if sol.status != simplex.OPTIMAL:
+    x = feasible_point(p.dim, rows + [(gap, ">=", 1)])
+    if x is None:
         return None
-    return ts.LinearSeparator(
-        ts.SeparatorKind.RATIONAL, primitive_integer([sol.values[n] for n in names])
-    )
+    return ts.LinearSeparator(ts.SeparatorKind.RATIONAL, primitive_integer(list(x)))
 
 
 def _reference_extended_separator(p, f, g):
@@ -595,21 +591,20 @@ def _reference_extended_separator(p, f, g):
             if not fsupp <= Fset:
                 coeffs = tuple(0 if i in Fset else INFINITY for i in range(d))
                 return ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
-            lp = simplex.LinearProgram()
-            names = {i: lp.variable(f"c{i}") for i in F}
+            col = {i: j for j, i in enumerate(F)}
+            rows = []
             for mv, (ls, rs) in zip(p.moves, supports):
                 if ls <= Fset and rs <= Fset:
-                    coeffs = {names[i]: mv.lhs[i] - mv.rhs[i] for i in F
+                    coeffs = {col[i]: mv.lhs[i] - mv.rhs[i] for i in F
                               if mv.lhs[i] != mv.rhs[i]}
                     if coeffs:
-                        lp.constrain(coeffs, "==", 0)
-            gap = {names[i]: f[i] - g[i] for i in F if f[i] != g[i]}
+                        rows.append((coeffs, "==", 0))
+            gap = {col[i]: f[i] - g[i] for i in F if f[i] != g[i]}
             if not gap:
                 continue
-            lp.constrain(gap, ">=", 1)
-            sol = lp.solve()
-            if sol.status == simplex.OPTIMAL:
-                values = [sol.values[names[i]] if i in Fset else INFINITY for i in range(d)]
+            x = feasible_point(len(F), rows + [(gap, ">=", 1)])
+            if x is not None:
+                values = [x[col[i]] if i in Fset else INFINITY for i in range(d)]
                 return ts.LinearSeparator(ts.SeparatorKind.EXTENDED, _scale_extended(values))
     return None
 
@@ -1530,19 +1525,19 @@ class TestSparseKernelMatchesDense:
 def _reference_cone_solution(p, F, rows):
     """The invariant-cone LP as first written, without the zero-cone rule."""
     support = [i for i in range(p.dim) if F >> i & 1]
-    lp = simplex.LinearProgram()
-    names = {i: lp.variable(f"c{i}") for i in support}
+    col = {i: j for j, i in enumerate(support)}
+    constraints = []
     for mv in p.moves:
         if all(F >> i & 1 for i in range(p.dim) if mv.lhs[i] or mv.rhs[i]):
-            coeffs = {names[i]: mv.lhs[i] - mv.rhs[i] for i in support if mv.lhs[i] != mv.rhs[i]}
+            coeffs = {col[i]: mv.lhs[i] - mv.rhs[i] for i in support if mv.lhs[i] != mv.rhs[i]}
             if coeffs:
-                lp.constrain(coeffs, "==", 0)
+                constraints.append((coeffs, "==", 0))
     for w, op in rows:
-        lp.constrain({names[v]: c for v, c in w.items()}, op, 1)
-    sol = lp.solve()
-    if sol.status != simplex.OPTIMAL:
+        constraints.append(({col[v]: c for v, c in w.items()}, op, 1))
+    x = feasible_point(len(support), constraints)
+    if x is None:
         return None
-    return [sol.values[names[i]] if i in names else INFINITY for i in range(p.dim)]
+    return [x[col[i]] if i in col else INFINITY for i in range(p.dim)]
 
 
 def _counted_cone_solution(p, F, rows):

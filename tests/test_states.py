@@ -12,7 +12,9 @@ import typesemigroup.monoid as monoid_module
 import typesemigroup.states as states_module
 from typesemigroup.monoid import INFINITY, least_admissible_support
 from typesemigroup.cli import _as_kgraph, _build_model
-from typesemigroup.simplex import OPTIMAL, LinearProgram
+from typesemigroup.simplex import OPTIMAL
+
+from lp_reference import feasible_point, lp_matrix, reference_solve_lp
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -80,21 +82,21 @@ def sparse_model(rng, max_vertices=6):
 
 
 def _invariance_lp(model, F):
-    F = sorted(F)
-    lp = LinearProgram()
-    names = {v: lp.variable(f"c{v}") for v in F}
+    """The column of each vertex of F, ascending, and the invariance rows."""
+    col = {v: j for j, v in enumerate(sorted(F))}
+    rows = []
     for mat in model.matrices:
-        for v in F:
+        for v in col:
             coeffs = {}
-            for w in F:
+            for w in col:
                 a = mat[v][w]
                 if a:
-                    coeffs[names[w]] = coeffs.get(names[w], 0) + a
-            coeffs[names[v]] = coeffs.get(names[v], 0) - 1
+                    coeffs[col[w]] = coeffs.get(col[w], 0) + a
+            coeffs[col[v]] = coeffs.get(col[v], 0) - 1
             coeffs = {k: c for k, c in coeffs.items() if c}
             if coeffs:
-                lp.constrain(coeffs, "==", 0)
-    return lp, names
+                rows.append((coeffs, "==", 0))
+    return col, rows
 
 
 def _matrix_solve_state_at(model, target):
@@ -103,37 +105,31 @@ def _matrix_solve_state_at(model, target):
              for mat in model.matrices for v, row in enumerate(mat)]
     mask = least_admissible_support(sides, sum(1 << v for v, x in enumerate(target) if x))
     F = [v for v in range(n) if mask >> v & 1]
-    lp, names = _invariance_lp(model, F)
-    lp.constrain({names[v]: target[v] for v in F if target[v]}, "==", 1)
-    sol = lp.solve()
-    if sol.status != OPTIMAL:
+    col, rows = _invariance_lp(model, F)
+    x = feasible_point(len(F), rows + [({col[v]: target[v] for v in F if target[v]}, "==", 1)])
+    if x is None:
         return None
-    values = tuple(sol.values[names[v]] if v in names else INFINITY for v in range(n))
+    values = tuple(x[col[v]] if v in col else INFINITY for v in range(n))
     return ts.StateCertificate(values=values, target=tuple(target), support=tuple(F))
 
 
 def _matrix_faithful_finite_state(model):
     n = model.dim
-    lp, names = _invariance_lp(model, range(n))
-    lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
+    _, rows = _invariance_lp(model, range(n))
+    A, b = lp_matrix(n, rows + [(dict.fromkeys(range(n), 1), "==", 1)])
     maximizers = []
     for v in range(n):
-        sol = lp.solve(objective={names[v]: 1}, maximize=True)
+        sol = reference_solve_lp(A, b, [int(w == v) for w in range(n)], maximize=True)
         if sol.status != OPTIMAL or sol.objective == 0:
             return None
-        maximizers.append([sol.values[names[w]] for w in range(n)])
+        maximizers.append(sol.x)
     return tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
 
 
 def _matrix_positive_invariant_vector(model):
     n = model.dim
-    lp, names = _invariance_lp(model, range(n))
-    for v in range(n):
-        lp.constrain({names[v]: 1}, ">=", 1)
-    sol = lp.solve()
-    if sol.status != OPTIMAL:
-        return None
-    return tuple(sol.values[names[v]] for v in range(n))
+    _, rows = _invariance_lp(model, range(n))
+    return feasible_point(n, rows + [({v: 1}, ">=", 1) for v in range(n)])
 
 
 def _out_closure(model, seed):
@@ -205,20 +201,17 @@ def _reference_solve_state_at(model, target):
     for F in options:
         if not (_is_out_closed(model, F) and _complement_escapes(model, F)):
             continue
-        lp, names = _invariance_lp(model, F)
-        lp.constrain({names[v]: target[v] for v in sorted(F) if target[v]}, "==", 1)
-        sol = lp.solve()
-        if sol.status == OPTIMAL:
-            values = tuple(
-                sol.values[names[v]] if v in F else INFINITY for v in range(model.dim)
-            )
+        col, rows = _invariance_lp(model, F)
+        x = feasible_point(len(F), rows + [({col[v]: target[v] for v in col if target[v]}, "==", 1)])
+        if x is not None:
+            values = tuple(x[col[v]] if v in F else INFINITY for v in range(model.dim))
             return ts.StateCertificate(values=values, target=tuple(target), support=tuple(sorted(F)))
     return None
 
 
 def count_lp_solves(monkeypatch):
     """Count the invariant-cone LPs the library solves (`monoid.solve_lp`);
-    the reference copies here solve theirs through `LinearProgram`."""
+    the reference copies here call the solver through `lp_reference`."""
     calls = []
     real = monoid_module.solve_lp
 
@@ -523,22 +516,10 @@ class TestFaithfulFiniteState:
             ts.faithful_finite_state(m)
 
     def test_solves_at_most_one_lp_and_exists_iff_per_vertex_rebuild(self, monkeypatch):
-        def reference(model):
-            n = model.dim
-            maximizers = []
-            for v in range(n):
-                lp, names = _invariance_lp(model, frozenset(range(n)))
-                lp.constrain({names[w]: 1 for w in range(n)}, "==", 1)
-                sol = lp.solve(objective={names[v]: 1}, maximize=True)
-                if sol.status != OPTIMAL or sol.objective == 0:
-                    return None
-                maximizers.append([sol.values[names[w]] for w in range(n)])
-            return tuple(sum(sol[w] for sol in maximizers) / n for w in range(n))
-
         rng = random.Random(89)
         found = refuted = 0
         for model in [random_model(rng, max_vertices=5) for _ in range(40)]:
-            expected = reference(model)
+            expected = _matrix_faithful_finite_state(model)
             with monkeypatch.context() as patch:
                 calls = count_lp_solves(patch)
                 got = ts.faithful_finite_state(model)
