@@ -10,12 +10,10 @@ replayable certificate and every negative one an invariant separator.
 __version__ = "0.1.0"
 
 from .actions import (
-    ActionGroupoid,
     Bisection,
     BruteforceOutcome,
     FiniteGroupAction,
     OrbitPartition,
-    action_groupoid,
     bruteforce_equiv,
     build_action,
     closure,
@@ -49,7 +47,6 @@ from .graphs import (
     cylinder_normalize,
     graph_adjacency,
     kgraph_from_graph,
-    kgraph_skeleton,
     path_word,
     presentation_from_kgraph,
     relabel_kgraph,
@@ -87,11 +84,9 @@ from .monoid import (
 )
 from .states import (
     CoboundaryResult,
-    DifferenceLattice,
     StateCertificate,
     StiemkeResult,
     coboundary_check,
-    difference_lattice,
     faithful_finite_state,
     positive_invariant_vector,
     solve_state_at,

@@ -114,32 +114,6 @@ def closure(action: FiniteGroupAction, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[
 
 
 @dataclass(frozen=True)
-class ActionGroupoid:
-    """Arrows (t, x) for t in the closure, x a point index; r = t.x, s = x."""
-
-    action: FiniteGroupAction
-    elements: tuple[Perm, ...]
-
-    def arrows(self):
-        for t in self.elements:
-            for x in range(self.action.degree):
-                yield (t, x)
-
-    @staticmethod
-    def source(arrow) -> int:
-        return arrow[1]
-
-    @staticmethod
-    def range(arrow) -> int:
-        t, x = arrow
-        return t[x]
-
-
-def action_groupoid(action: FiniteGroupAction, cap: int = DEFAULT_CLOSURE_CAP) -> ActionGroupoid:
-    return ActionGroupoid(action, closure(action, cap))
-
-
-@dataclass(frozen=True)
 class OrbitPartition:
     blocks: tuple[tuple[Any, ...], ...]
     minimal: bool

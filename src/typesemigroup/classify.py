@@ -3,9 +3,10 @@
 The decision ladder, every claim backed by an independently checkable
 certificate:
 
-1. structural proxies (cofinality, condition (L)) are computed first; if
-   either fails the verdict is HYPOTHESES_NOT_MET, with whatever finiteness
-   or paradoxicality evidence was found attached (finiteness evidence is
+1. structural proxies (cofinality, condition (L)) are read first off the
+   access relation of the summed adjacency matrix; if either fails the
+   verdict is HYPOTHESES_NOT_MET, with whatever finiteness or
+   paradoxicality evidence was found attached (finiteness evidence is
    meaningful without the hypotheses; the headline dichotomy is not);
 2. a faithful full-support invariant state gives STABLY_FINITE;
 3. otherwise a properly-infinite certificate for every vertex generator
@@ -15,9 +16,9 @@ certificate:
    per-vertex state solver and a bounded almost-unperforation sweep attached
    when they were computed.
 
-The coboundary result is always included as a cross-check; a faithful state
-alongside a failed coboundary (or certified paradoxes for all generators
-alongside a faithful state) raises ConsistencyError.
+The coboundary result is always included as a cross-check: a faithful state
+exists exactly when the coboundary condition holds, and a disagreement
+raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .graphs import (
-    KGraphModel,
-    StructuralReport,
-    kgraph_skeleton,
-    structural_checks,
-)
+from .graphs import KGraphModel, StructuralReport, structural_checks
 from .monoid import (
     DecisionOutcome,
     MonoidPresentation,
@@ -100,7 +96,7 @@ def _paradox_sweep(model: KGraphModel, pres: MonoidPresentation, budget: SearchB
 
 def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> ClassificationReport:
     budgets = budgets or DEFAULT_CLASSIFY_BUDGETS
-    structural = structural_checks(kgraph_skeleton(model))
+    structural = structural_checks(model)
     caveats = [_PROXY_CAVEAT, _COBOUNDARY_CAVEAT]
     if model.k > 1:
         caveats.append(_SKELETON_CAVEAT)
@@ -165,13 +161,6 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
                         f"unknown={unperforation.unknown_pairs}, "
                         f"truncated={unperforation.truncated})"
                     )
-
-    if state is not None and paradoxes is not None and all(
-        outcome.is_equiv for (_, outcome) in paradoxes
-    ):
-        raise ConsistencyError(
-            "a faithful state and an all-generators paradox certificate cannot coexist"
-        )
 
     return ClassificationReport(
         verdict=verdict,

@@ -14,7 +14,9 @@ is constructed, and every decider, state solver and verifier reads it.
 Cylinder calculus on path space is provided for ordinary graphs: depth
 normalization splits a cylinder along all one-edge extensions, and the class
 map sends a union of same-depth cylinders to the sum of the source vertex
-basis vectors.
+basis vectors.  The structural checks read the access relation of the sum
+of a model's matrices: for k = 1 that is the graph itself, for k >= 2 its
+one-coloured skeleton.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     non_integral_entry,
     require_int,
 )
-from .monoid import MonoidPresentation, Move, Vector, build_presentation, unit_vector
+from .monoid import MonoidPresentation, Move, Vector, _access_masks, build_presentation, unit_vector
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -367,117 +369,46 @@ class StructuralReport:
     cyclic_sccs: tuple[tuple[str, ...], ...]
 
 
-def _sccs(n: int, succ: list[set[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components are emitted in a deterministic order."""
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = [0]
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(sorted(succ[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(sorted(succ[w]))))
-                    advanced = True
-                    break
-                elif onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+def structural_checks(model: KGraphModel) -> StructuralReport:
+    """Cofinality and cycle-exit checks on the sum A of the model's matrices.
 
-
-def structural_checks(graph: DirectedGraph) -> StructuralReport:
-    """Cofinality and cycle-exit checks, via condensation and reachability.
-
-    Reachability follows edges from range to source.  Cofinal: every vertex
-    reaches every strongly connected component containing a cycle.  Condition
-    (L): no cycle all of whose vertices have exactly one outgoing edge.
+    Everything is read off the access relation of A: v has access to w when
+    a path runs from v to w (edges run from range to source), and the
+    strongly connected classes are its symmetric part.  Cofinal: every
+    vertex has access to every class containing a cycle.  Condition (L): no
+    cyclic class all of whose vertices have exactly one outgoing edge, which
+    would be a cycle without an exit.  The classes are listed in the order
+    Tarjan's algorithm emits them from a depth-first search with roots and
+    successors ascending: a class is complete when its first-visited vertex
+    finishes, which is the last of its vertices to finish.
     """
-    n = len(graph.vertices)
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    A = graph_adjacency(graph)
-    succ = [set(w for w in range(n) if A[v][w] > 0) for v in range(n)]
-    comps = _sccs(n, succ)
-    cyclic = []
-    for comp in comps:
-        if len(comp) > 1 or A[comp[0]][comp[0]] > 0:
-            cyclic.append(comp)
-    preds = [set(v for v in range(n) if A[v][w] > 0) for w in range(n)]
-    cofinal = True
-    for comp in cyclic:
-        reachers = set(comp)
-        queue = list(comp)
-        while queue:
-            w = queue.pop()
-            for v in preds[w]:
-                if v not in reachers:
-                    reachers.add(v)
-                    queue.append(v)
-        if len(reachers) != n:
-            cofinal = False
-            break
-    # condition (L): walk the partial functional graph of out-degree-1 vertices
-    outdeg = [sum(A[v]) for v in range(n)]
-    single = {v: next(w for w in range(n) if A[v][w] > 0) for v in range(n) if outdeg[v] == 1}
-    condition_l = True
-    color = {v: 0 for v in single}
-    for v0 in sorted(single):
-        if color[v0]:
+    n = model.dim
+    A = [[sum(col) for col in zip(*rows)] for rows in zip(*model.matrices)]
+    succ = [[w for w in range(n) if A[v][w]] for v in range(n)]
+    reach, cls = _access_masks(range(n), succ)
+    seen = done = 0
+    classes = []
+    for root in range(n):
+        if seen >> root & 1:
             continue
-        path = []
-        v = v0
-        while v in single and color.get(v, 2) == 0:
-            color[v] = 1
-            path.append(v)
-            v = single[v]
-        if v in single and color.get(v) == 1:
-            condition_l = False
-            break
-        for w in path:
-            color[w] = 2
+        seen |= 1 << root
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            w = next((w for w in it if not seen >> w & 1), None)
+            if w is None:
+                stack.pop()
+                done |= 1 << v
+                if not cls[v] & ~done:
+                    classes.append(cls[v])
+            else:
+                seen |= 1 << w
+                stack.append((w, iter(succ[w])))
+    members = [[v for v in range(n) if C >> v & 1] for C in classes]
+    cyclic = [vs for vs in members if len(vs) > 1 or A[vs[0]][vs[0]]]
     return StructuralReport(
-        cofinal=cofinal,
-        condition_L=condition_l,
-        strongly_connected=len(comps) == 1,
-        cyclic_sccs=tuple(tuple(graph.vertices[v] for v in comp) for comp in cyclic),
+        cofinal=all(reach[v] >> vs[0] & 1 for vs in cyclic for v in range(n)),
+        condition_L=not any(all(sum(A[v]) == 1 for v in vs) for vs in cyclic),
+        strongly_connected=len(classes) == 1,
+        cyclic_sccs=tuple(tuple(model.vertices[v] for v in vs) for vs in cyclic),
     )
-
-
-def kgraph_skeleton(model: KGraphModel) -> DirectedGraph:
-    """Underlying one-colored graph: edge multiplicities summed over matrices."""
-    edges = []
-    for mi, mat in enumerate(model.matrices):
-        for vi, v in enumerate(model.vertices):
-            for wi, w in enumerate(model.vertices):
-                for c in range(mat[vi][wi]):
-                    edges.append(Edge(f"m{mi}:{v}->{w}#{c}", v, w))
-    return DirectedGraph(model.vertices, tuple(edges))

@@ -181,25 +181,3 @@ def integer_diagonalize(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[i
     diag = [M[i][i] for i in range(t)]
     return diag, V
 
-
-def modular_kernel_generators(
-    diag: list[int], V: list[list[int]], dim: int, m: int
-) -> list[tuple[int, ...]]:
-    """Generators of { c in (Z/m)^dim : rows . c = 0 (mod m) }.
-
-    `diag`, `V` come from :func:`integer_diagonalize`.  Every solution is a
-    Z/m-combination of the returned generators.
-    """
-    gens = []
-    for j in range(dim):
-        s = diag[j] if j < len(diag) else 0
-        if s == 0:
-            step = 1
-        else:
-            step = m // gcd(s, m)
-            if step % m == 0:
-                continue  # only y_j = 0 (mod m)
-        gen = tuple((V[i][j] * step) % m for i in range(dim))
-        if any(gen):
-            gens.append(gen)
-    return gens

@@ -71,7 +71,6 @@ from .errors import (
 )
 from .linalg import (
     integer_diagonalize,
-    modular_kernel_generators,
     primitive_integer,
     rational_kernel_basis,
     vec_dot,
@@ -84,7 +83,7 @@ Vector = tuple[int, ...]
 
 INFINITY = float("inf")
 
-DEFAULT_MODULUS_BOUND = 64
+MODULUS_BOUND = 64
 
 
 class Direction(Enum):
@@ -458,22 +457,20 @@ def _difference_rows(pres: MonoidPresentation) -> list[Vector]:
 
 
 def find_separator(
-    pres: MonoidPresentation,
-    f: Sequence[int],
-    g: Sequence[int],
-    modulus_bound: int = DEFAULT_MODULUS_BOUND,
+    pres: MonoidPresentation, f: Sequence[int], g: Sequence[int]
 ) -> LinearSeparator | None:
     """Search for a move-invariant functional with c.f != c.g.
 
     Rational kernel vectors are tried first (echelon basis order), then the
-    moduli m = 2..modulus_bound ascending.  Deterministic.
+    moduli m = 2..MODULUS_BOUND ascending.  Deterministic.
 
     The moduli are read off the diagonal form: with the rows diagonalized
     to s_j by the unimodular V, the kernel mod m is generated by
     (m / gcd(s_j, m)) V_j, and such a generator separates f from g exactly
     when gcd(s_j, m) does not divide t_j = V_j . (f - g) (s_j = 0 past the
-    rank).  So when every s_j divides t_j no modulus separates, and
-    generators are built only for the first m with a separating column.
+    rank).  A column with s_j dividing t_j never separates.  The separator
+    is the generator of the first separating column at the least m that
+    has one, reduced mod m.
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
@@ -482,20 +479,18 @@ def find_separator(
     for cand in rational_kernel_basis(rows, pres.dim):
         if vec_dot(cand, diff) != 0:
             return LinearSeparator(SeparatorKind.RATIONAL, primitive_integer(cand))
-    if rows and modulus_bound >= 2:
-        diag, V = integer_diagonalize(rows, pres.dim)
-        d = pres.dim
-        s_all = diag + [0] * (d - len(diag))
-        t_all = [sum(V[i][j] * diff[i] for i in range(d)) for j in range(d)]
-        torsion = [(s, t) for s, t in zip(s_all, t_all) if (t % s if s else t)]
-        if not torsion:
-            return None
-        for m in range(2, modulus_bound + 1):
-            if not any(t % gcd(s, m) for s, t in torsion):
-                continue
-            for gen in modular_kernel_generators(diag, V, d, m):
-                if vec_dot(gen, diff) % m != 0:
-                    return LinearSeparator(SeparatorKind.MODULAR, gen, modulus=m)
+    if not rows:
+        return None
+    diag, V = integer_diagonalize(rows, pres.dim)
+    d = pres.dim
+    s_all = diag + [0] * (d - len(diag))
+    t_all = [sum(V[i][j] * diff[i] for i in range(d)) for j in range(d)]
+    torsion = [(j, s, t) for j, (s, t) in enumerate(zip(s_all, t_all)) if (t % s if s else t)]
+    for m in range(2, MODULUS_BOUND + 1):
+        for j, s, t in torsion:
+            if t % gcd(s, m):
+                gen = tuple(V[i][j] * (m // gcd(s, m)) % m for i in range(d))
+                return LinearSeparator(SeparatorKind.MODULAR, gen, modulus=m)
     return None
 
 
@@ -662,6 +657,24 @@ def _cone_solution(pres: MonoidPresentation, F: int,
     return [next(x) if F >> i & 1 else INFINITY for i in range(pres.dim)]
 
 
+def _access_masks(vertices, succ) -> tuple[dict[int, int], dict[int, int]]:
+    """The access relation of the edges v -> w for w in succ[v], as bitmasks
+    over `vertices`: reach[v] holds every vertex v has access to, v itself
+    included, and cls[v] the strongly connected class of v."""
+    reach = {}
+    for v in vertices:
+        mask, stack = 1 << v, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if not mask >> w & 1:
+                    mask |= 1 << w
+                    stack.append(w)
+        reach[v] = mask
+    cls = {v: sum(1 << w for w in vertices if reach[v] >> w & 1 and reach[w] >> v & 1)
+           for v in vertices}
+    return reach, cls
+
+
 def _distinguished_rays(B: dict[int, Vector], support: list[int]):
     """The integral generators of { c >= 0 : c = B c } on `support`, as
     {vertex: value} maps of their nonzero entries, one per distinguished
@@ -675,17 +688,7 @@ def _distinguished_rays(B: dict[int, Vector], support: list[int]):
     elsewhere.
     """
     succ = {v: [w for w in support if B[v][w]] for v in support}
-    reach = {}
-    for v in support:
-        mask, stack = 1 << v, [v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if not mask >> w & 1:
-                    mask |= 1 << w
-                    stack.append(w)
-        reach[v] = mask
-    cls = {v: sum(1 << w for w in support if reach[v] >> w & 1 and reach[w] >> v & 1)
-           for v in support}
+    reach, cls = _access_masks(support, succ)
     for v in support:
         C = cls[v]
         if C & ((1 << v) - 1):

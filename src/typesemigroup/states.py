@@ -64,19 +64,6 @@ class StiemkeResult:
     positive_vector: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
-class DifferenceLattice:
-    generators: tuple[Vector, ...]
-
-
-def difference_lattice(model: KGraphModel) -> DifferenceLattice:
-    """Move differences lhs - rhs of the induced presentation."""
-    gens = tuple(
-        tuple(l - r for l, r in zip(mv.lhs, mv.rhs)) for mv in model._presentation.moves
-    )
-    return DifferenceLattice(generators=gens)
-
-
 def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificate | None:
     """First normalized invariant extended vector at `target`, or None.
 

@@ -279,11 +279,3 @@ class TestStabilize:
             ts.stabilize(transposition(), bad)
         assert e.value.code == "DIMENSION_MISMATCH"
 
-
-class TestActionGroupoid:
-    def test_arrow_count_and_maps(self):
-        g = ts.action_groupoid(transposition())
-        arrows = list(g.arrows())
-        assert len(arrows) == 4  # 2 group elements x 2 points
-        swap = (1, 0)
-        assert g.range((swap, 0)) == 1 and g.source((swap, 0)) == 0

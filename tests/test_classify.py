@@ -88,6 +88,29 @@ class TestVerdictStructure:
         assert any("skeleton" in c for c in r.caveats)
 
 
+class TestGraphDichotomy:
+    def test_proxies_passed_means_purely_infinite(self):
+        # a finite graph with no sources that is cofinal and satisfies (L)
+        # has a simple purely infinite algebra (Kumjian, Pask and Raeburn,
+        # Pacific J. Math. 184, 1998): no 1-graph passing both proxies may
+        # be stably finite, nor inconclusive at the default budgets
+        rng = random.Random(137)
+        checked = not_connected = 0
+        while checked < 120:
+            n = rng.randint(1, 6)
+            mat = [[rng.choice((0, 0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(n)]
+            if not all(any(row) for row in mat):
+                continue
+            m = ts.validate_kgraph([f"v{i}" for i in range(n)], [mat])
+            structural = ts.structural_checks(m)
+            if not (structural.cofinal and structural.condition_L):
+                continue
+            assert ts.classify(m).verdict == ts.PURELY_INFINITE
+            checked += 1
+            not_connected += not structural.strongly_connected
+        assert not_connected > 10
+
+
 class TestBudgetMonotonicity:
     def test_tiny_budget_is_inconclusive_and_resolves_upward(self, two_loops):
         tiny = ts.ClassifyBudgets(search=ts.SearchBudget(max_states=4, max_coord=1))

@@ -262,7 +262,6 @@ def test_queries_never_rebuild_the_derived_form(monkeypatch, representatives):
             cert = ts.solve_state_at(model, ts.unit_vector(model.dim, v))
             assert cert is None or ts.verify_state_certificate(model, cert)
         ts.stiemke_crosscheck(model)
-        ts.difference_lattice(model)
         ts.classify(model, ts.ClassifyBudgets(ts.SearchBudget(200, 6), 1, 50))
         assert ts.presentation_from_kgraph(model) is model._presentation
     assert calls == {"unit": 0, "orbit": 0, "kgraph": 0}

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
 
+from graph_reference import reference_structural_checks
+
 
 def two_loops_graph():
     return ts.build_graph(["v"], [("a", "v", "v"), ("b", "v", "v")])
@@ -287,11 +289,11 @@ class TestCylinders:
 
 class TestStructural:
     def test_two_loops(self):
-        r = ts.structural_checks(two_loops_graph())
+        r = ts.structural_checks(ts.kgraph_from_graph(two_loops_graph()))
         assert r.cofinal and r.condition_L and r.strongly_connected
 
     def test_one_loop_no_exit(self):
-        r = ts.structural_checks(one_loop_graph())
+        r = ts.structural_checks(ts.kgraph_from_graph(one_loop_graph()))
         assert r.cofinal and not r.condition_L
 
     def test_disconnected_components(self):
@@ -304,7 +306,7 @@ class TestStructural:
                 ("d", "w", "w"),
             ],
         )
-        r = ts.structural_checks(g)
+        r = ts.structural_checks(ts.kgraph_from_graph(g))
         assert not r.cofinal
         assert not r.strongly_connected
         assert len(r.cyclic_sccs) == 2
@@ -320,8 +322,47 @@ class TestStructural:
                 ("d", "w", "w"),
             ],
         )
-        r = ts.structural_checks(g)
+        r = ts.structural_checks(ts.kgraph_from_graph(g))
         assert r.cofinal and r.condition_L and r.strongly_connected
+
+
+def _structure_model(rng):
+    """A random 1-8-vertex model with multi-edges; a third are 2-graphs whose
+    second matrix, A.A or A + 1, commutes with the first."""
+    n = rng.randint(1, 8)
+    density = rng.choice((0.12, 0.25, 0.5))
+    mat = []
+    for _ in range(n):
+        row = [rng.choice((1, 1, 1, 2)) if rng.random() < density else 0 for _ in range(n)]
+        if not any(row):
+            row[rng.randrange(n)] = 1
+        mat.append(row)
+    mats = [mat]
+    if rng.random() < 1 / 3:
+        if rng.random() < 0.5:
+            mats.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in mat])
+        else:
+            mats.append([[a + (v == w) for w, a in enumerate(row)] for v, row in enumerate(mat)])
+    return ts.validate_kgraph([f"v{i}" for i in range(n)], mats)
+
+
+class TestStructuralMatchesTarjan:
+    def test_every_field_and_the_class_order(self):
+        rng = random.Random(131)
+        seen = {"cofinal": set(), "condition_L": set(), "strongly_connected": set()}
+        k2 = reordered = 0
+        for _ in range(10_000):
+            model = _structure_model(rng)
+            summed = [[sum(col) for col in zip(*rows)] for rows in zip(*model.matrices)]
+            report = ts.structural_checks(model)
+            assert report == reference_structural_checks(model.vertices, summed)
+            for name, values in seen.items():
+                values.add(getattr(report, name))
+            k2 += model.k == 2
+            reordered += list(report.cyclic_sccs) != sorted(
+                report.cyclic_sccs, key=lambda c: model.vertices.index(c[0]))
+        assert all(values == {False, True} for values in seen.values())
+        assert k2 > 2000 and reordered > 100
 
 
 class TestSingleVertexClosedForm:

@@ -11,7 +11,6 @@ import typesemigroup as ts
 from typesemigroup import monoid
 from typesemigroup.linalg import (
     integer_diagonalize,
-    modular_kernel_generators,
     primitive_integer,
     rational_kernel_basis,
 )
@@ -32,6 +31,7 @@ from typesemigroup.monoid import (
     least_admissible_support,
 )
 
+from linalg_reference import modular_kernel_generators
 from lp_reference import feasible_point
 
 
@@ -1674,33 +1674,34 @@ class TestZeroConeRule:
 
 
 # ---------------------------------------------------------------------------
-# the modulus loop of `find_separator` as it was before the torsion test
+# the modulus loop of `find_separator` as first written: every kernel
+# generator mod m is built and tried, for m = 2..64 ascending
 
 
-def _reference_modular_separator(p, f, g, modulus_bound):
+def _reference_modular_separator(p, f, g):
     rows = _difference_rows(p)
     diff = tuple(a - b for a, b in zip(f, g))
-    if rows and modulus_bound >= 2:
+    if rows:
         diag, V = integer_diagonalize(rows, p.dim)
-        for m in range(2, modulus_bound + 1):
+        for m in range(2, monoid.MODULUS_BOUND + 1):
             for gen in modular_kernel_generators(diag, V, p.dim, m):
                 if sum(a * b for a, b in zip(gen, diff)) % m != 0:
                     return ts.LinearSeparator(ts.SeparatorKind.MODULAR, gen, modulus=m)
     return None
 
 
-def _reference_find_separator(p, f, g, modulus_bound):
+def _reference_find_separator(p, f, g):
     diff = tuple(a - b for a, b in zip(f, g))
     for cand in rational_kernel_basis(_difference_rows(p), p.dim):
         if sum(a * b for a, b in zip(cand, diff)) != 0:
             return ts.LinearSeparator(ts.SeparatorKind.RATIONAL, primitive_integer(cand))
-    return _reference_modular_separator(p, f, g, modulus_bound)
+    return _reference_modular_separator(p, f, g)
 
 
 class TestTorsionFromDiagonalForm:
     def test_matches_the_modulus_loop(self):
-        # torsion orders 2..9 and, at bound 4, above the bound; moves with
-        # zero left sides give negative diagonal entries
+        # torsion orders 2..9; moves with zero left sides give negative
+        # diagonal entries
         rng = random.Random(127)
         moduli, negative = set(), 0
         for _ in range(400):
@@ -1715,22 +1716,20 @@ class TestTorsionFromDiagonalForm:
             negative += bool(rows) and any(s < 0 for s in integer_diagonalize(rows, dim)[0])
             for _ in range(3):
                 f, g = (tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(2))
-                for bound in (0, 1, 2, 4, monoid.DEFAULT_MODULUS_BOUND):
-                    sep = ts.find_separator(p, f, g, bound)
-                    assert sep == _reference_find_separator(p, f, g, bound)
-                    if sep is not None and sep.kind is ts.SeparatorKind.MODULAR:
-                        moduli.add(sep.modulus)
+                sep = ts.find_separator(p, f, g)
+                assert sep == _reference_find_separator(p, f, g)
+                if sep is not None and sep.kind is ts.SeparatorKind.MODULAR:
+                    moduli.add(sep.modulus)
         assert {2, 3, 4, 5} <= moduli and negative > 20
 
     @pytest.mark.parametrize("order", [2, 3, 5, 63, 64, 65, 67])
     def test_one_torsion_order(self, order):
-        # 0 <-> order.x: x has order `order`, so a modulus up to the bound
-        # separates 0 from x exactly when it divides `order`
+        # 0 <-> order.x: x has order `order`, so a modulus up to 64 separates
+        # 0 from x exactly when it divides `order`; 67 is prime and past it
         p = pres(1, [((0,), (order,))])
-        for bound in (0, 1, 2, 3, 64):
-            expected = _reference_find_separator(p, (1,), (0,), bound)
-            assert ts.find_separator(p, (1,), (0,), bound) == expected
-            if expected is not None:
-                assert expected.modulus == min(m for m in range(2, bound + 1) if order % m == 0)
-            else:
-                assert all(order % m for m in range(2, bound + 1))
+        expected = _reference_find_separator(p, (1,), (0,))
+        assert ts.find_separator(p, (1,), (0,)) == expected
+        if expected is not None:
+            assert expected.modulus == min(m for m in range(2, 65) if order % m == 0)
+        else:
+            assert all(order % m for m in range(2, 65))

@@ -592,9 +592,3 @@ class TestStiemke:
             assert res.consistent
             faithful = ts.faithful_finite_state(model)
             assert (faithful is not None) == res.coboundary_holds
-
-
-class TestDifferenceLattice:
-    def test_generators_are_move_differences(self, two_loops):
-        lat = ts.difference_lattice(two_loops)
-        assert lat.generators == ((-1,),)
