@@ -34,9 +34,14 @@ move-side supports.  Both are private fields of the frozen
 them and still validates its own vectors.  `_order_separator` also takes a
 memo of its results keyed by (support, gap on it), which is all the
 separator LP depends on: `decide_leq` passes a fresh one, so its result
-never depends on earlier calls, and `almost_unperforated_up_to`, which asks
-thousands of order questions of one presentation, passes one that lives
-only for that call, as do the moves it compiles and the trees it grows.
+never depends on earlier calls.  `almost_unperforated_up_to`, which asks
+thousands of order questions of one presentation, takes `_order_separator`'s
+steps itself with tables that live only for that call: the least admissible
+support once per support of eta; on a support whose cone is one matrix's,
+that matrix's Frobenius-Victory rays and the value of every span vector
+under them, which decide each pair with integer comparisons and no LP
+(`_ray_values`); on any other support, one memo of separator results.  The
+moves it compiles and the trees it grows live only for that call as well.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
@@ -607,8 +612,8 @@ def _cone_solution(pres: MonoidPresentation, F: int,
     The zero-cone rule comes first.  It applies when the left side of every
     move inside F is a unit vector e_v and every vertex of F has such a
     move, as in a k-graph presentation.  Then the j-th moves of the vertices
-    of F are the rows of a nonnegative integer matrix B_j, and every c in
-    the cone solves c = B_j c.  By the Frobenius-Victory theorem
+    of F are the rows of a nonnegative integer matrix B_j (`_cone_matrices`),
+    and every c in the cone solves c = B_j c.  By the Frobenius-Victory theorem
     (H. Schneider, Linear Algebra Appl. 84, 1986) the nonnegative solutions
     of c = B c are generated by one ray per distinguished class
     (`_distinguished_rays`), so a row that no ray of some B_j makes positive
@@ -621,23 +626,16 @@ def _cone_solution(pres: MonoidPresentation, F: int,
     move inside F (zero rows dropped), then the normalising rows in order.
     The solver returns the point its Phase I ends at.
     """
-    support = [i for i in range(pres.dim) if F >> i & 1]
-    inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]
-    moved: dict[int, list[Vector]] = {v: [] for v in support}
-    for mv, ls in inside:
-        if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
-            break  # the rule does not apply
-        moved[ls.bit_length() - 1].append(mv.rhs)
-    else:
-        for B in zip(*moved.values()):  # the j-th move of every vertex of F
-            pending = [w for w, _ in rows]
-            for ray in _distinguished_rays(dict(zip(support, B)), support):
-                pending = [w for w in pending
-                           if sum(c * w.get(v, 0) for v, c in ray.items()) <= 0]
-                if not pending:
-                    break
-            else:
-                return None
+    support, inside, matrices = _cone_matrices(pres, F)
+    for B in matrices or ():
+        pending = [w for w, _ in rows]
+        for ray in _distinguished_rays(B, support):
+            pending = [w for w in pending
+                       if sum(c * w.get(v, 0) for v, c in ray.items()) <= 0]
+            if not pending:
+                break
+        else:
+            return None
     nslack = sum(op == ">=" for _, op in rows)
     A = [row + [0] * nslack for row in (
         [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
@@ -655,6 +653,29 @@ def _cone_solution(pres: MonoidPresentation, F: int,
         return None
     x = iter(sol.x)
     return [next(x) if F >> i & 1 else INFINITY for i in range(pres.dim)]
+
+
+def _cone_matrices(pres: MonoidPresentation, F: int):
+    """The vertices of F, ascending, the moves inside F with the supports of
+    their left sides, in move order, and the matrices of the zero-cone rule,
+    or None when the rule does not apply.
+
+    The rule applies when the left side of every move inside F is a unit
+    vector e_v with coefficient 1.  Then the j-th matrix B_j maps each
+    vertex v of F to the right side of v's j-th move, for j up to the least
+    number of moves any vertex of F has.  So there is one matrix, and the
+    cone is exactly {c >= 0 : c = B_1 c}, when every vertex of F has
+    exactly one move inside F.
+    """
+    support = [i for i in range(pres.dim) if F >> i & 1]
+    inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]
+    moved: dict[int, list[Vector]] = {v: [] for v in support}
+    for mv, ls in inside:
+        if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
+            return support, inside, None
+        moved[ls.bit_length() - 1].append(mv.rhs)
+    # the j-th move of every vertex of F
+    return support, inside, [dict(zip(support, B)) for B in zip(*moved.values())]
 
 
 def _access_masks(vertices, succ) -> tuple[dict[int, int], dict[int, int]]:
@@ -1120,11 +1141,19 @@ def almost_unperforated_up_to(
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
     left undecided.  Each pair is counted as `decide_leq` would count it.  A
     unit presentation's pairs are only counted, since its unit path decides
-    every pair.  Otherwise each order-separator LP is solved once per
-    distinct (support, gap) key, and the pairs no separator refutes are
-    searched with one tree per distinct eta, over moves compiled once; all
-    of it lives only until the call returns.  `coeff_bound` and `max_pairs`
-    are `int`s >= 0.
+    every pair.  Otherwise a pair not below eta coordinatewise is refuted as
+    `_order_separator` refutes it: by an invariant functional on the full
+    support, else, when the least admissible support F of eta is proper, by
+    theta sticking out of F or by a functional on F.  F is found once per
+    support of eta.  Where the cone on a support is one matrix's cone
+    (`_ray_values`), its Frobenius-Victory rays are found once and the value
+    of every span vector under each of them once, and a functional exists
+    exactly when some ray is larger at theta than at eta: no LP.  On the
+    other supports each separator LP is solved once per distinct
+    (support, gap) key.  The pairs nothing refutes are searched with one
+    tree per distinct eta, over moves compiled once; all of it lives only
+    until the call returns.  `coeff_bound`, `mult_bound` and `max_pairs` are
+    `int`s >= 0.
 
     One tree per eta counts what one search per pair would.  The search
     from eta has the same levels whatever theta is, and it stops only at the
@@ -1146,6 +1175,7 @@ def almost_unperforated_up_to(
         raise InputError(DIMENSION_MISMATCH, "generator list must be nonempty")
     # a negative bound is rejected, not read as an empty span or no pairs
     require_int("coeff_bound", coeff_bound, nonnegative=True)
+    require_int("mult_bound", mult_bound, nonnegative=True)
     require_int("max_pairs", max_pairs, nonnegative=True)
     # one vector past max_pairs already gives more pairs than max_pairs
     span: list[Vector] = []
@@ -1160,12 +1190,34 @@ def almost_unperforated_up_to(
     pairs_checked = min(len(span) ** 2, max_pairs)
     unknown = 0
     if pres._unit is None:
+        full = (1 << pres.dim) - 1
+        sides = list(zip(*pres._supports))
+        supports: list[int] | None = None  # of the span, once a pair needs them
+        least: dict[int, int] = {}  # support of eta -> its least admissible support
+        values: dict[int, list | None] = {}  # F -> `_ray_values` of the span on F
         memo: dict = {}
         searches: dict[Vector, list[Vector]] = {}  # eta -> the thetas it must dominate
-        for theta, eta in itertools.islice(itertools.product(span, repeat=2), max_pairs):
+
+        def refuted(F: int, i: int, j: int) -> bool:
+            """Some invariant c >= 0 on F has c.theta > c.eta."""
+            if F not in values:
+                values[F] = _ray_values(pres, F, span)
+            table = values[F]
+            if table is None:
+                return _separator_on_support(pres, F, span[i], span[j], memo) is not None
+            return any(map(operator.gt, table[i], table[j]))
+
+        for (i, theta), (j, eta) in itertools.islice(
+                itertools.product(enumerate(span), repeat=2), max_pairs):
             # theta <= eta coordinatewise is decided without a search
-            if (any(t > e for t, e in zip(theta, eta))
-                    and _order_separator(pres, theta, eta, memo) is None):
+            if all(map(operator.le, theta, eta)) or refuted(full, i, j):
+                continue
+            if supports is None:
+                supports = [_support(vec) for vec in span]
+            if supports[j] not in least:
+                least[supports[j]] = least_admissible_support(sides, supports[j])
+            F = least[supports[j]]
+            if F == full or not (supports[i] & ~F or refuted(F, i, j)):
                 searches.setdefault(eta, []).append(theta)
         if searches:
             moves = _compiled_moves(pres)
@@ -1173,3 +1225,21 @@ def almost_unperforated_up_to(
             for eta, thetas in searches.items():
                 unknown += len(_dominate(_SearchTree(eta), moves, thetas, budget)[1])
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)
+
+
+def _ray_values(pres: MonoidPresentation, F: int,
+                vectors: list[Vector]) -> list[tuple[int, ...]] | None:
+    """The value of each vector under each generating ray of the cone on F,
+    in `_distinguished_rays` order, or None unless the cone is one matrix's.
+
+    It is when `_cone_matrices` gives one matrix B and every vertex of F has
+    exactly one move inside F.  Then the cone is {c >= 0 : c = B c}, which
+    the rays generate (Frobenius-Victory), so for a vector w that vanishes
+    off F some c in the cone has c.w >= 1 exactly when some ray r has
+    r.w > 0: the order-separator LP on F is feasible exactly then.
+    """
+    support, inside, matrices = _cone_matrices(pres, F)
+    if matrices is None or len(matrices) != 1 or len(inside) != len(support):
+        return None
+    rays = list(_distinguished_rays(matrices[0], support))
+    return [tuple([sum(c * vec[v] for v, c in ray.items()) for ray in rays]) for vec in vectors]

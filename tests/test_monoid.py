@@ -925,7 +925,7 @@ class TestSweepBounds:
     # a unit and a non-unit presentation reject alike
     @pytest.mark.parametrize("p", [pres(2, [((1, 0), (0, 1))]), TWO_LOOPS])
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "3", None])
-    @pytest.mark.parametrize("name", ["coeff_bound", "max_pairs"])
+    @pytest.mark.parametrize("name", ["coeff_bound", "max_pairs", "mult_bound"])
     def test_non_integral_bound_rejected(self, p, bad, name):
         gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
         with pytest.raises(ts.InputError) as e:
@@ -934,7 +934,7 @@ class TestSweepBounds:
         assert e.value.details == {name: repr(bad)}
 
     @pytest.mark.parametrize("p", [pres(2, [((1, 0), (0, 1))]), TWO_LOOPS])
-    @pytest.mark.parametrize("name", ["coeff_bound", "max_pairs"])
+    @pytest.mark.parametrize("name", ["coeff_bound", "max_pairs", "mult_bound"])
     def test_negative_bound_rejected(self, p, name):
         gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
         for bad in (-1, -3):
@@ -1051,7 +1051,10 @@ class TestCompiledSweep:
         assert unknown_seen
 
     def test_triangular_sweep_solves_each_lp_once(self, monkeypatch):
-        p = _kgraph_presentation([[1, 1], [0, 1]])
+        # the triangular 1-graph's sweep refutes by its cone's rays and
+        # solves no LP; on the 2-graph (A, I) the rays do not decide, and the
+        # sweep solves one LP per distinct (support, gap) key the zero-cone
+        # rule leaves
         gens = [ts.unit_vector(2, i) for i in range(2)]
         solved = []
         real_solve = monoid.solve_lp
@@ -1070,10 +1073,20 @@ class TestCompiledSweep:
             return real_separator(pres, F, f, g, memo)
 
         monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+        triangular = _kgraph_presentation([[1, 1], [0, 1]])
+        sweep = ts.almost_unperforated_up_to(triangular, gens, 4, 4)
+        assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
+        assert solved == []
+
+        p = ts.presentation_from_kgraph(ts.validate_kgraph(
+            ["v0", "v1"], [[[1, 1], [0, 1]], [[1, 0], [0, 1]]]))
         _, pairs = _sweep_pairs(p, 4, 5000)
-        for theta, eta in pairs:
-            ts.decide_leq(p, theta, eta)
-        per_query = len(solved)
+        for q in (triangular, p):
+            solved.clear()
+            for theta, eta in pairs:
+                ts.decide_leq(q, theta, eta)
+            # without the memo, 256 LPs (406 before the zero-cone rule)
+            assert len(solved) == 256
         memo = {}
         monkeypatch.setattr(monoid, "_separator_on_support", recording_separator)
         for theta, eta in pairs:
@@ -1088,14 +1101,11 @@ class TestCompiledSweep:
             if len(solved) > before:
                 left.add((F, gap))
         solved.clear()
-        sweep = ts.almost_unperforated_up_to(p, gens, 4, 4)
-        assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
-        # without the memo, 256 LPs (406 before the zero-cone rule); with it,
+        assert ts.almost_unperforated_up_to(p, gens, 4, 4) == sweep  # as the 1-graph's
         # one memo entry per distinct (support, gap) key and one LP per key
         # the rule leaves
-        assert per_query == 256
         assert len(memo) == len(keys)
-        assert len(solved) <= len(memo) and len(solved) <= per_query // 5
+        assert len(solved) <= len(memo) and len(solved) <= 256 // 5
         assert len(solved) == len(left) < len(keys)
 
     def test_no_state_outlives_the_sweep(self):
@@ -1671,6 +1681,138 @@ class TestZeroConeRule:
         assert [_reference_order_separator(p, f, g) for p, f, g in cases] == with_rule
         assert {None if s is None else s.kind for s in with_rule} == {
             None, ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED}
+
+
+def _transient_graph_presentation(rng, n, colours=1):
+    """A 1-graph on n vertices whose edges mostly run from lower to higher
+    vertices, so that some vertices lie on no cycle and the least admissible
+    supports of many vectors are proper; with colours=2, a 2-graph whose
+    second colour is the identity, the first itself, or the first + I.  Never
+    a unit presentation."""
+    while True:
+        a = [[rng.choice((0, 0, 1, 2)) if j > i else
+              rng.choice((0, 1, 1, 2)) if j == i else
+              int(rng.random() < 0.1) for j in range(n)] for i in range(n)]
+        if not all(any(row) for row in a):
+            continue
+        mats = [a]
+        if colours == 2:
+            mats.append(rng.choice((
+                [[int(i == j) for j in range(n)] for i in range(n)],
+                [row[:] for row in a],
+                [[a[i][j] + int(i == j) for j in range(n)] for i in range(n)])))
+        p = ts.presentation_from_kgraph(ts.validate_kgraph([f"v{i}" for i in range(n)], mats))
+        if p._unit is None:
+            return p
+
+
+def _searched_pairs(p, gens, coeff_bound):
+    """The sweep's result and the (theta, eta) pairs it hands to the search."""
+    searched = []
+    real_dominate = monoid._dominate
+
+    def recording_dominate(tree, moves, fs, budget):
+        searched.extend((f, tree.frontier[0]) for f in fs)
+        return real_dominate(tree, moves, fs, budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monoid, "_dominate", recording_dominate)
+        sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4)
+    return sweep, searched
+
+
+def _order_step(p, theta, eta):
+    """The step of `_order_separator` that refutes theta <= eta, or None."""
+    sep = _order_separator(p, theta, eta, {})
+    if sep is None:
+        return None
+    if sep.kind is ts.SeparatorKind.RATIONAL:
+        return "full support"
+    F = least_admissible_support(zip(*p._supports), monoid._support(eta))
+    return "sticks out" if monoid._support(theta) & ~F else "proper support"
+
+
+class TestRaySweep:
+    def test_rays_refute_exactly_the_separated_pairs(self, monkeypatch):
+        # the sweep searches exactly the pairs not below coordinatewise that
+        # `_order_separator` leaves; on one-matrix presentations it solves
+        # no LP doing so, and on 2-graphs it takes the memo
+        rng = random.Random(127)
+        solved = []
+        real_solve = monoid.solve_lp
+
+        def counting_solve(*args, **kwargs):
+            solved.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+        steps = {True: set(), False: set()}
+        unknowns = []
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            for p, one_matrix in ((_transient_graph_presentation(rng, n), True),
+                                  (_one_matrix_presentation(rng, n), True),
+                                  (_transient_graph_presentation(rng, min(n, 4), 2), False)):
+                if p._unit is not None:
+                    continue
+                k = rng.randint(2, 4)
+                picked = rng.sample(range(p.dim), min(k - 1, p.dim))
+                gens = [ts.unit_vector(p.dim, i) for i in picked]
+                gens.append(tuple(rng.randint(0, 2) for _ in range(p.dim)))
+                coeff_bound = 1 if len(gens) == 4 else rng.randint(1, 2)
+                span = _span(p, gens, coeff_bound)
+                pairs = list(itertools.product(span, repeat=2))
+                solved.clear()
+                sweep, searched = _searched_pairs(p, gens, coeff_bound)
+                assert sweep.pairs_checked == len(pairs)
+                assert solved == [] or not one_matrix
+                expected = []
+                for theta, eta in pairs:
+                    if all(t <= e for t, e in zip(theta, eta)):
+                        continue
+                    step = _order_step(p, theta, eta)
+                    steps[one_matrix].add(step)
+                    if step is None:
+                        expected.append((theta, eta))
+                assert sorted(searched) == sorted(expected)
+                if one_matrix and expected and len(unknowns) < 12:
+                    # tiny budgets stop the shared trees where one search
+                    # per pair would stop
+                    budget = rng.choice(_TINY_BUDGETS)
+                    unknowns.append(sum(ts.decide_leq(p, t, e, budget).is_unknown
+                                        for t, e in pairs))
+                    assert ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, budget) == \
+                        ts.UnperforationSweep(None, len(pairs), unknowns[-1], False)
+        assert steps[True] == steps[False] == {
+            "full support", "sticks out", "proper support", None}
+        assert len(unknowns) == 12 and sum(map(bool, unknowns)) >= 4
+
+    def test_rays_found_once_per_support(self, monkeypatch):
+        rng = random.Random(131)
+        supports, solved = [], []
+        real_rays, real_solve = monoid._distinguished_rays, monoid.solve_lp
+
+        def counting_rays(B, support):
+            supports.append(tuple(support))
+            return real_rays(B, support)
+
+        def counting_solve(*args, **kwargs):
+            solved.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(monoid, "_distinguished_rays", counting_rays)
+        monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+        several = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            p = _transient_graph_presentation(rng, n)
+            gens = [ts.unit_vector(n, i) for i in range(n)]
+            supports.clear()
+            ts.almost_unperforated_up_to(p, gens, 1 if n > 3 else 2, 4, ts.SearchBudget(30, 4))
+            assert len(supports) == len(set(supports))
+            assert supports[:1] == [tuple(range(n))]
+            several += len(supports) > 2
+        assert solved == [] and several >= 10
 
 
 # ---------------------------------------------------------------------------
