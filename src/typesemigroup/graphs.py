@@ -250,8 +250,11 @@ def presentation_from_kgraph(model: KGraphModel) -> MonoidPresentation:
 
 
 def relabel_kgraph(model: KGraphModel, perm: Sequence[int]) -> KGraphModel:
-    """Apply a vertex permutation: vertex i of the result is vertex perm[i]."""
-    if sorted(perm) != list(range(model.dim)):
+    """Apply a vertex permutation: vertex i of the result is vertex perm[i].
+
+    The entries of `perm` must be `int`s (a `bool` is not one).
+    """
+    if any(type(p) is not int for p in perm) or sorted(perm) != list(range(model.dim)):
         raise InputError(BAD_REFERENCE, "not a permutation of the vertex indices")
     verts = tuple(model.vertices[p] for p in perm)
     mats = tuple(

@@ -2,8 +2,10 @@
 
 Everything here is arbitrary precision: rationals are `fractions.Fraction`,
 integers are Python ints.  No floating point.  Elimination over the
-rationals runs fraction-free, in ints over one common denominator, and
-only the returned vectors are `Fraction`s.
+rationals takes integer rows and runs fraction-free (Bareiss, Math. Comp.
+22, 1968): the rows are ints over one common denominator D, which starts at
+1, and `pivot` is the one elimination step, shared with `simplex`.  Only
+the returned vectors are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -25,34 +27,42 @@ def vec_scale(k, a):
     return tuple(k * x for x in a)
 
 
-_INT = {int}
+def pivot(rows: list[Sequence[int]], r: int, col: int, D: int) -> int:
+    """One fraction-free pivot on p = rows[r][col], in place; returns p.
 
-
-def integer_row(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """(s, s.values) in ints, with s the lcm of the entries' denominators."""
-    if set(map(type, values)) <= _INT:  # all entries int (a bool is converted)
-        return 1, list(values)
-    vals = [v if type(v) is int else Fraction(v) for v in values]
-    s = lcm(*(v.denominator for v in vals if type(v) is not int))
-    return s, [v * s if type(v) is int else v.numerator * (s // v.denominator) for v in vals]
+    The rows are ints over the common denominator D.  Row r is kept and
+    every other row maps to (p.row - row[col].rows[r]) // D, which is exact,
+    over the new denominator p.
+    """
+    pr = rows[r]
+    p = pr[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            if f:
+                rows[i] = [(p * a - f * q) // D for a, q in zip(row, pr)]
+            elif p != D:
+                rows[i] = [p * a // D for a in row]
+    return p
 
 
 def rational_kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of { c in Q^dim : row . c = 0 for every row }.
+    """Basis of { c in Q^dim : row . c = 0 for every row }, for int rows.
 
     The basis is produced in echelon order (one vector per free column,
     ascending), so the output is deterministic in the input ordering.
 
-    Gauss-Jordan elimination runs fraction-free, as in `simplex`: the rows
-    are ints over one common denominator D, a pivot on p maps every other
-    row to (p.row - row[col].pivot_row) // D exactly, and the new D is p.
+    Gauss-Jordan elimination runs fraction-free with `pivot`, from D = 1.
     The reduced row echelon form is unique, so the basis is the one that
-    elimination over `Fraction` gives.
+    elimination over `Fraction` gives.  An entry that is not an `int` (a
+    `bool` included) raises `ValueError`.
     """
     mat = []
     for row in rows:
+        if any(type(a) is not int for a in row):
+            raise ValueError("rational_kernel_basis takes rows of ints")
         if any(row):
-            mat.append(integer_row(row)[1])  # a scaled row has the same kernel
+            mat.append(row)
     D = 1
     pivots: list[int] = []
     r = 0
@@ -65,16 +75,7 @@ def rational_kernel_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        p = pr[col]
-        for i in range(len(mat)):
-            if i != r:
-                f = mat[i][col]
-                if f:
-                    mat[i] = [(p * a - f * b) // D for a, b in zip(mat[i], pr)]
-                elif p != D:
-                    mat[i] = [p * a // D for a in mat[i]]
-        D = p
+        D = pivot(mat, r, col, D)
         pivots.append(col)
         r += 1
         if r == len(mat):

@@ -35,12 +35,13 @@ them and still validates its own vectors.  `_order_separator` also takes a
 memo of its results keyed by (support, gap on it), which is all the
 separator LP depends on: `decide_leq` passes a fresh one, so its result
 never depends on earlier calls.  `almost_unperforated_up_to`, which asks
-thousands of order questions of one presentation, takes `_order_separator`'s
-steps itself with tables that live only for that call: the least admissible
-support once per support of eta; on a support whose cone is one matrix's,
-that matrix's Frobenius-Victory rays and the value of every span vector
-under them, which decide each pair with integer comparisons and no LP
-(`_ray_values`); on any other support, one memo of separator results.  The
+thousands of order questions of one presentation and only counts, asks each
+pair of eta's least admissible support alone (a full-support separator
+restricts to it), with tables that live only for that call: the least
+admissible support once per support of eta; on a support whose cone is one
+matrix's, that matrix's Frobenius-Victory rays and the value of every span
+vector under them, which decide each pair with integer comparisons and no
+LP (`_ray_values`); on any other support, one memo of separator results.  The
 moves it compiles and the trees it grows live only for that call as well.
 
 An order separator, a state (`states.solve_state_at`) and a positive
@@ -277,7 +278,11 @@ def unit_vector(dim: int, index: int) -> Vector:
 
 
 def build_presentation(dim: int, moves: Iterable) -> MonoidPresentation:
-    """Validate and freeze a presentation; move order is preserved."""
+    """Validate and freeze a presentation; move order is preserved.
+
+    `dim` must be an `int` (a `bool` is not one) and at least 1.
+    """
+    require_int("dim", dim)
     if dim < 1:
         raise InputError(DIMENSION_MISMATCH, "dimension must be positive", dim=dim)
     frozen = []
@@ -1141,11 +1146,18 @@ def almost_unperforated_up_to(
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
     left undecided.  Each pair is counted as `decide_leq` would count it.  A
     unit presentation's pairs are only counted, since its unit path decides
-    every pair.  Otherwise a pair not below eta coordinatewise is refuted as
-    `_order_separator` refutes it: by an invariant functional on the full
-    support, else, when the least admissible support F of eta is proper, by
-    theta sticking out of F or by a functional on F.  F is found once per
-    support of eta.  Where the cone on a support is one matrix's cone
+    every pair.  Otherwise a pair not below eta coordinatewise is decided on
+    the least admissible support F0 of eta alone: it is refuted when theta
+    sticks out of F0, or when some invariant functional c >= 0 on F0 has
+    c.theta > c.eta.  These are exactly the pairs `_order_separator`
+    refutes, and its full-support pass adds none: a functional on the full
+    support that refutes theta <= eta restricts to F0 (infinite off it)
+    when theta lies inside F0, the restriction stays invariant because F0
+    is admissible, and theta and eta keep their values.  So whether a
+    separator exists is F0's question alone; `_order_separator` asks the
+    full support first only to return a RATIONAL separator when there is
+    one.  F0 is found once per support of eta.  Where the cone on a
+    support is one matrix's cone
     (`_ray_values`), its Frobenius-Victory rays are found once and the value
     of every span vector under each of them once, and a functional exists
     exactly when some ray is larger at theta than at eta: no LP.  On the
@@ -1190,9 +1202,8 @@ def almost_unperforated_up_to(
     pairs_checked = min(len(span) ** 2, max_pairs)
     unknown = 0
     if pres._unit is None:
-        full = (1 << pres.dim) - 1
         sides = list(zip(*pres._supports))
-        supports: list[int] | None = None  # of the span, once a pair needs them
+        supports = [_support(vec) for vec in span]
         least: dict[int, int] = {}  # support of eta -> its least admissible support
         values: dict[int, list | None] = {}  # F -> `_ray_values` of the span on F
         memo: dict = {}
@@ -1210,14 +1221,12 @@ def almost_unperforated_up_to(
         for (i, theta), (j, eta) in itertools.islice(
                 itertools.product(enumerate(span), repeat=2), max_pairs):
             # theta <= eta coordinatewise is decided without a search
-            if all(map(operator.le, theta, eta)) or refuted(full, i, j):
+            if all(map(operator.le, theta, eta)):
                 continue
-            if supports is None:
-                supports = [_support(vec) for vec in span]
             if supports[j] not in least:
                 least[supports[j]] = least_admissible_support(sides, supports[j])
             F = least[supports[j]]
-            if F == full or not (supports[i] & ~F or refuted(F, i, j)):
+            if not (supports[i] & ~F or refuted(F, i, j)):
                 searches.setdefault(eta, []).append(theta)
         if searches:
             moves = _compiled_moves(pres)

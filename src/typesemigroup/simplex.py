@@ -7,13 +7,13 @@ with Bland's rule (no cycling) and no floating point anywhere: it minimises
 the sum of one artificial variable per row.  At a zero optimum the basis
 gives x; an artificial still in the basis sits at level 0 and is skipped.
 
-The tableau is fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968):
-Python ints over one common denominator D, the determinant of the current
-basis.  A pivot on p keeps its row and maps every other row, the objective
-row included, to (p.T[i] - T[i][col].T[r]) // D, which is exact; the new D
-is p.  Bland's ratios are compared by cross-multiplication, so the pivots,
-the basis and every returned `Fraction` are those of the textbook tableau
-over `Fraction`.
+A and b hold ints, as every LP the library builds does.  The tableau is
+fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): Python ints
+over one common denominator D, the determinant of the current basis, which
+is 1 at the artificial start.  Each pivot is `linalg.pivot`, applied to the
+objective row as well.  Bland's ratios are compared by cross-multiplication,
+so the pivots, the basis and every returned `Fraction` are those of the
+textbook tableau over `Fraction`.  Only x and y are rationals.
 
 The library's LPs (`monoid._cone_solution`, `states.coboundary_check`) are
 many and tiny, so they hand `solve_lp` their matrices directly.
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 from .errors import ConsistencyError
-from .linalg import integer_row
+from .linalg import pivot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -46,16 +45,6 @@ def _check_farkas(A, b, y) -> bool:
         if sum(y[i] * A[i][j] for i in range(len(A))) > 0:
             return False
     return sum(y[i] * b[i] for i in range(len(A))) > 0
-
-
-def _eliminate(row: list[int], pr: list[int], col: int, p: int, D: int) -> list[int]:
-    """`row` after a pivot on p = pr[col], over the new denominator p."""
-    f = row[col]
-    if f:
-        return [(p * a - f * q) // D for a, q in zip(row, pr)]
-    if p == D:
-        return row
-    return [p * a // D for a in row]
 
 
 def _phase_one(T: list[list[int]], D: int, basis: list[int]) -> int:
@@ -90,66 +79,49 @@ def _phase_one(T: list[list[int]], D: int, basis: list[int]) -> int:
             raise ConsistencyError("internal: Phase I found no pivot row")
         # the ratio test pivots on a positive entry, so D stays positive and
         # the sign of an entry is the sign of its value
-        pr = T[best_row]
-        p = pr[col]
-        for i, row in enumerate(T):
-            if i != best_row:
-                T[i] = _eliminate(row, pr, col, p, D)
-        D = p
+        D = pivot(T, best_row, col, D)
         basis[best_row] = col
 
 
-def solve_lp(
-    A: Sequence[Sequence[Fraction | int]],
-    b: Sequence[Fraction | int],
-    c: Sequence[Fraction | int],
-) -> LPSolution:
+def solve_lp(A: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> LPSolution:
     """A point x >= 0 with A x = b, or a checked Farkas certificate.
 
-    `c` holds one cost per column and must be zero: under a zero cost every
-    feasible point is optimal, so only feasibility is decided.  Its length
-    is the column count, which an LP with no rows takes from it.  The
-    benchmark's tracer (`bench/tracing.py`) reads `c` from every call.
+    A and b must hold ints (a `bool` is not one); any other entry raises
+    `ValueError`.  `c` holds one cost per column and must be zero: under a
+    zero cost every feasible point is optimal, so only feasibility is
+    decided.  Its length is the column count, which an LP with no rows
+    takes from it.  The benchmark's tracer (`bench/tracing.py`) reads `c`
+    from every call.
     """
     if any(c):
         raise ValueError("solve_lp decides feasibility only; the cost must be zero")
     m = len(A)
     n = len(c)
-    # Row i is scaled by s_i, the lcm of its own denominators.  The
-    # artificial basis then has determinant D = prod s_i, and D.[A | I | b]
-    # is integral.  (One common lcm is not a determinant, and the exact
-    # divisions of the pivots would fail.)
-    scales, rows, sign = [], [], [1] * m
-    for i in range(m):
-        s, row = integer_row([*A[i], b[i]])
-        if row[-1] < 0:
-            row = [-v for v in row]
-            sign[i] = -1
-        scales.append(s)
-        rows.append(row)
-    D = prod(scales)
     width = n + m
     T = []
-    for i, (s, row) in enumerate(zip(scales, rows)):
-        if s != D:
-            k = D // s
-            row = [k * v for v in row]
+    for i in range(m):
+        row = [*A[i], b[i]]
+        if any(type(v) is not int for v in row):
+            raise ValueError("solve_lp takes A and b of ints")
+        if row[-1] < 0:  # Phase I starts from the artificial basis, at b >= 0
+            row = [-v for v in row]
         art = [0] * m
-        art[i] = D
+        art[i] = 1
         T.append(row[:n] + art + row[n:])
     basis = [n + i for i in range(m)]
 
     # Minimise the sum of the artificial variables.  Each artificial column
-    # sums to D against its cost D.1, so its reduced cost is 0.
+    # sums to 1 against its cost 1, so its reduced cost is 0.
     Z = [-sum(col) for col in zip(*T)] if T else [0] * (width + 1)
     Z[n:width] = [0] * m
     T.append(Z)
-    D = _phase_one(T, D, basis)
+    D = _phase_one(T, 1, basis)
     Z = T.pop()
     if Z[width] < 0:
-        # y = D.(1 - Z[n + i]) in rationals: positive scaling keeps the
-        # certificate's inequalities, so it is checked in integers.
-        y = [sign[i] * (D - Z[n + i]) for i in range(m)]
+        # y = D.(1 - Z[n + i]) in rationals, negated on a flipped row:
+        # positive scaling keeps the certificate's inequalities, so it is
+        # checked in integers.
+        y = [D - Z[n + i] if b[i] >= 0 else Z[n + i] - D for i in range(m)]
         if not _check_farkas(A, b, y):
             raise ConsistencyError("internal: Farkas certificate failed substitution")
         # built from a list, so the tuple is allocated at its final size

@@ -400,6 +400,21 @@ class TestSingleVertexClosedForm:
 
 
 class TestRelabeling:
+    @pytest.mark.parametrize("perm", [[False], [True], [0.0], [Fraction(0)], ["0"]])
+    def test_non_int_permutation_rejected(self, perm):
+        # [False] used to be read as the permutation [0]
+        model = ts.kgraph_from_graph(one_loop_graph())
+        with pytest.raises(ts.InputError) as e:
+            ts.relabel_kgraph(model, perm)
+        assert e.value.code == "BAD_REFERENCE"
+
+    def test_two_vertex_permutation_with_bools_rejected(self):
+        model = ts.validate_kgraph(["u", "v"], [[[1, 1], [0, 1]]])
+        assert ts.relabel_kgraph(model, [1, 0]).vertices == ("v", "u")
+        with pytest.raises(ts.InputError) as e:
+            ts.relabel_kgraph(model, [True, False])
+        assert e.value.code == "BAD_REFERENCE"
+
     def test_decisions_are_permutation_equivariant(self):
         rng = random.Random(41)
         for _ in range(20):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,7 +12,9 @@ from typesemigroup.linalg import (
     vec_dot,
 )
 
+from library_traffic import run_library_sample
 from linalg_reference import modular_kernel_generators
+from typesemigroup import monoid
 
 
 def test_kernel_of_empty_system_is_standard_basis():
@@ -90,12 +93,36 @@ def test_kernel_matches_fraction_elimination(fractions):
         rows = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(dim)]
                 for _ in range(rng.randint(0, 6))]
         if fractions:
+            # rational rows, each scaled to integers: the same kernel
             rows = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in rows]
+            rows = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
         if rows and rng.random() < 0.4:  # a dependent row
             rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
         got, want = rational_kernel_basis(rows, dim), _reference_kernel_basis(rows, dim)
         assert got == want and repr(got) == repr(want)
         assert all(type(v) is tuple and all(type(x) is Fraction for x in v) for v in got)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 1.0, True])
+def test_non_int_row_entry_rejected(bad):
+    # rows hold ints; nothing is scaled or converted, a zero row included
+    for rows in ([(bad, 1)], [(1, 1), (1, bad)], [(0, 0), (type(bad)(0), 0)]):
+        with pytest.raises(ValueError):
+            rational_kernel_basis(rows, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_library_asks_kernels_of_integer_rows(seed, monkeypatch):
+    seen = []
+
+    def recording(rows, dim, real=monoid.rational_kernel_basis):
+        seen.append(rows)
+        return real(rows, dim)
+
+    monkeypatch.setattr(monoid, "rational_kernel_basis", recording)
+    run_library_sample(seed)
+    assert len(seen) > 50
+    assert all(type(v) is int for rows in seen for row in rows for v in row)
 
 
 def test_primitive_integer_normalizes_sign_and_content():

@@ -63,6 +63,23 @@ class TestBuildPresentation:
             pres(1, [((-1,), (1,))])
         assert e.value.code == "NEGATIVE_ENTRY"
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", Fraction(2), None])
+    def test_non_int_dimension_rejected(self, bad):
+        # a bool used to build a presentation of that dimension, and the
+        # others raised a bare TypeError
+        with pytest.raises(ts.InputError) as e:
+            pres(bad, [])
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+        with pytest.raises(ts.InputError) as e:
+            pres(bad, [((1, 0), (0, 1))])
+        assert e.value.code == "NON_INTEGRAL_ENTRY"
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_nonpositive_dimension_rejected(self, dim):
+        with pytest.raises(ts.InputError) as e:
+            pres(dim, [])
+        assert e.value.code == "DIMENSION_MISMATCH"
+
     @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", Fraction(1)])
     def test_non_integral_entry_rejected(self, bad):
         with pytest.raises(ts.InputError) as e:
@@ -1093,20 +1110,23 @@ class TestCompiledSweep:
             if any(t > e for t, e in zip(theta, eta)):
                 _order_separator(p, theta, eta, memo)
         monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
+        # `_order_separator` keeps one memo entry per distinct (support,
+        # gap) key, full supports included
+        assert len(memo) == len(keys)
+        # the sweep asks only eta's least admissible support F0, and solves
+        # one LP per distinct (F0, gap) key the rule leaves
+        least_keys = _least_support_keys(p, pairs)
         solved.clear()
         left = set()
-        for F, gap in keys:
+        for F, gap in least_keys:
             before = len(solved)
             _cone_solution(p, F, [_gap_row(p, F, gap)])
             if len(solved) > before:
                 left.add((F, gap))
         solved.clear()
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == sweep  # as the 1-graph's
-        # one memo entry per distinct (support, gap) key and one LP per key
-        # the rule leaves
-        assert len(memo) == len(keys)
-        assert len(solved) <= len(memo) and len(solved) <= 256 // 5
-        assert len(solved) == len(left) < len(keys)
+        assert len(solved) == len(left) == 30
+        assert len(left) < len(least_keys) and len(left) < len(keys)
 
     def test_no_state_outlives_the_sweep(self):
         p = _kgraph_presentation([[1, 1], [0, 1]])
@@ -1721,6 +1741,20 @@ def _searched_pairs(p, gens, coeff_bound):
     return sweep, searched
 
 
+def _least_support_keys(p, pairs):
+    """The (F0, gap on F0) keys the sweep asks about the pairs: F0 is eta's
+    least admissible support, and theta lies inside it."""
+    sides = list(zip(*p._supports))
+    keys = set()
+    for theta, eta in pairs:
+        if all(t <= e for t, e in zip(theta, eta)):
+            continue
+        F = least_admissible_support(sides, monoid._support(eta))
+        if not monoid._support(theta) & ~F:
+            keys.add((F, tuple(t - e for i, (t, e) in enumerate(zip(theta, eta)) if F >> i & 1)))
+    return keys
+
+
 def _order_step(p, theta, eta):
     """The step of `_order_separator` that refutes theta <= eta, or None."""
     sep = _order_separator(p, theta, eta, {})
@@ -1807,10 +1841,16 @@ class TestRaySweep:
             n = rng.randint(1, 6)
             p = _transient_graph_presentation(rng, n)
             gens = [ts.unit_vector(n, i) for i in range(n)]
+            coeff_bound = 1 if n > 3 else 2
             supports.clear()
-            ts.almost_unperforated_up_to(p, gens, 1 if n > 3 else 2, 4, ts.SearchBudget(30, 4))
+            ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, ts.SearchBudget(30, 4))
+            # once for each distinct F0 the sweep reaches, and for no other
+            # support
+            reached = {F for F, _ in _least_support_keys(
+                p, itertools.product(_span(p, gens, coeff_bound), repeat=2))}
             assert len(supports) == len(set(supports))
-            assert supports[:1] == [tuple(range(n))]
+            assert sorted(supports) == sorted(
+                tuple(i for i in range(n) if F >> i & 1) for F in reached)
             several += len(supports) > 2
         assert solved == [] and several >= 10
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from library_traffic import run_library_sample
 from lp_reference import reference_solve_lp
-from typesemigroup import simplex
+from typesemigroup import monoid, simplex, states
 from typesemigroup.errors import ConsistencyError
 from typesemigroup.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
@@ -30,15 +32,57 @@ def test_nonzero_cost_rejected():
         solve_lp([[1, 1]], [1], [0, 1])
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 1.0, True])
+def test_non_int_entry_rejected(bad):
+    # A and b hold ints; nothing is scaled or converted
+    with pytest.raises(ValueError):
+        solve_lp([[bad, 1]], [1], [0, 0])
+    with pytest.raises(ValueError):
+        solve_lp([[1, 1], [1, bad]], [1, 1], [0, 0])
+    with pytest.raises(ValueError):
+        solve_lp([[1, 1]], [bad], [0, 0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_library_builds_integer_lps_with_nonnegative_b(seed, monkeypatch):
+    # every LP the library solves has int entries and b >= 0, so the solver
+    # scales nothing, and its sign flip of a row with b < 0 is never needed
+    seen = {monoid: [], states: []}
+    for module, calls in seen.items():
+        def recording(A, b, c, real=module.solve_lp, calls=calls):
+            calls.append((A, b))
+            return real(A, b, c)
+
+        monkeypatch.setattr(module, "solve_lp", recording)
+    run_library_sample(seed)
+    assert len(seen[monoid]) > 50 and len(seen[states]) > 10
+    for A, b in seen[monoid] + seen[states]:
+        assert all(type(v) is int for row in A for v in row)
+        assert all(type(v) is int and v >= 0 for v in b)
+
+
+# Beale's cycling-prone instance (its cost left out), each row scaled to
+# integers: the first by 4, the second by 2
+BEALE = ([[1, -32, -4, 36, 4, 0, 0],
+          [1, -24, -1, 6, 0, 2, 0],
+          [0, 0, 1, 0, 0, 0, 1]], [0, 0, 1])
+
+
+def _integral(A, b):
+    """A x = b with each row and its b scaled by the lcm of their
+    denominators: the same instance in ints."""
+    rows, rhs = [], []
+    for row, bi in zip(A, b):
+        vals = [Fraction(v) for v in (*row, bi)]
+        s = lcm(*(v.denominator for v in vals))
+        rows.append([int(v * s) for v in vals[:-1]])
+        rhs.append(int(vals[-1] * s))
+    return rows, rhs
+
+
 def test_degenerate_instance_terminates():
-    # Classic cycling-prone instance (its cost left out); Bland's rule must
-    # terminate.
-    A = [
-        [Fraction(1, 4), -8, -1, 9, 1, 0, 0],
-        [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-    ]
-    b = [0, 0, 1]
+    # Bland's rule must terminate on the cycling-prone instance
+    A, b = BEALE
     sol = solve_lp(A, b, [0] * 7)
     assert sol.status == OPTIMAL
     assert all(v >= 0 for v in sol.x)
@@ -49,10 +93,10 @@ def test_random_feasible_systems_are_solved():
     rng = random.Random(3)
     for _ in range(30):
         m, n = rng.randint(1, 3), rng.randint(2, 5)
-        x_star = [Fraction(rng.randint(0, 4)) for _ in range(n)]
-        A = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+        x_star = [rng.randint(0, 4) for _ in range(n)]
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         b = [sum(A[i][j] * x_star[j] for j in range(n)) for i in range(m)]
-        sol = solve_lp(A, b, [Fraction(0)] * n)
+        sol = solve_lp(A, b, [0] * n)
         assert sol.status == OPTIMAL
         for i in range(m):
             assert sum(A[i][j] * sol.x[j] for j in range(n)) == b[i]
@@ -116,7 +160,8 @@ def test_matches_fraction_tableau_on_seeded_lps(kind, fractions, monkeypatch):
     statuses = set()
     stuck = 0  # feasible LPs that end Phase I with an artificial in the basis
     for _ in range(150):
-        A, b = _seeded_lp(rng, kind, fractions)
+        # a rational instance is solved as its integer scaling
+        A, b = _integral(*_seeded_lp(rng, kind, fractions))
         n = len(A[0])
         got = solve_lp(A, b, [0] * n)
         _assert_same_solution(got, reference_solve_lp(A, b, [0] * n))
@@ -134,15 +179,13 @@ def test_matches_fraction_tableau_on_seeded_lps(kind, fractions, monkeypatch):
 def test_matches_fraction_tableau_on_fixed_instances(monkeypatch):
     bases = _record_phase_one_bases(monkeypatch)
     cases = [
-        # the cycling-prone instance
-        ([[Fraction(1, 4), -8, -1, 9, 1, 0, 0],
-          [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
-          [0, 0, 1, 0, 0, 0, 1]], [0, 0, 1]),
-        # one common lcm of 2 would not be the determinant of the basis
-        ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), 1]], [1, 1]),
+        BEALE,
+        # [[1/2, 1/2], [1/2, 1]] x = [1, 1], each row scaled to integers
+        ([[1, 1], [1, 2]], [2, 2]),
         # artificials left in the basis at level 0
         ([[-1, 1], [1, -1]], [0, 0]),
-        ([[Fraction(-1, 2), Fraction(1, 2), 1], [Fraction(1, 3), Fraction(-1, 3), -1]], [0, 0]),
+        # [[-1/2, 1/2, 1], [1/3, -1/3, -1]] x = 0, each row scaled to integers
+        ([[-1, 1, 2], [1, -1, -3]], [0, 0]),
         ([[1, -1, 0], [2, -2, 0], [0, 1, 1]], [0, 0, 1]),
         ([[1, 1], [1, 1]], [1, 1]),
         ([[1, 1]], [-1]),
