@@ -123,9 +123,12 @@ def integer_diagonalize(rows: Sequence[Sequence[int]], dim: int) -> tuple[list[i
     solutions of  rows . c = 0 (mod m)  are exactly  c = V . y  with
     diag[j] * y[j] = 0 (mod m) for j < len(diag) and y[j] free otherwise.
     Only column operations are mirrored into V; row operations do not change
-    the solution set.
+    the solution set.  An entry that is not an `int` (a `bool` included)
+    raises `ValueError`.
     """
-    M = [list(map(int, row)) for row in rows]
+    M = [list(row) for row in rows]
+    if any(type(a) is not int for row in M for a in row):
+        raise ValueError("integer_diagonalize takes rows of ints")
     V = [[int(i == j) for j in range(dim)] for i in range(dim)]
     nrows = len(M)
     t = 0

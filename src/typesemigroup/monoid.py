@@ -16,11 +16,13 @@ Decision procedures return one of three verdicts:
 
 Each decider takes one path: the trivial case, then the unit-move fast path,
 then its separators, then one bounded breadth-first search.  Congruence
-tries `find_separator` (rational, then modular), then `_support_separator`:
-vectors with different least admissible supports are never congruent, and
-the extended separator 0 on one of those supports and oo off it shows it.
-The order tries `_order_separator`: the full support gives a rational
-separator, the least admissible support an extended one.  Both
+tries `find_separator`, which reads a rational or a modular separator off
+one diagonal form of the move differences and finds one exactly when f - g
+is not in their integer span, then `_support_separator`: vectors with
+different least admissible supports are never congruent, and the extended
+separator 0 on one of those supports and oo off it shows it.  The order
+tries `_order_separator`, which asks the least admissible support of g
+alone: rational when it is the full support, extended otherwise.  Both
 searches grow their levels with the same `_SearchTree.expand`, over the
 moves compiled to their nonzero coordinates (`_compiled_moves`) once per
 search.  `almost_unperforated_up_to` compiles them once per sweep and grows
@@ -31,18 +33,15 @@ What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
 move-side supports.  Both are private fields of the frozen
 `MonoidPresentation`, outside equality, hashing and repr; every query reads
-them and still validates its own vectors.  `_order_separator` also takes a
-memo of its results keyed by (support, gap on it), which is all the
-separator LP depends on: `decide_leq` passes a fresh one, so its result
-never depends on earlier calls.  `almost_unperforated_up_to`, which asks
-thousands of order questions of one presentation and only counts, asks each
-pair of eta's least admissible support alone (a full-support separator
-restricts to it), with tables that live only for that call: the least
-admissible support once per support of eta; on a support whose cone is one
-matrix's, that matrix's Frobenius-Victory rays and the value of every span
-vector under them, which decide each pair with integer comparisons and no
-LP (`_ray_values`); on any other support, one memo of separator results.  The
-moves it compiles and the trees it grows live only for that call as well.
+them and still validates its own vectors.  `almost_unperforated_up_to`,
+which asks thousands of order questions of one presentation and only
+counts, asks each pair what `_order_separator` asks, with tables that live
+only for that call: the least admissible support once per support of eta;
+on a support whose cone is one matrix's, that matrix's Frobenius-Victory
+rays and the value of every span vector under them, which decide each pair
+with integer comparisons and no LP (`_ray_values`); on any other support,
+one memo of separator results.  The moves it compiles and the trees it
+grows live only for that call as well.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
@@ -78,7 +77,6 @@ from .errors import (
 from .linalg import (
     integer_diagonalize,
     primitive_integer,
-    rational_kernel_basis,
     vec_dot,
     vec_scale,
     vec_sub,
@@ -471,45 +469,44 @@ def find_separator(
 ) -> LinearSeparator | None:
     """Search for a move-invariant functional with c.f != c.g.
 
-    Rational kernel vectors are tried first (echelon basis order), then the
-    moduli m = 2..MODULUS_BOUND ascending.  Deterministic.
+    Both kinds are read off one diagonal form: with the move differences
+    diagonalized to s_j by the unimodular V (`integer_diagonalize`), let
+    t_j = V_j . (f - g).  The columns V_j past the rank span the rational
+    kernel, so the first of them with t_j != 0, made primitive, is the
+    RATIONAL separator.  Otherwise the kernel mod m is generated by
+    (m / gcd(s_j, m)) V_j, and such a generator separates exactly when
+    gcd(s_j, m) does not divide t_j.  The MODULAR separator is the
+    generator of the first separating column at the least m <= MODULUS_BOUND
+    that has one, reduced mod m; past that bound, the first column with s_j
+    not dividing t_j at m = |s_j|, which always separates.  Deterministic.
 
-    The moduli are read off the diagonal form: with the rows diagonalized
-    to s_j by the unimodular V, the kernel mod m is generated by
-    (m / gcd(s_j, m)) V_j, and such a generator separates f from g exactly
-    when gcd(s_j, m) does not divide t_j = V_j . (f - g) (s_j = 0 past the
-    rank).  A column with s_j dividing t_j never separates.  The separator
-    is the generator of the first separating column at the least m that
-    has one, reduced mod m.
+    So None comes back exactly when t_j = 0 past the rank and s_j divides
+    t_j below it, that is, when f - g lies in the integer span of the move
+    differences.
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
-    rows = _difference_rows(pres)
-    diff = vec_sub(f, g)
-    for cand in rational_kernel_basis(rows, pres.dim):
-        if vec_dot(cand, diff) != 0:
-            return LinearSeparator(SeparatorKind.RATIONAL, primitive_integer(cand))
-    if not rows:
-        return None
-    diag, V = integer_diagonalize(rows, pres.dim)
     d = pres.dim
-    s_all = diag + [0] * (d - len(diag))
+    diff = vec_sub(f, g)
+    diag, V = integer_diagonalize(_difference_rows(pres), d)
     t_all = [sum(V[i][j] * diff[i] for i in range(d)) for j in range(d)]
-    torsion = [(j, s, t) for j, (s, t) in enumerate(zip(s_all, t_all)) if (t % s if s else t)]
-    for m in range(2, MODULUS_BOUND + 1):
+    for j in range(len(diag), d):
+        if t_all[j]:
+            return LinearSeparator(SeparatorKind.RATIONAL, primitive_integer([row[j] for row in V]))
+    torsion = [(j, s, t) for j, (s, t) in enumerate(zip(diag, t_all)) if t % s]
+    if not torsion:
+        return None
+    # at m = |s_j| of the first torsion column, that column separates
+    for m in [*range(2, MODULUS_BOUND + 1), abs(torsion[0][1])]:
         for j, s, t in torsion:
             if t % gcd(s, m):
-                gen = tuple(V[i][j] * (m // gcd(s, m)) % m for i in range(d))
-                return LinearSeparator(SeparatorKind.MODULAR, gen, modulus=m)
-    return None
+                return LinearSeparator(SeparatorKind.MODULAR, tuple(
+                    row[j] * (m // gcd(s, m)) % m for row in V), modulus=m)
 
 
 def _scale_extended(values: list) -> tuple:
     """Scale the finite part of an extended vector to primitive integers."""
-    finite = [v for v in values if v != INFINITY]
-    if not any(finite):
-        return tuple(0 if v != INFINITY else INFINITY for v in values)
-    scaled = iter(primitive_integer(finite))
+    scaled = iter(primitive_integer([v for v in values if v != INFINITY]))
     return tuple(INFINITY if v == INFINITY else next(scaled) for v in values)
 
 
@@ -535,31 +532,24 @@ def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int
     return F
 
 
-def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector, memo: dict) -> LinearSeparator | None:
+def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSeparator | None:
     """Nonnegative invariant functional c with c.f > c.g, finite on a support F.
 
     F is admissible when it contains the support of g and every move has
     either both sides supported inside F or both sides sticking out; c is
-    infinite off F and solves an exact feasibility problem on F.  The full
-    support comes first and gives a RATIONAL separator.  If it gives none,
-    the least admissible support F0 decides alone, with an EXTENDED one.
-    If f sticks out of F0, c = 0 on F0 and infinite off it separates.
-    Otherwise f and g vanish off F0; every admissible F contains F0 and
-    every move inside F0 is inside F, so a separator on F restricts to one
-    on F0, and one problem on F0 answers for every support.  That problem
-    depends only on F and on the gap f - g on F, so `memo` keeps its result
-    per (F, gap).
+    infinite off F.  The least admissible support F0 decides alone.  If f
+    sticks out of F0, c = 0 on F0 and infinite off it separates.  Otherwise
+    f and g vanish off F0; every admissible F contains F0 and every move
+    inside F0 is inside F, so a separator on F restricts to one on F0 (the
+    restriction stays invariant because F0 is admissible, and f and g keep
+    their values), and one exact feasibility problem on F0 answers for
+    every support.  Its separator is RATIONAL when F0 is the full support
+    and EXTENDED otherwise.
     """
-    full = (1 << pres.dim) - 1
-    sep = _separator_on_support(pres, full, f, g, memo)
-    if sep is not None:
-        return sep
     F = least_admissible_support(zip(*pres._supports), _support(g))
-    if F == full:
-        return None
     if _support(f) & ~F:
         return _zero_on_support(pres.dim, F)
-    return _separator_on_support(pres, F, f, g, memo)
+    return _separator_on_support(pres, F, f, g, {})
 
 
 def _zero_on_support(dim: int, F: int) -> LinearSeparator:
@@ -1107,7 +1097,7 @@ def decide_leq(
         )
     if pres._unit is not None:
         return _leq_unit(pres, pres._unit, f, g)
-    sep = _order_separator(pres, f, g, {})
+    sep = _order_separator(pres, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
     return _bfs_leq(pres, f, g, budget)
@@ -1149,23 +1139,16 @@ def almost_unperforated_up_to(
     every pair.  Otherwise a pair not below eta coordinatewise is decided on
     the least admissible support F0 of eta alone: it is refuted when theta
     sticks out of F0, or when some invariant functional c >= 0 on F0 has
-    c.theta > c.eta.  These are exactly the pairs `_order_separator`
-    refutes, and its full-support pass adds none: a functional on the full
-    support that refutes theta <= eta restricts to F0 (infinite off it)
-    when theta lies inside F0, the restriction stays invariant because F0
-    is admissible, and theta and eta keep their values.  So whether a
-    separator exists is F0's question alone; `_order_separator` asks the
-    full support first only to return a RATIONAL separator when there is
-    one.  F0 is found once per support of eta.  Where the cone on a
-    support is one matrix's cone
-    (`_ray_values`), its Frobenius-Victory rays are found once and the value
-    of every span vector under each of them once, and a functional exists
-    exactly when some ray is larger at theta than at eta: no LP.  On the
-    other supports each separator LP is solved once per distinct
-    (support, gap) key.  The pairs nothing refutes are searched with one
-    tree per distinct eta, over moves compiled once; all of it lives only
-    until the call returns.  `coeff_bound`, `mult_bound` and `max_pairs` are
-    `int`s >= 0.
+    c.theta > c.eta: exactly the pairs `_order_separator` refutes.  F0 is
+    found once per support of eta.  Where the cone on a support is one
+    matrix's cone (`_ray_values`), its Frobenius-Victory rays are found once
+    and the value of every span vector under each of them once, and a
+    functional exists exactly when some ray is larger at theta than at eta:
+    no LP.  On the other supports each separator LP is solved once per
+    distinct (support, gap) key.  The pairs nothing refutes are searched
+    with one tree per distinct eta, over moves compiled once; all of it
+    lives only until the call returns.  `coeff_bound`, `mult_bound` and
+    `max_pairs` are `int`s >= 0.
 
     One tree per eta counts what one search per pair would.  The search
     from eta has the same levels whatever theta is, and it stops only at the

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -6,11 +7,21 @@ import pytest
 import typesemigroup as ts
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+SRC = MODELS.parent / "src"
 
 
 @pytest.fixture(scope="session")
 def models_dir() -> Path:
     return MODELS
+
+
+@pytest.fixture(scope="session")
+def cli_env() -> dict:
+    """The environment for a CLI subprocess: this checkout's `src` first on
+    PYTHONPATH, which pytest's own `pythonpath` setting does not pass on."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def load_model(name: str) -> dict:

@@ -375,7 +375,7 @@ def test_criterion_8_certificate_replay():
     print(f"PASS criterion 8: {total} certificates verified by independent replay/substitution")
 
 
-def test_criterion_9_cli_determinism(tmp_path, capsys):
+def test_criterion_9_cli_determinism(tmp_path, capsys, cli_env):
     """Byte-identical reports under fixed seeds; exit-code contract honored."""
 
     def run(argv):
@@ -396,8 +396,8 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
 
     # byte identity, subprocess
     cmd = [sys.executable, "-m", "typesemigroup.cli", "classify", str(MODELS / "cross_double.json")]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
+    r1 = subprocess.run(cmd, capture_output=True, env=cli_env)
+    r2 = subprocess.run(cmd, capture_output=True, env=cli_env)
     assert r1.returncode == 0 and r1.stdout == r2.stdout
 
     # exit-code contract

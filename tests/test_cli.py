@@ -426,7 +426,7 @@ class TestDeterminismAndRoundTrip:
         assert n_model >= 3 and len(lines) > 1 + n_model
         assert all(line.startswith("model.") for line in lines[1:1 + n_model])
 
-    def test_subprocess_byte_identity(self, models_dir):
+    def test_subprocess_byte_identity(self, models_dir, cli_env):
         cmd = [
             sys.executable,
             "-m",
@@ -434,7 +434,7 @@ class TestDeterminismAndRoundTrip:
             "classify",
             str(models_dir / "two_loops.json"),
         ]
-        r1 = subprocess.run(cmd, capture_output=True)
-        r2 = subprocess.run(cmd, capture_output=True)
+        r1 = subprocess.run(cmd, capture_output=True, env=cli_env)
+        r2 = subprocess.run(cmd, capture_output=True, env=cli_env)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout

@@ -111,15 +111,24 @@ def test_non_int_row_entry_rejected(bad):
             rational_kernel_basis(rows, 2)
 
 
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 2.7, 1.0, True])
+def test_diagonalize_non_int_row_entry_rejected(bad):
+    # nothing is truncated or read as 0 or 1, a zero row included
+    for rows in ([(bad, 1)], [(1, 1), (1, bad)], [(0, 0), (type(bad)(0), 0)]):
+        with pytest.raises(ValueError):
+            integer_diagonalize(rows, 2)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_library_asks_kernels_of_integer_rows(seed, monkeypatch):
+    # the library reads its kernels off `integer_diagonalize`
     seen = []
 
-    def recording(rows, dim, real=monoid.rational_kernel_basis):
+    def recording(rows, dim, real=monoid.integer_diagonalize):
         seen.append(rows)
         return real(rows, dim)
 
-    monkeypatch.setattr(monoid, "rational_kernel_basis", recording)
+    monkeypatch.setattr(monoid, "integer_diagonalize", recording)
     run_library_sample(seed)
     assert len(seen) > 50
     assert all(type(v) is int for rows in seen for row in rows for v in row)

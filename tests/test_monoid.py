@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
-from typesemigroup import monoid
+from typesemigroup import linalg, monoid
 from typesemigroup.linalg import (
     integer_diagonalize,
     primitive_integer,
@@ -24,6 +25,7 @@ from typesemigroup.monoid import (
     _flip,
     _order_separator,
     _scale_extended,
+    _separator_on_support,
     _support_separator,
     _unit_path,
     _unit_structure,
@@ -630,6 +632,18 @@ def _reference_order_separator(p, f, g):
     return _reference_rational_separator(p, f, g) or _reference_extended_separator(p, f, g)
 
 
+def _agrees_with_reference(p, f, g, sep):
+    """`_order_separator`'s answer `sep` refutes f <= g exactly when the
+    reference's does, and verifies.  It is the reference's separator except
+    where the reference's full support found a rational one and the least
+    admissible support is proper: `sep` is then the extended one on it."""
+    expected = _reference_order_separator(p, f, g)
+    if expected is None or sep is None:
+        return sep is expected
+    return ts.verify_separator(p, sep, f, g, order=True) and (sep == expected or (
+        sep.kind is ts.SeparatorKind.EXTENDED and expected.kind is ts.SeparatorKind.RATIONAL))
+
+
 def _reference_compiled_moves(p):
     comp = []
     for i, mv in enumerate(p.moves):
@@ -744,8 +758,8 @@ class TestOnePathMatchesReference:
                 for _ in range(6):
                     f = tuple(rng.randint(0, 2) for _ in range(dim))
                     g = tuple(rng.randint(0, 2) for _ in range(dim))
-                    sep = _order_separator(p, f, g, {})
-                    assert sep == _reference_order_separator(p, f, g)
+                    sep = _order_separator(p, f, g)
+                    assert _agrees_with_reference(p, f, g, sep)
                     equiv = _bfs_equiv(p, f, g, budget)
                     assert equiv == _reference_bfs_equiv(p, f, g, budget)
                     leq = _bfs_leq(p, f, g, budget)
@@ -765,7 +779,7 @@ class TestOnePathMatchesReference:
 
     def test_thirteen_dimensions_try_the_least_admissible_support(self, monkeypatch):
         # the least admissible support is tried at every dimension, with at
-        # most one LP beyond the full support
+        # most one LP
         rng = random.Random(61)
         solved = []
         real_solve = monoid.solve_lp
@@ -779,13 +793,12 @@ class TestOnePathMatchesReference:
         for _ in range(30):
             f = tuple(rng.randint(0, 2) for _ in range(13))
             g = tuple(rng.randint(0, 2) for _ in range(13))
-            expected = _reference_order_separator(p, f, g)
             monkeypatch.setattr(monoid, "solve_lp", counting_solve)
             solved.clear()
-            sep = _order_separator(p, f, g, {})
+            sep = _order_separator(p, f, g)
             monkeypatch.setattr(monoid, "solve_lp", real_solve)
-            assert sep == expected
-            assert len(solved) <= 2
+            assert _agrees_with_reference(p, f, g, sep)
+            assert len(solved) <= 1
             kinds.add(None if sep is None else sep.kind)
         assert kinds == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED, None}
 
@@ -831,8 +844,9 @@ class TestLeastAdmissibleSupport:
         assert proper > 50 and grown > 50
 
     def test_order_separator_matches_reference_up_to_nine_dimensions(self):
-        # the reference tries every admissible support in (size, lex) order;
-        # the least one decides alone, with the same separator
+        # the reference tries the full support and then every admissible
+        # support in (size, lex) order; the least one decides alone, and a
+        # memo shared across queries answers on it as a fresh one
         rng = random.Random(79)
         kinds = set()
         for dim in range(1, 10):
@@ -841,10 +855,12 @@ class TestLeastAdmissibleSupport:
                 for _ in range(5):
                     f = tuple(rng.randint(0, 2) for _ in range(dim))
                     g = tuple(rng.randint(0, 2) for _ in range(dim))
-                    expected = _reference_order_separator(p, f, g)
-                    assert _order_separator(p, f, g, {}) == expected
-                    assert _order_separator(p, f, g, memo) == expected
-                    kinds.add(None if expected is None else expected.kind)
+                    sep = _order_separator(p, f, g)
+                    assert _agrees_with_reference(p, f, g, sep)
+                    F = least_admissible_support(zip(*p._supports), monoid._support(g))
+                    if not monoid._support(f) & ~F:
+                        assert _separator_on_support(p, F, f, g, memo) == sep
+                    kinds.add(None if sep is None else sep.kind)
         assert kinds == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED, None}
 
 
@@ -1024,9 +1040,12 @@ class TestCompiledSweep:
                     if all(t <= e for t, e in zip(theta, eta)):
                         assert expected.is_equiv and not expected.certificate.steps
                         continue
-                    # a memo shared across queries answers as a fresh one
-                    sep = _order_separator(p, theta, eta, memo)
-                    assert sep == _order_separator(p, theta, eta, {})
+                    # a memo shared across queries answers on eta's least
+                    # admissible support as `_order_separator` does
+                    sep = _order_separator(p, theta, eta)
+                    F = least_admissible_support(zip(*p._supports), monoid._support(eta))
+                    if not monoid._support(theta) & ~F:
+                        assert _separator_on_support(p, F, theta, eta, memo) == sep
                     if p._unit is None:  # decide_leq takes the unit path otherwise
                         assert sep == (expected.separator if expected.is_not_equiv else None)
                     seen.add(expected.separator.kind if expected.is_not_equiv
@@ -1044,9 +1063,13 @@ class TestCompiledSweep:
         memo = {}
         for f, g, coeffs in (((2, 0), (1, 0), (1, INFINITY)),
                              ((0, 2), (0, 1), (INFINITY, 1))):
-            sep = _order_separator(p, f, g, memo)
+            F = monoid._support(g)
+            assert least_admissible_support(zip(*p._supports), F) == F
+            sep = _separator_on_support(p, F, f, g, memo)
+            assert sep == _order_separator(p, f, g)
             assert ts.decide_leq(p, f, g) == ts.DecisionOutcome(ts.Verdict.NOT_EQUIV, separator=sep)
             assert sep == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
+            assert _separator_on_support(p, (1 << p.dim) - 1, f, g, memo) is None
         assert len(memo) == 4  # full support and one point, per query
 
     def test_sweep_matches_per_pair_loop(self):
@@ -1102,20 +1125,19 @@ class TestCompiledSweep:
             solved.clear()
             for theta, eta in pairs:
                 ts.decide_leq(q, theta, eta)
-            # without the memo, 256 LPs (406 before the zero-cone rule)
-            assert len(solved) == 256
-        memo = {}
+            # one LP per pair the rule leaves, without a memo (256 when the
+            # full support came first, 406 before the zero-cone rule)
+            assert len(solved) == 156
         monkeypatch.setattr(monoid, "_separator_on_support", recording_separator)
         for theta, eta in pairs:
             if any(t > e for t, e in zip(theta, eta)):
-                _order_separator(p, theta, eta, memo)
+                _order_separator(p, theta, eta)
         monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
-        # `_order_separator` keeps one memo entry per distinct (support,
-        # gap) key, full supports included
-        assert len(memo) == len(keys)
-        # the sweep asks only eta's least admissible support F0, and solves
-        # one LP per distinct (F0, gap) key the rule leaves
+        # `_order_separator` asks eta's least admissible support F0 alone,
+        # as the sweep does, and the sweep solves one LP per distinct (F0,
+        # gap) key the rule leaves
         least_keys = _least_support_keys(p, pairs)
+        assert keys == least_keys
         solved.clear()
         left = set()
         for F, gap in least_keys:
@@ -1126,7 +1148,7 @@ class TestCompiledSweep:
         solved.clear()
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == sweep  # as the 1-graph's
         assert len(solved) == len(left) == 30
-        assert len(left) < len(least_keys) and len(left) < len(keys)
+        assert len(left) < len(least_keys) < 156
 
     def test_no_state_outlives_the_sweep(self):
         p = _kgraph_presentation([[1, 1], [0, 1]])
@@ -1697,8 +1719,8 @@ class TestZeroConeRule:
             n = rng.randint(1, 5)
             p = _graph_presentation(rng, n)
             cases += [(p, *_random_pair(rng, n)) for _ in range(3)]
-        with_rule = [_order_separator(p, f, g, {}) for p, f, g in cases]
-        assert [_reference_order_separator(p, f, g) for p, f, g in cases] == with_rule
+        with_rule = [_order_separator(p, f, g) for p, f, g in cases]
+        assert all(_agrees_with_reference(p, f, g, sep) for (p, f, g), sep in zip(cases, with_rule))
         assert {None if s is None else s.kind for s in with_rule} == {
             None, ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED}
 
@@ -1757,13 +1779,13 @@ def _least_support_keys(p, pairs):
 
 def _order_step(p, theta, eta):
     """The step of `_order_separator` that refutes theta <= eta, or None."""
-    sep = _order_separator(p, theta, eta, {})
+    sep = _order_separator(p, theta, eta)
     if sep is None:
         return None
-    if sep.kind is ts.SeparatorKind.RATIONAL:
-        return "full support"
     F = least_admissible_support(zip(*p._supports), monoid._support(eta))
-    return "sticks out" if monoid._support(theta) & ~F else "proper support"
+    if monoid._support(theta) & ~F:
+        return "sticks out"
+    return "full support" if sep.kind is ts.SeparatorKind.RATIONAL else "proper support"
 
 
 class TestRaySweep:
@@ -1880,10 +1902,26 @@ def _reference_find_separator(p, f, g):
     return _reference_modular_separator(p, f, g)
 
 
+def _agrees_with_reference_find(p, f, g, sep):
+    """`find_separator`'s answer `sep` against the reference's: the same kind,
+    the same modular separator, and a separator that verifies.  Where the
+    reference's moduli up to 64 find none, `sep` is None or modular with a
+    larger modulus."""
+    expected = _reference_find_separator(p, f, g)
+    if sep is None:
+        return expected is None
+    if not ts.verify_separator(p, sep, f, g):
+        return False
+    if expected is None:
+        return sep.kind is ts.SeparatorKind.MODULAR and sep.modulus > monoid.MODULUS_BOUND
+    return sep.kind is expected.kind and (sep.kind is ts.SeparatorKind.RATIONAL or sep == expected)
+
+
 class TestTorsionFromDiagonalForm:
     def test_matches_the_modulus_loop(self):
         # torsion orders 2..9; moves with zero left sides give negative
-        # diagonal entries
+        # diagonal entries; rational separators are columns of the diagonal
+        # form's V now, not the echelon kernel basis
         rng = random.Random(127)
         moduli, negative = set(), 0
         for _ in range(400):
@@ -1899,19 +1937,147 @@ class TestTorsionFromDiagonalForm:
             for _ in range(3):
                 f, g = (tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(2))
                 sep = ts.find_separator(p, f, g)
-                assert sep == _reference_find_separator(p, f, g)
+                assert _agrees_with_reference_find(p, f, g, sep)
                 if sep is not None and sep.kind is ts.SeparatorKind.MODULAR:
                     moduli.add(sep.modulus)
         assert {2, 3, 4, 5} <= moduli and negative > 20
 
-    @pytest.mark.parametrize("order", [2, 3, 5, 63, 64, 65, 67])
+    @pytest.mark.parametrize("order", [2, 3, 5, 63, 64, 65, 67, 71, 101, 1_000_000_007])
     def test_one_torsion_order(self, order):
         # 0 <-> order.x: x has order `order`, so a modulus up to 64 separates
-        # 0 from x exactly when it divides `order`; 67 is prime and past it
+        # 0 from x exactly when it divides `order`; 67, 71, 101 and
+        # 1,000,000,007 are prime and past it, and the order itself
+        # separates without a scan up to it
         p = pres(1, [((0,), (order,))])
-        expected = _reference_find_separator(p, (1,), (0,))
-        assert ts.find_separator(p, (1,), (0,)) == expected
-        if expected is not None:
-            assert expected.modulus == min(m for m in range(2, 65) if order % m == 0)
-        else:
-            assert all(order % m for m in range(2, 65))
+        sep = ts.find_separator(p, (1,), (0,))
+        modulus = min([m for m in range(2, 65) if order % m == 0] or [order])
+        assert sep == ts.LinearSeparator(ts.SeparatorKind.MODULAR, (1,), modulus=modulus)
+        assert ts.verify_separator(p, sep, (1,), (0,))
+        if modulus <= 64:
+            assert sep == _reference_find_separator(p, (1,), (0,))
+
+
+# ---------------------------------------------------------------------------
+# one refutation pass per decider
+
+
+def _hermite_rows(rows, dim):
+    """Echelon integer rows with positive pivots spanning the same lattice as
+    `rows` (a row Hermite form without the reduction above the pivots), by
+    Euclid's algorithm on each column in turn."""
+    rows = [list(r) for r in rows if any(r)]
+    basis = []
+    for col in range(dim):
+        piv, rest = None, []
+        for r in rows:
+            if not r[col]:
+                rest.append(r)
+                continue
+            if piv is None:
+                piv = r
+                continue
+            a, b = piv, r
+            while b[col]:
+                q = a[col] // b[col]
+                a, b = b, [x - q * y for x, y in zip(a, b)]
+            piv = a
+            rest.append(b)
+        if piv is not None:
+            basis.append(piv if piv[col] > 0 else [-x for x in piv])
+        rows = [r for r in rest if any(r)]
+    return basis
+
+
+def _in_row_lattice(vec, basis):
+    v = list(vec)
+    for b in basis:
+        col = next(i for i, x in enumerate(b) if x)
+        q, r = divmod(v[col], b[col])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, b)]
+    return not any(v)
+
+
+class TestOneRefutationPass:
+    def test_none_exactly_on_the_row_lattice(self):
+        # find_separator answers None exactly when f - g lies in the integer
+        # span of the move differences, checked by a Hermite form built here;
+        # the large entries give torsion past the modulus scan
+        rng = random.Random(137)
+        nones = past_bound = 0
+        kinds = set()
+        for _ in range(500):
+            dim = rng.randint(1, 4)
+            moves = []
+            for _ in range(rng.randint(0, 3)):
+                lhs = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(dim))
+                rhs = tuple(rng.choice((0, 0, 1, 3, 5, 9, 67, 101)) for _ in range(dim))
+                moves.append((lhs, rhs) if rng.random() < 0.5 else (rhs, lhs))
+            p = pres(dim, moves)
+            basis = _hermite_rows(_difference_rows(p), dim)
+            for _ in range(4):
+                f, g = (tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(2))
+                diff = tuple(a - b for a, b in zip(f, g))
+                sep = ts.find_separator(p, f, g)
+                assert (sep is None) == _in_row_lattice(diff, basis)
+                if sep is None:
+                    nones += 1
+                    continue
+                assert ts.verify_separator(p, sep, f, g)
+                kinds.add(sep.kind)
+                past_bound += sep.kind is ts.SeparatorKind.MODULAR and sep.modulus > 64
+        assert nones > 100 and past_bound > 10
+        assert kinds == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.MODULAR}
+
+    def test_find_separator_diagonalizes_once(self, monkeypatch):
+        # one `integer_diagonalize` call per query, and no rational kernel
+        rng = random.Random(139)
+        calls = []
+        real = monoid.integer_diagonalize
+
+        def counting(rows, dim):
+            calls.append(1)
+            return real(rows, dim)
+
+        def refused(*args):
+            raise AssertionError("rational_kernel_basis called")
+
+        monkeypatch.setattr(monoid, "integer_diagonalize", counting)
+        monkeypatch.setattr(linalg, "rational_kernel_basis", refused)
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            p = _non_unit_presentation(rng, dim, rng.randint(1, 4))
+            f, g = (tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(2))
+            calls.clear()
+            ts.find_separator(p, f, g)
+            assert len(calls) == 1
+        assert not hasattr(monoid, "rational_kernel_basis")
+
+    def test_order_separator_solves_one_cone(self, monkeypatch):
+        # `_order_separator(pres, f, g)` asks the cone of one support, at most
+        # once, and keeps nothing between calls
+        assert list(inspect.signature(_order_separator).parameters) == ["pres", "f", "g"]
+        rng = random.Random(149)
+        calls = []
+        real = monoid._cone_solution
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(monoid, "_cone_solution", counting)
+        asked = 0
+        for _ in range(150):
+            dim = rng.randint(1, 6)
+            for p in (_non_unit_presentation(rng, dim, rng.randint(1, 4)),
+                      _graph_presentation(rng, dim)):
+                f, g = _random_pair(rng, dim)
+                calls.clear()
+                _order_separator(p, f, g)
+                assert len(calls) <= 1
+                if calls:
+                    assert calls[0] == least_admissible_support(
+                        zip(*p._supports), monoid._support(g))
+                asked += len(calls)
+        assert asked > 100
