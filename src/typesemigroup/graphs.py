@@ -37,7 +37,8 @@ from .errors import (
     non_integral_entry,
     require_int,
 )
-from .monoid import MonoidPresentation, Move, Vector, _access_masks, build_presentation, unit_vector
+from .cones import _access_masks
+from .monoid import MonoidPresentation, Move, Vector, build_presentation, unit_vector
 
 Matrix = tuple[tuple[int, ...], ...]
 

@@ -37,18 +37,19 @@ them and still validates its own vectors.  `almost_unperforated_up_to`,
 which asks thousands of order questions of one presentation and only
 counts, asks each pair what `_order_separator` asks, with tables that live
 only for that call: the least admissible support once per support of eta;
-on a support whose cone is one matrix's, that matrix's Frobenius-Victory
-rays and the value of every span vector under them, which decide each pair
-with integer comparisons and no LP (`_ray_values`); on any other support,
-one memo of separator results.  The moves it compiles and the trees it
-grows live only for that call as well.
+on a support whose invariant cone has generators, the value of every span
+vector under them, which decide each pair with integer comparisons and no
+LP; on any other support, one separator LP per pair.  The moves it compiles
+and the trees it grows live only for that call as well.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
 that every move leaves invariant, finite exactly on an admissible support,
-and normalised.  One function, `_cone_solution`, solves that cone for all of
-them, by the zero-cone rule or one exact LP, and one check, `_ext_invariant`,
-verifies invariance for all of them in extended arithmetic.
+and normalised.  The cone layer, `cones`, solves that cone for all of them;
+this module keeps only the wrappers that turn its points into
+`LinearSeparator`s (`_zero_on_support`, `_separator_on_support`,
+`_scale_extended`).  One check, `_ext_invariant`, verifies invariance for
+all of them in extended arithmetic.
 
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
@@ -81,11 +82,9 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .simplex import OPTIMAL, solve_lp
+from .cones import INFINITY, _cone_generators, _cone_solution, least_admissible_support
 
 Vector = tuple[int, ...]
-
-INFINITY = float("inf")
 
 MODULUS_BOUND = 64
 
@@ -510,28 +509,6 @@ def _scale_extended(values: list) -> tuple:
     return tuple(INFINITY if v == INFINITY else next(scaled) for v in values)
 
 
-def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int:
-    """The least admissible support containing `seed`, as a bitmask.
-
-    A support F is admissible for a list of side pairs (bitmasks) when every
-    pair has both sides inside F or both sticking out.  Admissible supports
-    are closed under intersection, so a least one containing `seed` exists.
-    A pair with exactly one side inside F forces the other side into every
-    admissible support containing F, so F grows by both sides until no such
-    pair is left; the fixpoint is admissible.
-    """
-    sides = list(sides)
-    F = seed
-    grown = True
-    while grown:
-        grown = False
-        for ls, rs in sides:
-            if ((ls & ~F) == 0) != ((rs & ~F) == 0):
-                F |= ls | rs
-                grown = True
-    return F
-
-
 def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSeparator | None:
     """Nonnegative invariant functional c with c.f > c.g, finite on a support F.
 
@@ -549,7 +526,7 @@ def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSe
     F = least_admissible_support(zip(*pres._supports), _support(g))
     if _support(f) & ~F:
         return _zero_on_support(pres.dim, F)
-    return _separator_on_support(pres, F, f, g, {})
+    return _separator_on_support(pres, F, f, g)
 
 
 def _zero_on_support(dim: int, F: int) -> LinearSeparator:
@@ -580,147 +557,15 @@ def _support_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> Linear
     return None
 
 
-def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector, g: Vector,
-                          memo: dict) -> LinearSeparator | None:
-    """The cone solution on F with c.gap >= 1, scaled to a separator, once
-    per (F, gap) in `memo`."""
-    d = pres.dim
-    support = [i for i in range(d) if F >> i & 1]
-    gap = tuple([f[i] - g[i] for i in support])
-    if not any(gap):
+def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector,
+                          g: Vector) -> LinearSeparator | None:
+    """The cone solution on F with c.gap >= 1, scaled to a separator."""
+    gap = {i: f[i] - g[i] for i in range(pres.dim) if F >> i & 1 and f[i] != g[i]}
+    values = _cone_solution(pres, F, [(gap, ">=")]) if gap else None
+    if values is None:
         return None
-    if (F, gap) not in memo:
-        values = _cone_solution(pres, F, [({i: v for i, v in zip(support, gap) if v}, ">=")])
-        kind = SeparatorKind.RATIONAL if len(support) == d else SeparatorKind.EXTENDED
-        memo[F, gap] = None if values is None else LinearSeparator(kind, _scale_extended(values))
-    return memo[F, gap]
-
-
-def _cone_solution(pres: MonoidPresentation, F: int,
-                   rows: list[tuple[dict[int, int], str]]) -> list | None:
-    """A c >= 0 on F, invariant under every move inside F, with c.w >= 1 or
-    c.w == 1 for each of one or more rows (w, op), w a map from vertices of
-    F to nonzero coefficients: separators pass c.gap >= 1, states
-    c.target == 1, invariant vectors c_v >= 1 for every v.  Returns its
-    values, INFINITY off F, or None when there is none.
-
-    The zero-cone rule comes first.  It applies when the left side of every
-    move inside F is a unit vector e_v and every vertex of F has such a
-    move, as in a k-graph presentation.  Then the j-th moves of the vertices
-    of F are the rows of a nonnegative integer matrix B_j (`_cone_matrices`),
-    and every c in the cone solves c = B_j c.  By the Frobenius-Victory theorem
-    (H. Schneider, Linear Algebra Appl. 84, 1986) the nonnegative solutions
-    of c = B c are generated by one ray per distinguished class
-    (`_distinguished_rays`), so a row that no ray of some B_j makes positive
-    has no solution, and no LP is solved.  The rays are generated only until
-    every row has a positive one.  A wrong refutation could only drop a
-    solution, never certify a false one.
-
-    Otherwise one exact feasibility LP decides: one column per vertex of F,
-    ascending, then a slack per row c.w >= 1; one row lhs - rhs == 0 per
-    move inside F (zero rows dropped), then the normalising rows in order.
-    The solver returns the point its Phase I ends at.
-    """
-    support, inside, matrices = _cone_matrices(pres, F)
-    for B in matrices or ():
-        pending = [w for w, _ in rows]
-        for ray in _distinguished_rays(B, support):
-            pending = [w for w in pending
-                       if sum(c * w.get(v, 0) for v, c in ray.items()) <= 0]
-            if not pending:
-                break
-        else:
-            return None
-    nslack = sum(op == ">=" for _, op in rows)
-    A = [row + [0] * nslack for row in (
-        [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
-    b = [0] * len(A)
-    slack = len(support)
-    for w, op in rows:
-        row = [w.get(i, 0) for i in support] + [0] * nslack
-        if op == ">=":
-            row[slack] = -1
-            slack += 1
-        A.append(row)
-        b.append(1)
-    sol = solve_lp(A, b, [0] * (len(support) + nslack))
-    if sol.status != OPTIMAL:
-        return None
-    x = iter(sol.x)
-    return [next(x) if F >> i & 1 else INFINITY for i in range(pres.dim)]
-
-
-def _cone_matrices(pres: MonoidPresentation, F: int):
-    """The vertices of F, ascending, the moves inside F with the supports of
-    their left sides, in move order, and the matrices of the zero-cone rule,
-    or None when the rule does not apply.
-
-    The rule applies when the left side of every move inside F is a unit
-    vector e_v with coefficient 1.  Then the j-th matrix B_j maps each
-    vertex v of F to the right side of v's j-th move, for j up to the least
-    number of moves any vertex of F has.  So there is one matrix, and the
-    cone is exactly {c >= 0 : c = B_1 c}, when every vertex of F has
-    exactly one move inside F.
-    """
-    support = [i for i in range(pres.dim) if F >> i & 1]
-    inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]
-    moved: dict[int, list[Vector]] = {v: [] for v in support}
-    for mv, ls in inside:
-        if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
-            return support, inside, None
-        moved[ls.bit_length() - 1].append(mv.rhs)
-    # the j-th move of every vertex of F
-    return support, inside, [dict(zip(support, B)) for B in zip(*moved.values())]
-
-
-def _access_masks(vertices, succ) -> tuple[dict[int, int], dict[int, int]]:
-    """The access relation of the edges v -> w for w in succ[v], as bitmasks
-    over `vertices`: reach[v] holds every vertex v has access to, v itself
-    included, and cls[v] the strongly connected class of v."""
-    reach = {}
-    for v in vertices:
-        mask, stack = 1 << v, [v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if not mask >> w & 1:
-                    mask |= 1 << w
-                    stack.append(w)
-        reach[v] = mask
-    cls = {v: sum(1 << w for w in vertices if reach[v] >> w & 1 and reach[w] >> v & 1)
-           for v in vertices}
-    return reach, cls
-
-
-def _distinguished_rays(B: dict[int, Vector], support: list[int]):
-    """The integral generators of { c >= 0 : c = B c } on `support`, as
-    {vertex: value} maps of their nonzero entries, one per distinguished
-    class.
-
-    A strongly connected class C is distinguished when B restricted to C has
-    spectral radius 1, which for an integer matrix means every row sum
-    inside C is 1, and every other class with access to C has spectral
-    radius 0, which means it is one vertex without a loop.  Its ray is 1 on
-    C, B c on the vertices with access to C, filled in from C upwards, and 0
-    elsewhere.
-    """
-    succ = {v: [w for w in support if B[v][w]] for v in support}
-    reach, cls = _access_masks(support, succ)
-    for v in support:
-        C = cls[v]
-        if C & ((1 << v) - 1):
-            continue  # each class once, at its least vertex
-        members = [w for w in support if C >> w & 1]
-        if any(sum(B[w][x] for x in members) != 1 for w in members):
-            continue
-        upstream = [u for u in support if not C >> u & 1 and reach[u] & C]
-        if any(cls[u] != 1 << u or B[u][u] for u in upstream):
-            continue
-        # a vertex with access to C reaches strictly fewer vertices than
-        # each vertex with access to it, so this order fills successors first
-        ray = dict.fromkeys(members, 1)
-        for u in sorted(upstream, key=lambda u: reach[u].bit_count()):
-            ray[u] = sum(B[u][w] * ray[w] for w in succ[u] if w in ray)
-        yield ray
+    kind = SeparatorKind.RATIONAL if F == (1 << pres.dim) - 1 else SeparatorKind.EXTENDED
+    return LinearSeparator(kind, _scale_extended(values))
 
 
 # ---------------------------------------------------------------------------
@@ -1140,12 +985,12 @@ def almost_unperforated_up_to(
     the least admissible support F0 of eta alone: it is refuted when theta
     sticks out of F0, or when some invariant functional c >= 0 on F0 has
     c.theta > c.eta: exactly the pairs `_order_separator` refutes.  F0 is
-    found once per support of eta.  Where the cone on a support is one
-    matrix's cone (`_ray_values`), its Frobenius-Victory rays are found once
-    and the value of every span vector under each of them once, and a
-    functional exists exactly when some ray is larger at theta than at eta:
-    no LP.  On the other supports each separator LP is solved once per
-    distinct (support, gap) key.  The pairs nothing refutes are searched
+    found once per support of eta.  Where the cone on a support has
+    generators (`cones._cone_generators`), they are found once and the value
+    of every span vector under each of them once, and a functional exists
+    exactly when some generator is larger at theta than at eta: no LP.  On
+    the other supports each pair solves its separator LP
+    (`_separator_on_support`).  The pairs nothing refutes are searched
     with one tree per distinct eta, over moves compiled once; all of it
     lives only until the call returns.  `coeff_bound`, `mult_bound` and
     `max_pairs` are `int`s >= 0.
@@ -1188,17 +1033,18 @@ def almost_unperforated_up_to(
         sides = list(zip(*pres._supports))
         supports = [_support(vec) for vec in span]
         least: dict[int, int] = {}  # support of eta -> its least admissible support
-        values: dict[int, list | None] = {}  # F -> `_ray_values` of the span on F
-        memo: dict = {}
+        values: dict[int, list | None] = {}  # F -> the span's values under F's generators
         searches: dict[Vector, list[Vector]] = {}  # eta -> the thetas it must dominate
 
         def refuted(F: int, i: int, j: int) -> bool:
             """Some invariant c >= 0 on F has c.theta > c.eta."""
             if F not in values:
-                values[F] = _ray_values(pres, F, span)
+                rays = _cone_generators(pres, F)[2]
+                values[F] = None if rays is None else [tuple([
+                    sum(c * vec[v] for v, c in ray.items()) for ray in rays]) for vec in span]
             table = values[F]
             if table is None:
-                return _separator_on_support(pres, F, span[i], span[j], memo) is not None
+                return _separator_on_support(pres, F, span[i], span[j]) is not None
             return any(map(operator.gt, table[i], table[j]))
 
         for (i, theta), (j, eta) in itertools.islice(
@@ -1218,20 +1064,3 @@ def almost_unperforated_up_to(
                 unknown += len(_dominate(_SearchTree(eta), moves, thetas, budget)[1])
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)
 
-
-def _ray_values(pres: MonoidPresentation, F: int,
-                vectors: list[Vector]) -> list[tuple[int, ...]] | None:
-    """The value of each vector under each generating ray of the cone on F,
-    in `_distinguished_rays` order, or None unless the cone is one matrix's.
-
-    It is when `_cone_matrices` gives one matrix B and every vertex of F has
-    exactly one move inside F.  Then the cone is {c >= 0 : c = B c}, which
-    the rays generate (Frobenius-Victory), so for a vector w that vanishes
-    off F some c in the cone has c.w >= 1 exactly when some ray r has
-    r.w > 0: the order-separator LP on F is feasible exactly then.
-    """
-    support, inside, matrices = _cone_matrices(pres, F)
-    if matrices is None or len(matrices) != 1 or len(inside) != len(support):
-        return None
-    rays = list(_distinguished_rays(matrices[0], support))
-    return [tuple([sum(c * vec[v] for v, c in ray.items()) for ray in rays]) for vec in vectors]

@@ -15,7 +15,7 @@ objective row as well.  Bland's ratios are compared by cross-multiplication,
 so the pivots, the basis and every returned `Fraction` are those of the
 textbook tableau over `Fraction`.  Only x and y are rationals.
 
-The library's LPs (`monoid._cone_solution`, `states.coboundary_check`) are
+The library's LPs (`cones._cone_solution`, `states.coboundary_check`) are
 many and tiny, so they hand `solve_lp` their matrices directly.
 """
 

@@ -5,8 +5,8 @@ the defining relations, normalized at a target class: an extended invariant
 functional, the same kind of object as an EXTENDED order separator, with
 c . target = 1 in place of c(f) > c(g).  So the same code solves and checks
 both, on the presentation the k-graph model carries: the least admissible
-support F containing the target (`monoid.least_admissible_support`), the
-invariant cone on F (`monoid._cone_solution`), with values infinite off F,
+support F containing the target (`cones.least_admissible_support`), the
+invariant cone on F (`cones._cone_solution`), with values infinite off F,
 and the move check in extended arithmetic (`monoid._ext_invariant`).  Fixing
 the finite support first keeps the linear program purely rational.  A
 positive invariant vector is the same cone on every vertex with c_v >= 1,
@@ -29,17 +29,8 @@ from typing import Sequence
 
 from .errors import ZERO_TARGET, ConsistencyError, InputError
 from .graphs import KGraphModel
-from .monoid import (
-    Vector,
-    _cone_solution,
-    _ext_dot,
-    _ext_invariant,
-    _is_infinity,
-    _is_int_tuple,
-    _support,
-    as_vector,
-    least_admissible_support,
-)
+from .cones import _cone_solution, least_admissible_support
+from .monoid import Vector, _ext_dot, _ext_invariant, _is_infinity, _is_int_tuple, _support, as_vector
 from .simplex import OPTIMAL, solve_lp
 
 
@@ -74,11 +65,14 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     inside it or both sticking out: it is out-closed, and every vertex
     outside it escapes it through each matrix.  Every admissible support
     contains the least one containing the target's support, F
-    (`monoid.least_admissible_support`), which comes first; F is out-closed,
+    (`cones.least_admissible_support`), which comes first; F is out-closed,
     so a solution on any admissible support restricts to one on F.  The
-    invariant cone on F with c . target = 1 (`monoid._cone_solution`)
+    invariant cone on F with c . target = 1 (`cones._cone_solution`)
     therefore decides: a solution on F is the answer, and none on F is a
-    complete negative answer over all admissible supports.
+    complete negative answer over all admissible supports.  On a k-graph
+    the cone's generators give that None without an LP: none of them is
+    positive at the target.  Each generator is checked by substitution, but
+    the None itself carries no certificate.
     """
     target = as_vector(target, model.dim)
     seed = _support(target)

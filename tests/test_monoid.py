@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
-from typesemigroup import linalg, monoid
+from typesemigroup import cones, linalg, monoid
 from typesemigroup.linalg import (
     integer_diagonalize,
     primitive_integer,
     rational_kernel_basis,
 )
+from typesemigroup.cones import _cone_generators, _cone_solution, least_admissible_support
 from typesemigroup.monoid import (
     INFINITY,
     _bfs_equiv,
     _bfs_leq,
-    _cone_solution,
     _difference_rows,
     _equiv_unit,
     _flip,
@@ -30,7 +30,6 @@ from typesemigroup.monoid import (
     _unit_path,
     _unit_structure,
     _UnitStructure,
-    least_admissible_support,
 )
 
 from linalg_reference import modular_kernel_generators
@@ -782,7 +781,7 @@ class TestOnePathMatchesReference:
         # most one LP
         rng = random.Random(61)
         solved = []
-        real_solve = monoid.solve_lp
+        real_solve = cones.solve_lp
 
         def counting_solve(*args, **kwargs):
             solved.append(1)
@@ -793,10 +792,10 @@ class TestOnePathMatchesReference:
         for _ in range(30):
             f = tuple(rng.randint(0, 2) for _ in range(13))
             g = tuple(rng.randint(0, 2) for _ in range(13))
-            monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+            monkeypatch.setattr(cones, "solve_lp", counting_solve)
             solved.clear()
             sep = _order_separator(p, f, g)
-            monkeypatch.setattr(monoid, "solve_lp", real_solve)
+            monkeypatch.setattr(cones, "solve_lp", real_solve)
             assert _agrees_with_reference(p, f, g, sep)
             assert len(solved) <= 1
             kinds.add(None if sep is None else sep.kind)
@@ -845,13 +844,12 @@ class TestLeastAdmissibleSupport:
 
     def test_order_separator_matches_reference_up_to_nine_dimensions(self):
         # the reference tries the full support and then every admissible
-        # support in (size, lex) order; the least one decides alone, and a
-        # memo shared across queries answers on it as a fresh one
+        # support in (size, lex) order; the least one decides alone, and
+        # `_separator_on_support` answers on it as `_order_separator` does
         rng = random.Random(79)
         kinds = set()
         for dim in range(1, 10):
             for p in _random_order_presentations(rng, dim):
-                memo = {}
                 for _ in range(5):
                     f = tuple(rng.randint(0, 2) for _ in range(dim))
                     g = tuple(rng.randint(0, 2) for _ in range(dim))
@@ -859,7 +857,7 @@ class TestLeastAdmissibleSupport:
                     assert _agrees_with_reference(p, f, g, sep)
                     F = least_admissible_support(zip(*p._supports), monoid._support(g))
                     if not monoid._support(f) & ~F:
-                        assert _separator_on_support(p, F, f, g, memo) == sep
+                        assert _separator_on_support(p, F, f, g) == sep
                     kinds.add(None if sep is None else sep.kind)
         assert kinds == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED, None}
 
@@ -1000,8 +998,8 @@ class TestSearchBudgetFields:
         assert ts.decide_equiv(TWO_LOOPS, (2,), (1,), budget).is_unknown
 
 
-def _kgraph_presentation(matrix):
-    model = ts.validate_kgraph([f"v{i}" for i in range(len(matrix))], [matrix])
+def _kgraph_presentation(*mats):
+    model = ts.validate_kgraph([f"v{i}" for i in range(len(mats[0]))], list(mats))
     return ts.presentation_from_kgraph(model)
 
 
@@ -1032,7 +1030,6 @@ class TestCompiledSweep:
         seen = set()
         for dim in range(1, 6):
             for p in _sweep_presentations(rng, dim):
-                memo = {}
                 assert p._supports is not None
                 _, pairs = _sweep_pairs(p, 3 if dim <= 2 else 1, 400)
                 for theta, eta in pairs:
@@ -1040,18 +1037,16 @@ class TestCompiledSweep:
                     if all(t <= e for t, e in zip(theta, eta)):
                         assert expected.is_equiv and not expected.certificate.steps
                         continue
-                    # a memo shared across queries answers on eta's least
+                    # `_separator_on_support` answers on eta's least
                     # admissible support as `_order_separator` does
                     sep = _order_separator(p, theta, eta)
                     F = least_admissible_support(zip(*p._supports), monoid._support(eta))
                     if not monoid._support(theta) & ~F:
-                        assert _separator_on_support(p, F, theta, eta, memo) == sep
+                        assert _separator_on_support(p, F, theta, eta) == sep
                     if p._unit is None:  # decide_leq takes the unit path otherwise
                         assert sep == (expected.separator if expected.is_not_equiv else None)
                     seen.add(expected.separator.kind if expected.is_not_equiv
                              else expected.verdict)
-                if p._unit is None:
-                    assert memo
         assert seen >= {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED,
                         ts.Verdict.EQUIV, ts.Verdict.UNKNOWN}
 
@@ -1060,17 +1055,15 @@ class TestCompiledSweep:
         # on different points; the invariants kill both coordinates on the
         # full support
         p = pres(2, [((1, 1), (2, 1)), ((1, 1), (1, 2))])
-        memo = {}
         for f, g, coeffs in (((2, 0), (1, 0), (1, INFINITY)),
                              ((0, 2), (0, 1), (INFINITY, 1))):
             F = monoid._support(g)
             assert least_admissible_support(zip(*p._supports), F) == F
-            sep = _separator_on_support(p, F, f, g, memo)
+            sep = _separator_on_support(p, F, f, g)
             assert sep == _order_separator(p, f, g)
             assert ts.decide_leq(p, f, g) == ts.DecisionOutcome(ts.Verdict.NOT_EQUIV, separator=sep)
             assert sep == ts.LinearSeparator(ts.SeparatorKind.EXTENDED, coeffs)
-            assert _separator_on_support(p, (1 << p.dim) - 1, f, g, memo) is None
-        assert len(memo) == 4  # full support and one point, per query
+            assert _separator_on_support(p, (1 << p.dim) - 1, f, g) is None
 
     def test_sweep_matches_per_pair_loop(self):
         rng = random.Random(71)
@@ -1091,13 +1084,12 @@ class TestCompiledSweep:
         assert unknown_seen
 
     def test_triangular_sweep_solves_each_lp_once(self, monkeypatch):
-        # the triangular 1-graph's sweep refutes by its cone's rays and
-        # solves no LP; on the 2-graph (A, I) the rays do not decide, and the
-        # sweep solves one LP per distinct (support, gap) key the zero-cone
-        # rule leaves
+        # the triangular 1-graph's sweep and the 2-graph (A, I)'s both refute
+        # by their cones' generators and solve no LP; `decide_leq` solves one
+        # LP per pair the generators leave
         gens = [ts.unit_vector(2, i) for i in range(2)]
         solved = []
-        real_solve = monoid.solve_lp
+        real_solve = cones.solve_lp
 
         def counting_solve(*args, **kwargs):
             solved.append(1)
@@ -1106,13 +1098,13 @@ class TestCompiledSweep:
         keys = set()
         real_separator = monoid._separator_on_support
 
-        def recording_separator(pres, F, f, g, memo):
+        def recording_separator(pres, F, f, g):
             gap = tuple(f[i] - g[i] for i in range(pres.dim) if F >> i & 1)
             if any(gap):
                 keys.add((F, gap))
-            return real_separator(pres, F, f, g, memo)
+            return real_separator(pres, F, f, g)
 
-        monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+        monkeypatch.setattr(cones, "solve_lp", counting_solve)
         triangular = _kgraph_presentation([[1, 1], [0, 1]])
         sweep = ts.almost_unperforated_up_to(triangular, gens, 4, 4)
         assert sweep.pairs_checked == 625 and sweep.unknown_pairs == 0
@@ -1125,8 +1117,8 @@ class TestCompiledSweep:
             solved.clear()
             for theta, eta in pairs:
                 ts.decide_leq(q, theta, eta)
-            # one LP per pair the rule leaves, without a memo (256 when the
-            # full support came first, 406 before the zero-cone rule)
+            # one LP per pair the generators leave (256 when the full support
+            # came first, 406 before the zero-cone rule)
             assert len(solved) == 156
         monkeypatch.setattr(monoid, "_separator_on_support", recording_separator)
         for theta, eta in pairs:
@@ -1134,8 +1126,8 @@ class TestCompiledSweep:
                 _order_separator(p, theta, eta)
         monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
         # `_order_separator` asks eta's least admissible support F0 alone,
-        # as the sweep does, and the sweep solves one LP per distinct (F0,
-        # gap) key the rule leaves
+        # as the sweep does; the generators leave 30 distinct (F0, gap) keys
+        # to an LP, and the sweep solves none of them
         least_keys = _least_support_keys(p, pairs)
         assert keys == least_keys
         solved.clear()
@@ -1147,7 +1139,7 @@ class TestCompiledSweep:
                 left.add((F, gap))
         solved.clear()
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == sweep  # as the 1-graph's
-        assert len(solved) == len(left) == 30
+        assert solved == [] and len(left) == 30
         assert len(left) < len(least_keys) < 156
 
     def test_no_state_outlives_the_sweep(self):
@@ -1571,11 +1563,11 @@ class TestSparseKernelMatchesDense:
 
 
 # ---------------------------------------------------------------------------
-# the zero-cone rule in front of the order-separator LP
+# the cone generators in front of the order-separator LP
 
 
 def _reference_cone_solution(p, F, rows):
-    """The invariant-cone LP as first written, without the zero-cone rule."""
+    """The invariant-cone LP as first written, without the generators."""
     support = [i for i in range(p.dim) if F >> i & 1]
     col = {i: j for j, i in enumerate(support)}
     constraints = []
@@ -1593,17 +1585,17 @@ def _reference_cone_solution(p, F, rows):
 
 
 def _counted_cone_solution(p, F, rows):
-    """`_cone_solution` and the number of LPs it solved: 0 when the zero-cone
-    rule refutes the rows, 1 otherwise."""
+    """`_cone_solution` and the number of LPs it solved: 0 when no cone
+    generator is positive on some row, 1 otherwise."""
     solved = []
-    real = monoid.solve_lp
+    real = cones.solve_lp
 
     def counting(*args, **kwargs):
         solved.append(1)
         return real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(monoid, "solve_lp", counting)
+        patch.setattr(cones, "solve_lp", counting)
         values = _cone_solution(p, F, rows)
     return values, len(solved)
 
@@ -1659,7 +1651,7 @@ class TestZeroConeRule:
         assert refuted > 2500 and kept > 300
 
     def test_two_graphs_refute_only_infeasible_lps(self):
-        # one matrix at a time, the rule may miss an infeasible LP here
+        # the common cone's generators refute every infeasible LP on 2-graphs
         rng = random.Random(107)
         refuted = 0
         for _ in range(200):
@@ -1668,18 +1660,18 @@ class TestZeroConeRule:
                 continue
             for F, rows in _random_rows(rng, p, 4):
                 got, lps = _counted_cone_solution(p, F, rows)
-                assert got == _reference_cone_solution(p, F, rows) and lps <= 1
-                if not lps:
-                    assert got is None
-                    refuted += 1
+                expected = _reference_cone_solution(p, F, rows)
+                assert got == expected and lps == (expected is not None)
+                refuted += not lps
         assert refuted > 800
 
     def test_not_used_outside_its_scope(self):
-        # the rule reads only the moves inside F, so it stays out exactly
-        # when one of them has a left side that is not a unit vector, or a
-        # vertex of F has no move
+        # the generators read only the moves inside F: they exist exactly
+        # when every one of those moves has a unit left side e_v and every
+        # vertex of F has the same number of them, 0 included; otherwise
+        # the LP decides
         rng = random.Random(109)
-        infeasible = 0
+        infeasible = free = 0
         for _ in range(150):
             n = rng.randint(2, 6)
             p = _one_matrix_presentation(rng, n)
@@ -1705,11 +1697,17 @@ class TestZeroConeRule:
                 rows = [_gap_row(q, F, gap)]
                 got, lps = _counted_cone_solution(q, F, rows)
                 expected = _reference_cone_solution(q, F, rows)
-                assert got == expected and lps <= 1
-                if F & scope == scope:
-                    assert lps == 1
+                inside = [mv for mv in q.moves
+                          if not (monoid._support(mv.lhs) | monoid._support(mv.rhs)) & ~F]
+                counts = {v: sum(mv.lhs == ts.unit_vector(n, v) for mv in inside)
+                          for v in support}
+                in_scope = all(sum(mv.lhs) == 1 for mv in inside) and len(set(counts.values())) == 1
+                assert (_cone_generators(q, F)[2] is not None) == in_scope
+                assert got == expected and lps == (expected is not None or not in_scope)
+                if not in_scope:
                     infeasible += expected is None
-        assert infeasible > 50
+                free += in_scope and not inside
+        assert infeasible > 50 and free > 5
 
     def test_separators_unchanged_on_graphs(self):
         # every order separator is the one the rule-free reference finds
@@ -1723,6 +1721,142 @@ class TestZeroConeRule:
         assert all(_agrees_with_reference(p, f, g, sep) for (p, f, g), sep in zip(cases, with_rule))
         assert {None if s is None else s.kind for s in with_rule} == {
             None, ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED}
+
+
+def _mat_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _mat_sum(*mats):
+    return [[sum(entries) for entries in zip(*rows)] for rows in zip(*mats)]
+
+
+def _kron(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _nonzero_rows(rng, n, entries=(0, 0, 1, 1, 2)):
+    while True:
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if all(any(row) for row in a):
+            return a
+
+
+def _commuting_kgraphs(rng):
+    """2-graphs (A, p(A)) for polynomials p, (A x I, I x B), and the 3-graph
+    (A, A^2, I)."""
+    n = rng.randint(1, 4)
+    a = _nonzero_rows(rng, n, rng.choice(((0, 0, 1, 1, 2), (0, 0, 0, 1))))
+    a2 = _mat_product(a, a)
+    for mats in ([a, a2], [a, _mat_sum(a2, a)], [a, _mat_sum(a2, _identity(n))],
+                 [a, a2, _identity(n)]):
+        yield _kgraph_presentation(*mats)
+    m = rng.randint(1, 6 // n) if n <= 3 else 1
+    b = _nonzero_rows(rng, m)
+    yield _kgraph_presentation(_kron(a, _identity(m)), _kron(_identity(n), b))
+
+
+def _unit_left_presentation(rng, n):
+    """k moves e_v -> a random row per vertex v, the rows of k random
+    matrices that need not commute; sometimes one vertex has one move more."""
+    k = rng.randint(1, 3)
+    mats = [[[rng.choice((0, 0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(n)]
+            for _ in range(k)]
+    moves = [(ts.unit_vector(n, v), tuple(mat[v])) for v in range(n) for mat in mats]
+    if rng.random() < 0.2:
+        v = rng.randrange(n)
+        moves.append((ts.unit_vector(n, v), tuple(rng.randint(0, 1) for _ in range(n))))
+    return pres(n, moves)
+
+
+def _least_supports(p):
+    sides = list(zip(*p._supports))
+    return sorted({least_admissible_support(sides, seed) for seed in range(1, 1 << p.dim)})
+
+
+def _assert_exact_generators(rng, p, F, gens):
+    """Each generator is a nonzero int vector >= 0 on F, invariant under
+    every move inside F, and some generator is positive on a row exactly
+    when the rule-free LP is feasible, for gap, target and all-vertex rows."""
+    support = [i for i in range(p.dim) if F >> i & 1]
+    inside = [mv for mv in p.moves
+              if not (monoid._support(mv.lhs) | monoid._support(mv.rhs)) & ~F]
+    for r in gens:
+        assert r and all(type(c) is int and c > 0 and F >> v & 1 for v, c in r.items())
+        for mv in inside:
+            assert sum(c * mv.lhs[v] for v, c in r.items()) == \
+                sum(c * mv.rhs[v] for v, c in r.items())
+    gaps = [tuple(rng.randint(-2, 2) for _ in support) for _ in range(3)]
+    row_sets = [[_gap_row(p, F, gap)] for gap in gaps if any(gap)]
+    target = [rng.randint(0, 2) for _ in support]
+    target[rng.randrange(len(support))] = 1
+    row_sets.append([({v: t for v, t in zip(support, target) if t}, "==")])
+    row_sets.append([({v: 1}, ">=") for v in support])
+    for rows in row_sets:
+        reached = all(any(sum(c * w.get(v, 0) for v, c in r.items()) > 0 for r in gens)
+                      for w, _ in rows)
+        assert reached == (_reference_cone_solution(p, F, rows) is not None)
+
+
+class TestConeGenerators:
+    def test_exact_on_every_least_support_of_commuting_kgraphs(self):
+        # never None on a k-graph: a wrong construction would otherwise fall
+        # back to the LP and leave every answer unchanged
+        rng = random.Random(137)
+        supports = several = 0
+        for _ in range(80):
+            for p in _commuting_kgraphs(rng):
+                for F in _least_supports(p):
+                    gens = _cone_generators(p, F)[2]
+                    assert gens is not None
+                    _assert_exact_generators(rng, p, F, gens)
+                    supports += 1
+                    several += len(gens) > 1
+        assert supports > 400 and several > 15
+
+    def test_exact_wherever_given_on_noncommuting_unit_left_sides(self):
+        rng = random.Random(139)
+        given = absent = 0
+        for _ in range(400):
+            p = _unit_left_presentation(rng, rng.randint(1, 5))
+            for F in _least_supports(p):
+                gens = _cone_generators(p, F)[2]
+                if gens is None:
+                    absent += 1
+                else:
+                    _assert_exact_generators(rng, p, F, gens)
+                    given += 1
+        assert given > 300 and absent > 50
+
+    def test_a_wrong_ray_raises(self, monkeypatch):
+        # a 2-cycle with a vertex feeding both of its vertices: one ray,
+        # (1, 1, 2); with one entry bumped it is no longer invariant, and
+        # every caller raises instead of answering
+        model = ts.validate_kgraph(["v0", "v1", "v2"], [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]])
+        p = ts.presentation_from_kgraph(model)
+        assert _cone_generators(p, 0b111)[2] == [{0: 1, 1: 1, 2: 2}]
+        real = cones._distinguished_rays
+
+        def bumped(B, support):
+            rays = list(real(B, support))
+            if rays:
+                marker, ray = rays[0]
+                v = next(iter(ray))
+                rays[0] = marker, {**ray, v: ray[v] + 1}
+            return iter(rays)
+
+        monkeypatch.setattr(cones, "_distinguished_rays", bumped)
+        gens = [ts.unit_vector(3, i) for i in range(3)]
+        for call in (lambda: _cone_generators(p, 0b111),
+                     lambda: ts.solve_state_at(model, (1, 0, 0)),
+                     lambda: ts.decide_leq(p, (0, 0, 3), (0, 0, 1)),
+                     lambda: ts.almost_unperforated_up_to(p, gens, 2, 4)):
+            with pytest.raises(ts.ConsistencyError):
+                call()
 
 
 def _transient_graph_presentation(rng, n, colours=1):
@@ -1791,17 +1925,17 @@ def _order_step(p, theta, eta):
 class TestRaySweep:
     def test_rays_refute_exactly_the_separated_pairs(self, monkeypatch):
         # the sweep searches exactly the pairs not below coordinatewise that
-        # `_order_separator` leaves; on one-matrix presentations it solves
-        # no LP doing so, and on 2-graphs it takes the memo
+        # `_order_separator` leaves, and solves no LP doing so, on
+        # one-matrix presentations and on 2-graphs alike
         rng = random.Random(127)
         solved = []
-        real_solve = monoid.solve_lp
+        real_solve = cones.solve_lp
 
         def counting_solve(*args, **kwargs):
             solved.append(1)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+        monkeypatch.setattr(cones, "solve_lp", counting_solve)
         steps = {True: set(), False: set()}
         unknowns = []
         for _ in range(25):
@@ -1821,7 +1955,7 @@ class TestRaySweep:
                 solved.clear()
                 sweep, searched = _searched_pairs(p, gens, coeff_bound)
                 assert sweep.pairs_checked == len(pairs)
-                assert solved == [] or not one_matrix
+                assert solved == []
                 expected = []
                 for theta, eta in pairs:
                     if all(t <= e for t, e in zip(theta, eta)):
@@ -1844,20 +1978,23 @@ class TestRaySweep:
         assert len(unknowns) == 12 and sum(map(bool, unknowns)) >= 4
 
     def test_rays_found_once_per_support(self, monkeypatch):
+        # the generators of each support are built once per sweep, wherever
+        # they are asked for
         rng = random.Random(131)
         supports, solved = [], []
-        real_rays, real_solve = monoid._distinguished_rays, monoid.solve_lp
+        real_generators, real_solve = cones._cone_generators, cones.solve_lp
 
-        def counting_rays(B, support):
-            supports.append(tuple(support))
-            return real_rays(B, support)
+        def counting_generators(p, F):
+            supports.append(tuple(i for i in range(p.dim) if F >> i & 1))
+            return real_generators(p, F)
 
         def counting_solve(*args, **kwargs):
             solved.append(1)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(monoid, "_distinguished_rays", counting_rays)
-        monkeypatch.setattr(monoid, "solve_lp", counting_solve)
+        for module in (cones, monoid):
+            monkeypatch.setattr(module, "_cone_generators", counting_generators)
+        monkeypatch.setattr(cones, "solve_lp", counting_solve)
         several = 0
         for _ in range(40):
             n = rng.randint(1, 6)

@@ -6,7 +6,7 @@ import pytest
 
 from library_traffic import run_library_sample
 from lp_reference import reference_solve_lp
-from typesemigroup import monoid, simplex, states
+from typesemigroup import cones, simplex, states
 from typesemigroup.errors import ConsistencyError
 from typesemigroup.simplex import INFEASIBLE, OPTIMAL, solve_lp
 
@@ -47,16 +47,16 @@ def test_non_int_entry_rejected(bad):
 def test_library_builds_integer_lps_with_nonnegative_b(seed, monkeypatch):
     # every LP the library solves has int entries and b >= 0, so the solver
     # scales nothing, and its sign flip of a row with b < 0 is never needed
-    seen = {monoid: [], states: []}
+    seen = {cones: [], states: []}
     for module, calls in seen.items():
         def recording(A, b, c, real=module.solve_lp, calls=calls):
             calls.append((A, b))
             return real(A, b, c)
 
         monkeypatch.setattr(module, "solve_lp", recording)
-    run_library_sample(seed)
-    assert len(seen[monoid]) > 50 and len(seen[states]) > 10
-    for A, b in seen[monoid] + seen[states]:
+    run_library_sample(seed, models=90)
+    assert len(seen[cones]) > 50 and len(seen[states]) > 10
+    for A, b in seen[cones] + seen[states]:
         assert all(type(v) is int for row in A for v in row)
         assert all(type(v) is int and v >= 0 for v in b)
 

@@ -20,10 +20,11 @@ def test_no_assert_statements():
 
 
 def test_no_true_division_or_floats_in_exact_arithmetic():
-    # the simplex and the elimination run in Python ints, where a stray `/`
-    # or float literal silently turns exact values into floats
+    # the simplex, the elimination and the cone generators run in Python
+    # ints, where a stray `/` or float literal silently turns exact values
+    # into floats
     found = []
-    for name in ("simplex.py", "linalg.py"):
+    for name in ("simplex.py", "linalg.py", "cones.py"):
         path = SRC / name
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -35,7 +36,7 @@ def test_no_true_division_or_floats_in_exact_arithmetic():
 
 def test_one_builder_of_invariance_lps():
     # order separators, states and invariant vectors all solve the invariant
-    # cone on a support with `monoid._cone_solution`; the coboundary check
+    # cone on a support with `cones._cone_solution`; the coboundary check
     # solves the dual problem on the matrices.  No other code outside the
     # solver calls `solve_lp`.
     found = []
@@ -53,4 +54,25 @@ def test_one_builder_of_invariance_lps():
         if path.name == "simplex.py":
             continue
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), f"{path.name}:")
-    assert sorted(found) == ["monoid.py:_cone_solution", "states.py:coboundary_check"]
+    assert sorted(found) == ["cones.py:_cone_solution", "states.py:coboundary_check"]
+
+
+CONE_LAYER = {"least_admissible_support", "_access_masks", "_distinguished_rays",
+              "_cone_solution", "_cone_generators"}
+
+
+def test_one_home_of_the_cone_layer():
+    # the cone layer is defined in `cones` alone, and nothing, library or
+    # test, imports it through `monoid`
+    defined, through_monoid = [], []
+    for path in sorted(SRC.rglob("*.py")) + sorted(SRC.parent.parent.joinpath("tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name in CONE_LAYER:
+                defined.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "monoid":
+                through_monoid += [f"{path.name}:{a.name}" for a in node.names
+                                   if a.name in CONE_LAYER]
+    assert sorted(defined) == sorted(f"cones.py:{name}" for name in CONE_LAYER)
+    assert through_monoid == []

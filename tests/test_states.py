@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import typesemigroup as ts
-import typesemigroup.monoid as monoid_module
+import typesemigroup.cones as cones_module
 import typesemigroup.states as states_module
-from typesemigroup.monoid import INFINITY, least_admissible_support
+from typesemigroup.cones import least_admissible_support
+from typesemigroup.monoid import INFINITY
 from typesemigroup.cli import _as_kgraph, _build_model
 from typesemigroup.simplex import OPTIMAL
 
@@ -76,9 +77,9 @@ def sparse_model(rng, max_vertices=6):
 
 # The invariance LPs as first written, from the matrices: one row
 # sum_w A_i[v][w] c_w - c_v == 0 per matrix, then per vertex of F.  The
-# library builds them from the presentation's moves (`monoid._cone_solution`),
-# with rows lhs - rhs, after the zero-cone rule; these copies, without the
-# rule, are the reference the differential tests compare it with.
+# library builds them from the presentation's moves (`cones._cone_solution`),
+# with rows lhs - rhs, after the cone generators' refutation; these copies,
+# without it, are the reference the differential tests compare it with.
 
 
 def _invariance_lp(model, F):
@@ -210,16 +211,16 @@ def _reference_solve_state_at(model, target):
 
 
 def count_lp_solves(monkeypatch):
-    """Count the invariant-cone LPs the library solves (`monoid.solve_lp`);
+    """Count the invariant-cone LPs the library solves (`cones.solve_lp`);
     the reference copies here call the solver through `lp_reference`."""
     calls = []
-    real = monoid_module.solve_lp
+    real = cones_module.solve_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(monoid_module, "solve_lp", counted)
+    monkeypatch.setattr(cones_module, "solve_lp", counted)
     return calls
 
 
@@ -310,8 +311,8 @@ class TestSolveStateAt:
         (feeder_model(16, 1), 0, (0, 1)),
     ])
     def test_one_lp_on_sixteen_vertices(self, monkeypatch, model, vertex, support):
-        # at most one LP; with one matrix the zero-cone rule is exact, so
-        # none exactly when there is no state
+        # at most one LP; the cone generators refute exactly, so none
+        # exactly when there is no state
         calls = count_lp_solves(monkeypatch)
         cert = ts.solve_state_at(model, ts.unit_vector(16, vertex))
         assert len(calls) == (support is not None)
@@ -323,8 +324,8 @@ class TestSolveStateAt:
     def test_matches_reference_enumerator(self, monkeypatch):
         # dense models mostly settle on the out-closure of the target; sparse
         # ones also reach supports beyond it.  Every call solves at most one
-        # LP, and none only when the zero-cone rule refutes the target, which
-        # with one matrix it does exactly when there is no state.
+        # LP, and none exactly when the cone generators refute the target,
+        # which they do exactly when there is no state, for every k.
         rng = random.Random(2024)
         models = [random_model(rng, max_vertices=6) for _ in range(40)]
         models += [sparse_model(rng) for _ in range(60)]
@@ -339,9 +340,7 @@ class TestSolveStateAt:
                 with monkeypatch.context() as patch:
                     calls = count_lp_solves(patch)
                     got = ts.solve_state_at(model, target)
-                assert got == expected and len(calls) <= 1 and (calls or got is None)
-                if len(model.matrices) == 1:
-                    assert len(calls) == (got is not None)
+                assert got == expected and len(calls) == (got is not None)
                 checked += 1
                 refuted += not calls
                 if got is None:
@@ -504,13 +503,13 @@ class TestFaithfulFiniteState:
     def test_bad_average_raises_consistency_error(self, monkeypatch):
         # the check must survive python -O, so it cannot be an assert; the
         # swap model's vector (1, 1) becomes (2, 1), which no move fixes
-        real = monoid_module.solve_lp
+        real = cones_module.solve_lp
 
         def skewed(*args, **kwargs):
             sol = real(*args, **kwargs)
             return dataclasses.replace(sol, x=(sol.x[0] + 1,) + sol.x[1:])
 
-        monkeypatch.setattr(monoid_module, "solve_lp", skewed)
+        monkeypatch.setattr(cones_module, "solve_lp", skewed)
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
         with pytest.raises(ts.ConsistencyError):
             ts.faithful_finite_state(m)
@@ -523,9 +522,9 @@ class TestFaithfulFiniteState:
             with monkeypatch.context() as patch:
                 calls = count_lp_solves(patch)
                 got = ts.faithful_finite_state(model)
-            # the n maximisations became one LP, and none when the zero-cone
-            # rule refutes positivity
-            assert len(calls) <= 1 and (calls or got is None)
+            # the n maximisations became one LP, and none exactly when the
+            # cone generators refute positivity
+            assert len(calls) == (got is not None)
             assert_faithful_state(model, got, expected)
             found += got is not None
             refuted += not calls
