@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError
+from .errors import SCHEMA_VIOLATION, ConsistencyError, InputError, require_int
 from .graphs import KGraphModel, StructuralReport, structural_checks
 from .monoid import (
     DecisionOutcome,
@@ -63,9 +63,20 @@ _SKELETON_CAVEAT = (
 
 @dataclass(frozen=True)
 class ClassifyBudgets:
+    """The search budget of every decider `classify` calls, and the sweep's
+    coefficient bound and pair cap, `int`s >= 0.  Each field is checked
+    here, whether or not a verdict reaches the sweep."""
+
     search: SearchBudget = SearchBudget()
     unperforation_coeff: int = 4
     unperforation_max_pairs: int = 5000
+
+    def __post_init__(self) -> None:
+        if type(self.search) is not SearchBudget:
+            raise InputError(SCHEMA_VIOLATION, f"search must be a SearchBudget, got {self.search!r}",
+                             search=repr(self.search))
+        require_int("unperforation_coeff", self.unperforation_coeff, nonnegative=True)
+        require_int("unperforation_max_pairs", self.unperforation_max_pairs, nonnegative=True)
 
 
 DEFAULT_CLASSIFY_BUDGETS = ClassifyBudgets()
@@ -95,7 +106,11 @@ def _paradox_sweep(model: KGraphModel, pres: MonoidPresentation, budget: SearchB
 
 
 def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> ClassificationReport:
-    budgets = budgets or DEFAULT_CLASSIFY_BUDGETS
+    if budgets is None:
+        budgets = DEFAULT_CLASSIFY_BUDGETS
+    elif type(budgets) is not ClassifyBudgets:
+        raise InputError(SCHEMA_VIOLATION, f"budgets must be a ClassifyBudgets, got {budgets!r}",
+                         budgets=repr(budgets))
     structural = structural_checks(model)
     caveats = [_PROXY_CAVEAT, _COBOUNDARY_CAVEAT]
     if model.k > 1:

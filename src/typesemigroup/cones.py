@@ -27,6 +27,13 @@ So the generators, when given, are exact even for matrices that do not
 commute, and each is checked nonnegative and invariant under every move
 inside F before it is returned, or `ConsistencyError` is raised.
 
+The generators depend on the moves alone, so each (presentation, support)
+pair is built once, by whichever query asks first, and kept on the
+presentation (`MonoidPresentation._cones`, which no other module reads or
+writes) as tuples, every zero cone as one shared empty tuple.  A build that
+raises keeps nothing.  Everything else here, the LPs included, is solved
+afresh on every call.
+
 `_cone_solution` refutes a row w when no generator is positive on it, with
 no LP; every other question is answered by one exact feasibility LP, whose
 point is the answer.  The substitution checks guarantee that every
@@ -49,6 +56,8 @@ if TYPE_CHECKING:
     from .monoid import MonoidPresentation
 
 INFINITY = float("inf")
+
+_ZERO_CONE: tuple = ()  # the generators of every zero cone
 
 
 def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int:
@@ -90,7 +99,7 @@ def _cone_solution(pres: MonoidPresentation, F: int,
     """
     support, inside, gens = _cone_generators(pres, F)
     if gens is not None and any(
-            all(sum(c * w.get(v, 0) for v, c in ray.items()) <= 0 for ray in gens)
+            all(sum(ray[v] * c for v, c in w.items()) <= 0 for ray in gens)
             for w, _ in rows):
         return None
     nslack = sum(op == ">=" for _, op in rows)
@@ -115,25 +124,42 @@ def _cone_solution(pres: MonoidPresentation, F: int,
 def _cone_generators(pres: MonoidPresentation, F: int):
     """The vertices of F, ascending, the moves inside F with the supports of
     their left sides, in move order, and the integral generators of
-    {c >= 0 on F : c invariant under every move inside F}, as {vertex:
-    value} maps of their nonzero entries.
+    {c >= 0 on F : c invariant under every move inside F}, as a tuple of
+    vectors of length `pres.dim`, 0 off F.
 
     The generators are None when the left side of some move inside F is not
     a unit vector e_v with coefficient 1, when the vertices of F do not all
     have the same number of moves inside F, or when some B_j r_i is not the
     combination of the generators read off at their markers.
+
+    They depend on the moves alone, so they are built once per presentation
+    and support and kept in `pres._cones`, a flat tuple of (F, generators)
+    entries; a build that raises keeps nothing.  The two lists are cheap
+    and are rebuilt on every call.
     """
     support = [i for i in range(pres.dim) if F >> i & 1]
     inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]
+    entries = iter(pres._cones)
+    for key, gens in zip(entries, entries):
+        if key == F:
+            return support, inside, gens
+    gens = _build_generators(pres.dim, support, inside)
+    object.__setattr__(pres, "_cones", pres._cones + (F, gens))
+    return support, inside, gens
+
+
+def _build_generators(dim: int, support: list[int], inside) -> tuple | None:
+    """`_cone_generators`' generators, built afresh; every zero cone is the
+    one shared `_ZERO_CONE`."""
     moved: dict[int, list] = {v: [] for v in support}
     for mv, ls in inside:
         if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
-            return support, inside, None
+            return None
         moved[ls.bit_length() - 1].append(mv.rhs)
     # the j-th move of every vertex of F, up to the least number of moves
     matrices = [dict(zip(support, B)) for B in zip(*moved.values())]
     if len(inside) != len(matrices) * len(support):
-        return support, inside, None
+        return None
     # (marker, generator): the rays of B_1, or the unit vectors of F
     gens = list(_distinguished_rays(matrices[0], support)) if matrices else [
         (v, {v: 1}) for v in support]
@@ -143,14 +169,14 @@ def _cone_generators(pres: MonoidPresentation, F: int):
         N = [[image.get(marker, 0) for image in images] for marker, _ in gens]
         if any(image != _combination(gens, {l: row[i] for l, row in enumerate(N) if row[i]})
                for i, image in enumerate(images)):
-            return support, inside, None
+            return None
         gens = [(gens[i][0], _combination(gens, y))
                 for i, y in _distinguished_rays(N, list(range(len(gens))))]
     for _, r in gens:
         if min(r.values(), default=0) < 0 or any(
                 sum(c * (mv.lhs[w] - mv.rhs[w]) for w, c in r.items()) for mv, _ in inside):
             raise ConsistencyError("cone generator is not nonnegative and invariant")
-    return support, inside, [r for _, r in gens]
+    return tuple(tuple(r.get(v, 0) for v in range(dim)) for _, r in gens) or _ZERO_CONE
 
 
 def _combination(gens, y: dict[int, int]) -> dict[int, int]:

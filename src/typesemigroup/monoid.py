@@ -31,16 +31,20 @@ the search (`_dominate`).
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
-move-side supports.  Both are private fields of the frozen
-`MonoidPresentation`, outside equality, hashing and repr; every query reads
-them and still validates its own vectors.  `almost_unperforated_up_to`,
-which asks thousands of order questions of one presentation and only
-counts, asks each pair what `_order_separator` asks, with tables that live
-only for that call: the least admissible support once per support of eta;
-on a support whose invariant cone has generators, the value of every span
-vector under them, which decide each pair with integer comparisons and no
-LP; on any other support, one separator LP per pair.  The moves it compiles
-and the trees it grows live only for that call as well.
+move-side supports.  The invariant cone generators of each admissible
+support depend on the moves alone too, and are built once per
+presentation, when a query first asks for them (`cones._cone_generators`).
+All three are private fields of the frozen `MonoidPresentation`, outside
+equality, hashing and repr; every query reads them and still validates its
+own vectors.  `almost_unperforated_up_to`, which asks thousands of order
+questions of one presentation and only counts, asks each pair what
+`_order_separator` asks, with tables that live only for that call: the
+least admissible support once per support of eta; on a support whose
+invariant cone has generators, the value of every span vector under them,
+which decide each pair with integer comparisons and no LP; on any other
+support, one separator LP per pair.  The moves it compiles and the trees
+it grows live only for that call as well, as do each decider's compiled
+moves and search tree.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
@@ -123,9 +127,12 @@ class MonoidPresentation:
     `__post_init__` derives what the deciders need of the moves alone, once:
     the unit-move structure (None unless every move is a basis vector on
     both sides) and the supports of the move sides as bitmasks, one tuple
-    for the left sides and one for the right.  Both fields stay out of
-    `==`, `hash` and `repr`, and equal presentations derive equal forms, so
-    no verdict can depend on how a presentation was built.
+    for the left sides and one for the right.  `_cones` starts empty and
+    keeps the invariant cone generators of each admissible support the
+    first time any query asks for them (`cones._cone_generators`, the only
+    code that reads or writes it).  The fields stay out of `==`, `hash` and
+    `repr`, and equal presentations derive equal forms, so no verdict can
+    depend on how a presentation was built or what it was asked before.
     """
 
     dim: int
@@ -133,10 +140,12 @@ class MonoidPresentation:
     _unit: _UnitStructure | None = field(init=False, repr=False, compare=False)
     _supports: tuple[tuple[int, ...], tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
+    _cones: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_unit", _unit_structure(self))
         object.__setattr__(self, "_supports", _move_supports(self))
+        object.__setattr__(self, "_cones", ())
 
 
 @dataclass(frozen=True)
@@ -986,13 +995,14 @@ def almost_unperforated_up_to(
     sticks out of F0, or when some invariant functional c >= 0 on F0 has
     c.theta > c.eta: exactly the pairs `_order_separator` refutes.  F0 is
     found once per support of eta.  Where the cone on a support has
-    generators (`cones._cone_generators`), they are found once and the value
-    of every span vector under each of them once, and a functional exists
-    exactly when some generator is larger at theta than at eta: no LP.  On
-    the other supports each pair solves its separator LP
-    (`_separator_on_support`).  The pairs nothing refutes are searched
-    with one tree per distinct eta, over moves compiled once; all of it
-    lives only until the call returns.  `coeff_bound`, `mult_bound` and
+    generators (`cones._cone_generators`, built once per presentation and
+    kept on it), the value of every span vector under each of them is found
+    once, and a functional exists exactly when some generator is larger at
+    theta than at eta: no LP.  On the other supports each pair solves its
+    separator LP (`_separator_on_support`).  The pairs nothing refutes are
+    searched with one tree per distinct eta, over moves compiled once.  The
+    least supports, the value tables, the compiled moves and the trees live
+    only until the call returns.  `coeff_bound`, `mult_bound` and
     `max_pairs` are `int`s >= 0.
 
     One tree per eta counts what one search per pair would.  The search
@@ -1041,7 +1051,7 @@ def almost_unperforated_up_to(
             if F not in values:
                 rays = _cone_generators(pres, F)[2]
                 values[F] = None if rays is None else [tuple([
-                    sum(c * vec[v] for v, c in ray.items()) for ray in rays]) for vec in span]
+                    sum(map(operator.mul, ray, vec)) for ray in rays]) for vec in span]
             table = values[F]
             if table is None:
                 return _separator_on_support(pres, F, span[i], span[j]) is not None

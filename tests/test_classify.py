@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import typesemigroup as ts
 from typesemigroup.classify import DEFAULT_CLASSIFY_BUDGETS
 
@@ -151,3 +153,36 @@ class TestBudgetMonotonicity:
             r2 = ts.classify(m, big)
             if r1.verdict in (ts.STABLY_FINITE, ts.PURELY_INFINITE, ts.HYPOTHESES_NOT_MET):
                 assert r1.verdict == r2.verdict
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("fields, code", [
+        ({"unperforation_coeff": 2.5}, "NON_INTEGRAL_ENTRY"),
+        ({"unperforation_coeff": -1}, "NEGATIVE_ENTRY"),
+        ({"unperforation_coeff": True}, "NON_INTEGRAL_ENTRY"),
+        ({"unperforation_max_pairs": "5000"}, "NON_INTEGRAL_ENTRY"),
+        ({"unperforation_max_pairs": -1}, "NEGATIVE_ENTRY"),
+        ({"search": None}, "SCHEMA_VIOLATION"),
+        ({"search": 200}, "SCHEMA_VIOLATION"),
+        ({"search": DEFAULT_CLASSIFY_BUDGETS}, "SCHEMA_VIOLATION"),
+    ])
+    def test_bad_fields_rejected_at_construction(self, fields, code):
+        # rejected before any model is classified, not only by the sweep
+        with pytest.raises(ts.InputError) as err:
+            ts.ClassifyBudgets(**fields)
+        assert err.value.code == code
+
+    def test_zero_bounds_accepted(self, two_loops):
+        budgets = ts.ClassifyBudgets(ts.SearchBudget(0, 0), 0, 0)
+        r = ts.classify(two_loops, budgets)
+        assert r.verdict == ts.INCONCLUSIVE
+        assert r.unperforation == ts.UnperforationSweep(None, 0, 0, True)
+
+    @pytest.mark.parametrize("budgets", [5, ts.SearchBudget(), {"unperforation_coeff": 4}])
+    def test_classify_rejects_what_is_not_classify_budgets(self, two_loops, budgets):
+        with pytest.raises(ts.InputError) as err:
+            ts.classify(two_loops, budgets)
+        assert err.value.code == "SCHEMA_VIOLATION"
+
+    def test_none_is_the_default(self, two_loops):
+        assert ts.classify(two_loops, None) == ts.classify(two_loops, DEFAULT_CLASSIFY_BUDGETS)

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -1143,16 +1144,31 @@ class TestCompiledSweep:
         assert len(left) < len(least_keys) < 156
 
     def test_no_state_outlives_the_sweep(self):
+        # the sweep's tables, compiled moves and trees live only for the
+        # call; the presentation keeps only its cone memo, one entry per
+        # least admissible support the sweep reached, each the generators
+        # an equal, unqueried presentation builds
         p = _kgraph_presentation([[1, 1], [0, 1]])
         twin = _kgraph_presentation([[1, 1], [0, 1]])
         gens = [ts.unit_vector(2, i) for i in range(2)]
-        attrs, digest = dict(p.__dict__), hash(p)
-        module_state = {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
-                        for k, v in vars(monoid).items()}
+
+        def fields(q):
+            return {k: v for k, v in q.__dict__.items() if k != "_cones"}
+
+        def module_state():
+            return {(m.__name__, k): (v, len(v) if isinstance(v, (dict, list, set)) else None)
+                    for m in (monoid, cones) for k, v in vars(m).items()}
+
+        attrs, digest, before = fields(p), hash(p), module_state()
         first = ts.almost_unperforated_up_to(p, gens, 4, 4)
-        assert p.__dict__ == attrs and hash(p) == digest == hash(twin) and p == twin
-        assert {k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
-                for k, v in vars(monoid).items()} == module_state
+        assert fields(p) == attrs and module_state() == before
+        assert hash(p) == digest == hash(twin) and p == twin and repr(p) == repr(twin)
+        reached = {F for F, _ in _least_support_keys(
+            p, itertools.product(_span(p, gens, 4), repeat=2))}
+        memo = _cone_memo(p)
+        assert len(reached) == 2 and sorted(memo) == sorted(reached)
+        assert len(p._cones) == 2 * len(memo) and twin._cones == ()
+        assert all(memo[F] == _cone_generators(twin, F)[2] for F in reached)
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first
 
     def test_moves_compiled_once_per_sweep(self, monkeypatch):
@@ -1746,18 +1762,23 @@ def _nonzero_rows(rng, n, entries=(0, 0, 1, 1, 2)):
             return a
 
 
-def _commuting_kgraphs(rng):
-    """2-graphs (A, p(A)) for polynomials p, (A x I, I x B), and the 3-graph
-    (A, A^2, I)."""
+def _commuting_matrices(rng):
+    """The matrices of 2-graphs (A, p(A)) for polynomials p, (A x I, I x B),
+    and the 3-graph (A, A^2, I)."""
     n = rng.randint(1, 4)
     a = _nonzero_rows(rng, n, rng.choice(((0, 0, 1, 1, 2), (0, 0, 0, 1))))
     a2 = _mat_product(a, a)
-    for mats in ([a, a2], [a, _mat_sum(a2, a)], [a, _mat_sum(a2, _identity(n))],
-                 [a, a2, _identity(n)]):
-        yield _kgraph_presentation(*mats)
+    yield from ([a, a2], [a, _mat_sum(a2, a)], [a, _mat_sum(a2, _identity(n))],
+                [a, a2, _identity(n)])
     m = rng.randint(1, 6 // n) if n <= 3 else 1
     b = _nonzero_rows(rng, m)
-    yield _kgraph_presentation(_kron(a, _identity(m)), _kron(_identity(n), b))
+    yield [_kron(a, _identity(m)), _kron(_identity(n), b)]
+
+
+def _commuting_kgraphs(rng):
+    """`_commuting_matrices`' k-graphs, as presentations."""
+    for mats in _commuting_matrices(rng):
+        yield _kgraph_presentation(*mats)
 
 
 def _unit_left_presentation(rng, n):
@@ -1773,6 +1794,12 @@ def _unit_left_presentation(rng, n):
     return pres(n, moves)
 
 
+def _cone_memo(p):
+    """The cone generators `p` keeps, by support."""
+    entries = iter(p._cones)
+    return dict(zip(entries, entries))
+
+
 def _least_supports(p):
     sides = list(zip(*p._supports))
     return sorted({least_admissible_support(sides, seed) for seed in range(1, 1 << p.dim)})
@@ -1785,11 +1812,12 @@ def _assert_exact_generators(rng, p, F, gens):
     support = [i for i in range(p.dim) if F >> i & 1]
     inside = [mv for mv in p.moves
               if not (monoid._support(mv.lhs) | monoid._support(mv.rhs)) & ~F]
+    assert type(gens) is tuple
     for r in gens:
-        assert r and all(type(c) is int and c > 0 and F >> v & 1 for v, c in r.items())
+        assert type(r) is tuple and len(r) == p.dim and any(r)
+        assert all(type(c) is int and c >= 0 and (F >> v & 1 or not c) for v, c in enumerate(r))
         for mv in inside:
-            assert sum(c * mv.lhs[v] for v, c in r.items()) == \
-                sum(c * mv.rhs[v] for v, c in r.items())
+            assert sum(map(operator.mul, r, mv.lhs)) == sum(map(operator.mul, r, mv.rhs))
     gaps = [tuple(rng.randint(-2, 2) for _ in support) for _ in range(3)]
     row_sets = [[_gap_row(p, F, gap)] for gap in gaps if any(gap)]
     target = [rng.randint(0, 2) for _ in support]
@@ -1797,7 +1825,7 @@ def _assert_exact_generators(rng, p, F, gens):
     row_sets.append([({v: t for v, t in zip(support, target) if t}, "==")])
     row_sets.append([({v: 1}, ">=") for v in support])
     for rows in row_sets:
-        reached = all(any(sum(c * w.get(v, 0) for v, c in r.items()) > 0 for r in gens)
+        reached = all(any(sum(r[v] * c for v, c in w.items()) > 0 for r in gens)
                       for w, _ in rows)
         assert reached == (_reference_cone_solution(p, F, rows) is not None)
 
@@ -1835,10 +1863,14 @@ class TestConeGenerators:
     def test_a_wrong_ray_raises(self, monkeypatch):
         # a 2-cycle with a vertex feeding both of its vertices: one ray,
         # (1, 1, 2); with one entry bumped it is no longer invariant, and
-        # every caller raises instead of answering
-        model = ts.validate_kgraph(["v0", "v1", "v2"], [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]])
-        p = ts.presentation_from_kgraph(model)
-        assert _cone_generators(p, 0b111)[2] == [{0: 1, 1: 1, 2: 2}]
+        # every caller on a fresh presentation raises instead of answering,
+        # keeps nothing, and raises again when asked again
+        def fresh():
+            model = ts.validate_kgraph(["v0", "v1", "v2"], [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]])
+            return model, ts.presentation_from_kgraph(model)
+
+        model, p = fresh()
+        assert _cone_generators(p, 0b111)[2] == ((1, 1, 2),)
         real = cones._distinguished_rays
 
         def bumped(B, support):
@@ -1850,13 +1882,99 @@ class TestConeGenerators:
             return iter(rays)
 
         monkeypatch.setattr(cones, "_distinguished_rays", bumped)
+        # generators kept before the patch were checked when they were built
+        assert _cone_generators(p, 0b111)[2] == ((1, 1, 2),)
         gens = [ts.unit_vector(3, i) for i in range(3)]
-        for call in (lambda: _cone_generators(p, 0b111),
-                     lambda: ts.solve_state_at(model, (1, 0, 0)),
-                     lambda: ts.decide_leq(p, (0, 0, 3), (0, 0, 1)),
-                     lambda: ts.almost_unperforated_up_to(p, gens, 2, 4)):
-            with pytest.raises(ts.ConsistencyError):
-                call()
+        for call in (lambda model, p: _cone_generators(p, 0b111),
+                     lambda model, p: ts.solve_state_at(model, (1, 0, 0)),
+                     lambda model, p: ts.decide_leq(p, (0, 0, 3), (0, 0, 1)),
+                     lambda model, p: ts.almost_unperforated_up_to(p, gens, 2, 4)):
+            model, p = fresh()
+            for _ in range(2):
+                with pytest.raises(ts.ConsistencyError):
+                    call(model, p)
+                assert 0b111 not in _cone_memo(p)
+
+
+def _memo_presentations(rng):
+    """1-graphs and commuting 2-graphs, the k-graphs of `_commuting_kgraphs`
+    (a 3-graph among them), presentations with non-unit left sides, and
+    unit left sides whose matrices need not commute."""
+    n = rng.randint(1, 5)
+    yield _graph_presentation(rng, n)
+    yield from _commuting_kgraphs(rng)
+    yield _non_unit_presentation(rng, n, rng.randint(1, 4))
+    yield _unit_left_presentation(rng, n)
+
+
+class TestConeMemo:
+    def test_a_queried_presentation_answers_as_a_fresh_one(self):
+        # the least supports asked in ascending and in descending order give
+        # what an equal, unqueried presentation builds for each, and asked
+        # again, the very tuple kept; every zero cone is one shared object
+        rng = random.Random(149)
+        kinds = {"zero": 0, "none": 0, "several": 0}
+        for _ in range(40):
+            for p in _memo_presentations(rng):
+                supports = _least_supports(p)
+                for order in (supports, supports[::-1]):
+                    q = ts.MonoidPresentation(p.dim, p.moves)
+                    answers = [_cone_generators(q, F) for F in order]
+                    for F, answer in zip(order, answers):
+                        assert answer == _cone_generators(ts.MonoidPresentation(p.dim, p.moves), F)
+                        assert _cone_generators(q, F)[2] is answer[2]
+                    assert sorted(_cone_memo(q)) == supports and len(q._cones) == 2 * len(supports)
+                    for gens in _cone_memo(q).values():
+                        if gens == ():
+                            assert gens is cones._ZERO_CONE
+                        kinds["zero"] += gens == ()
+                        kinds["none"] += gens is None
+                        kinds["several"] += gens is not None and len(gens) > 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_built_once_per_support_asked(self, monkeypatch):
+        # classify, the Stiemke cross-check, a state at every vertex, order
+        # questions and the paradox test on one model build each support's
+        # generators once, whichever of them asks first
+        rng = random.Random(151)
+        built, asked = [], []
+        real_build, real_generators = cones._build_generators, cones._cone_generators
+
+        def counting_build(dim, support, inside):
+            built.append(tuple(support))
+            return real_build(dim, support, inside)
+
+        def recording_generators(p, F):
+            asked.append(tuple(i for i in range(p.dim) if F >> i & 1))
+            return real_generators(p, F)
+
+        monkeypatch.setattr(cones, "_build_generators", counting_build)
+        for module in (cones, monoid):
+            monkeypatch.setattr(module, "_cone_generators", recording_generators)
+        budget = ts.SearchBudget(200, 6)
+        verdicts, repeated = set(), 0
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            for mats in [[_nonzero_rows(rng, n)]] + list(_commuting_matrices(rng)):
+                model = ts.validate_kgraph([f"v{i}" for i in range(len(mats[0]))], mats)
+                p, dim = model._presentation, model.dim
+                built.clear()
+                asked.clear()
+                # a tiny search leaves some paradox tests undecided, so that
+                # classify reaches the per-vertex states and the sweep
+                tiny = rng.random() < 0.5
+                verdicts.add(ts.classify(model, ts.ClassifyBudgets(
+                    ts.SearchBudget(4, 1) if tiny else budget, 1, 200)).verdict)
+                ts.stiemke_crosscheck(model)
+                for v in range(dim):
+                    ts.solve_state_at(model, ts.unit_vector(dim, v))
+                    ts.kl_paradoxical(p, ts.unit_vector(dim, v), 2, 1, budget)
+                for _ in range(3):
+                    ts.decide_leq(p, *_random_pair(rng, dim), budget)
+                assert sorted(built) == sorted(set(asked))
+                repeated += len(asked) > len(built)
+        assert repeated >= 60 and verdicts == {
+            ts.STABLY_FINITE, ts.PURELY_INFINITE, ts.INCONCLUSIVE, ts.HYPOTHESES_NOT_MET}
 
 
 def _transient_graph_presentation(rng, n, colours=1):

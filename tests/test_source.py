@@ -1,7 +1,10 @@
 """Rules on the library source itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from typesemigroup import MonoidPresentation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "typesemigroup"
 
@@ -58,13 +61,27 @@ def test_one_builder_of_invariance_lps():
 
 
 CONE_LAYER = {"least_admissible_support", "_access_masks", "_distinguished_rays",
-              "_cone_solution", "_cone_generators"}
+              "_cone_solution", "_cone_generators", "_build_generators"}
 
 
 def test_one_home_of_the_cone_layer():
     # the cone layer is defined in `cones` alone, and nothing, library or
-    # test, imports it through `monoid`
-    defined, through_monoid = [], []
+    # test, imports it through `monoid`.  The presentation's cone memo,
+    # `_cones`, is read and written in `cones` alone: the presentation only
+    # declares it and sets its initial value.  Like every private field of
+    # the presentation it is derived, and out of `==`, `hash` and `repr`.
+    defined, through_monoid, memo = [], [], []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where[-1] != ":" else where + node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "_cones") or (
+                isinstance(node, ast.Name) and node.id == "_cones") or (
+                isinstance(node, ast.Constant) and node.value == "_cones"):
+            memo.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
     for path in sorted(SRC.rglob("*.py")) + sorted(SRC.parent.parent.joinpath("tests").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -74,5 +91,12 @@ def test_one_home_of_the_cone_layer():
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "monoid":
                 through_monoid += [f"{path.name}:{a.name}" for a in node.names
                                    if a.name in CONE_LAYER]
+        if path.parent == SRC and path.name != "cones.py":
+            visit(tree, f"{path.name}:")
     assert sorted(defined) == sorted(f"cones.py:{name}" for name in CONE_LAYER)
     assert through_monoid == []
+    assert sorted(memo) == ["monoid.py:MonoidPresentation",
+                            "monoid.py:MonoidPresentation.__post_init__"]
+    private = [f for f in dataclasses.fields(MonoidPresentation) if f.name.startswith("_")]
+    assert [f.name for f in private] == ["_unit", "_supports", "_cones"]
+    assert [f.name for f in private if f.init or f.compare or f.repr] == []
