@@ -25,16 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import SCHEMA_VIOLATION, ConsistencyError, InputError, require_int
-from .graphs import KGraphModel, StructuralReport, structural_checks
+from .graphs import KGraphModel, StructuralReport, _require_model, structural_checks
+from .linalg import vec_scale
 from .monoid import (
     DecisionOutcome,
-    MonoidPresentation,
     SearchBudget,
     UnperforationSweep,
+    _compiled_moves,
+    _decide_leq,
     almost_unperforated_up_to,
-    kl_paradoxical,
     unit_vector,
 )
 from .states import (
@@ -97,20 +99,27 @@ class ClassificationReport:
     notes: tuple[str, ...]
 
 
-def _paradox_sweep(model: KGraphModel, pres: MonoidPresentation, budget: SearchBudget):
+def _paradox_sweep(model: KGraphModel, budget: SearchBudget):
+    """`kl_paradoxical(pres, e_v, 2, 1, budget)` at every vertex v, in order:
+    the same ladder (`monoid._decide_leq`), with the moves compiled once,
+    when the first vertex reaches the search, and shared by the rest."""
+    pres = model._presentation
+    moves = cache(lambda: _compiled_moves(pres))
     results = []
     for vi, v in enumerate(model.vertices):
-        outcome = kl_paradoxical(pres, unit_vector(model.dim, vi), 2, 1, budget)
-        results.append((v, outcome))
+        e = unit_vector(model.dim, vi)
+        results.append((v, _decide_leq(pres, vec_scale(2, e), e, budget, moves)))
     return tuple(results)
 
 
 def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> ClassificationReport:
+    _require_model(model)
     if budgets is None:
         budgets = DEFAULT_CLASSIFY_BUDGETS
     elif type(budgets) is not ClassifyBudgets:
         raise InputError(SCHEMA_VIOLATION, f"budgets must be a ClassifyBudgets, got {budgets!r}",
                          budgets=repr(budgets))
+    pres = model._presentation
     structural = structural_checks(model)
     caveats = [_PROXY_CAVEAT, _COBOUNDARY_CAVEAT]
     if model.k > 1:
@@ -131,7 +140,7 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
 
     if not proxies_ok:
         if state is None:
-            paradoxes = _paradox_sweep(model, model._presentation, budgets.search)
+            paradoxes = _paradox_sweep(model, budgets.search)
         verdict = HYPOTHESES_NOT_MET
         if state is not None:
             notes.append(
@@ -145,8 +154,7 @@ def classify(model: KGraphModel, budgets: ClassifyBudgets | None = None) -> Clas
             "algebra is quasidiagonal as well"
         )
     else:
-        pres = model._presentation
-        paradoxes = _paradox_sweep(model, pres, budgets.search)
+        paradoxes = _paradox_sweep(model, budgets.search)
         if all(outcome.is_equiv for (_, outcome) in paradoxes):
             verdict = PURELY_INFINITE
         else:

@@ -32,7 +32,9 @@ pair is built once, by whichever query asks first, and kept on the
 presentation (`MonoidPresentation._cones`, which no other module reads or
 writes) as tuples, every zero cone as one shared empty tuple.  A build that
 raises keeps nothing.  Everything else here, the LPs included, is solved
-afresh on every call.
+afresh on every call; of the answers built on it, only the positive
+invariant vector, which depends on the model alone, is kept, on the model
+(`states.positive_invariant_vector`).
 
 `_cone_solution` refutes a row w when no generator is positive on it, with
 no LP; every other question is answered by one exact feasibility LP, whose

@@ -33,6 +33,7 @@ from .errors import (
     NON_INTEGRAL_ENTRY,
     OVERLAPPING_CYLINDERS,
     ROW_ZERO,
+    SCHEMA_VIOLATION,
     InputError,
     non_integral_entry,
     require_int,
@@ -122,20 +123,34 @@ class KGraphModel:
 
     `__post_init__` derives the monoid presentation once; like
     `MonoidPresentation._unit` it is a private field outside `==`, `hash`
-    and `repr`, and `presentation_from_kgraph` returns it.
+    and `repr`, and `presentation_from_kgraph` returns it.  `_answers`
+    starts empty and keeps the answers that depend on the matrices alone,
+    the coboundary result and the positive invariant vector, each stored by
+    the first query that asks (`states`, the only code that reads or writes
+    it); a model never asked holds only the shared empty tuple.  It too
+    stays out of `==`, `hash` and `repr`.
     """
 
     k: int
     vertices: tuple[str, ...]
     matrices: tuple[Matrix, ...]
     _presentation: MonoidPresentation = field(init=False, repr=False, compare=False)
+    _answers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_presentation", _kgraph_presentation(self))
+        object.__setattr__(self, "_answers", ())
 
     @property
     def dim(self) -> int:
         return len(self.vertices)
+
+
+def _require_model(model) -> None:
+    """Reject anything but a `KGraphModel`, never coerce it."""
+    if type(model) is not KGraphModel:
+        raise InputError(SCHEMA_VIOLATION, f"model must be a KGraphModel, got {model!r}",
+                         model=repr(model))
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -205,6 +220,7 @@ def kgraph_from_graph(graph: DirectedGraph) -> KGraphModel:
 
 def adjacency_power(model: KGraphModel, p: Sequence[int]) -> Matrix:
     """A^p = prod_i A_i^{p_i}; the factors commute so the order is immaterial."""
+    _require_model(model)
     if len(p) != model.k:
         raise InputError(DIMENSION_MISMATCH, f"power vector must have length {model.k}")
     for x in p:
@@ -223,6 +239,7 @@ def adjacency_power(model: KGraphModel, p: Sequence[int]) -> Matrix:
 
 def theta(model: KGraphModel, n: Sequence[int], f: Sequence[int]) -> Vector:
     """Transfer operator: theta(n, f) = (A^n)^t f, counting weighted paths in."""
+    _require_model(model)
     if len(f) != model.dim:
         raise InputError(DIMENSION_MISMATCH, "vector length does not match vertex count")
     for x in f:
@@ -247,6 +264,7 @@ def _kgraph_presentation(model: KGraphModel) -> MonoidPresentation:
 
 def presentation_from_kgraph(model: KGraphModel) -> MonoidPresentation:
     """The model's presentation, derived when the model was constructed."""
+    _require_model(model)
     return model._presentation
 
 
@@ -255,6 +273,7 @@ def relabel_kgraph(model: KGraphModel, perm: Sequence[int]) -> KGraphModel:
 
     The entries of `perm` must be `int`s (a `bool` is not one).
     """
+    _require_model(model)
     if any(type(p) is not int for p in perm) or sorted(perm) != list(range(model.dim)):
         raise InputError(BAD_REFERENCE, "not a permutation of the vertex indices")
     verts = tuple(model.vertices[p] for p in perm)
@@ -386,6 +405,7 @@ def structural_checks(model: KGraphModel) -> StructuralReport:
     successors ascending: a class is complete when its first-visited vertex
     finishes, which is the last of its vertices to finish.
     """
+    _require_model(model)
     n = model.dim
     A = [[sum(col) for col in zip(*rows)] for rows in zip(*model.matrices)]
     succ = [[w for w in range(n) if A[v][w]] for v in range(n)]

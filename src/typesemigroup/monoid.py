@@ -27,7 +27,8 @@ searches grow their levels with the same `_SearchTree.expand`, over the
 moves compiled to their nonzero coordinates (`_compiled_moves`) once per
 search.  `almost_unperforated_up_to` compiles them once per sweep and grows
 one tree per right-hand side eta, shared by every theta whose pair reaches
-the search (`_dominate`).
+the search (`_dominate`).  `classify`'s per-vertex (2, 1) tests run the
+order's ladder (`_decide_leq`) over moves compiled at most once per call.
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
@@ -884,9 +885,12 @@ def _dominate(tree: _SearchTree, moves, fs: list[Vector],
     return found, left, False
 
 
-def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget) -> DecisionOutcome:
-    """Breadth-first search from g for a congruent vector dominating f."""
-    moves = _compiled_moves(pres)
+def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
+             moves=None) -> DecisionOutcome:
+    """Breadth-first search from g for a congruent vector dominating f, over
+    `_compiled_moves`' list, compiled here when `moves` is None."""
+    if moves is None:
+        moves = _compiled_moves(pres)
     tree = _SearchTree(g)
     found, _, stopped = _dominate(tree, moves, [f], budget)
     if found:
@@ -940,9 +944,16 @@ def decide_leq(
     comes with a nonnegative (possibly extended-valued) invariant functional
     whose value at f strictly exceeds its value at g.
     """
-    budget = budget or DEFAULT_BUDGET
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
+    return _decide_leq(pres, f, g, budget or DEFAULT_BUDGET, lambda: _compiled_moves(pres))
+
+
+def _decide_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
+                moves) -> DecisionOutcome:
+    """`decide_leq`'s ladder on checked vectors: coordinatewise order, the
+    unit path, an order separator, then the search over the move list
+    `moves()` gives, asked for only when the search is reached."""
     if all(fv <= gv for fv, gv in zip(f, g)):
         return DecisionOutcome(
             Verdict.EQUIV,
@@ -954,7 +965,7 @@ def decide_leq(
     sep = _order_separator(pres, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    return _bfs_leq(pres, f, g, budget)
+    return _bfs_leq(pres, f, g, budget, moves())
 
 
 def kl_paradoxical(

@@ -18,6 +18,14 @@ witnesses are returned scaled to integers and verified by substitution.  The
 Stiemke cross-check solves the dual feasibility problem (a strictly positive
 invariant vector) independently and compares: a mismatch is a bug, never a
 property of the model.
+
+The coboundary result and the positive invariant vector depend on the
+matrices alone, so each is computed once per model, by whichever query asks
+first, after its check passes, and kept on the model (`KGraphModel._answers`,
+which no other module reads or writes); a call that raises keeps nothing.
+`classify`, `stiemke_crosscheck` and `faithful_finite_state` then share
+them.  A state at a target is solved on every call, and the faithful state
+is rescaled and checked positive and invariant on every call.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import ZERO_TARGET, ConsistencyError, InputError
-from .graphs import KGraphModel
+from .graphs import KGraphModel, _require_model
 from .cones import _cone_solution, least_admissible_support
 from .monoid import Vector, _ext_dot, _ext_invariant, _is_infinity, _is_int_tuple, _support, as_vector
 from .simplex import OPTIMAL, solve_lp
@@ -74,6 +82,7 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     positive at the target.  Each generator is checked by substitution, but
     the None itself carries no certificate.
     """
+    _require_model(model)
     target = as_vector(target, model.dim)
     seed = _support(target)
     if not seed:
@@ -98,6 +107,7 @@ def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool
     Malformed certificates, and objects that are not a `StateCertificate`,
     are rejected, never coerced.
     """
+    _require_model(model)
     if type(cert) is not StateCertificate:
         return False
     n = model.dim
@@ -120,12 +130,13 @@ def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
     A faithful state exists exactly when a strictly positive invariant
     vector does, and is then that vector (`positive_invariant_vector`)
     scaled to mass one, which is positive and invariant exactly when the
-    vector is.
+    vector is.  The vector is kept on the model; the check runs on every
+    call.
     """
     pos = positive_invariant_vector(model)
     if pos is None:
         return None
-    if not (all(x > 0 for x in pos) and _ext_invariant(model._presentation, pos)):
+    if not _positive_invariant(model, pos):
         raise ConsistencyError("faithful state is not positive and invariant")
     total = sum(pos)
     return tuple(x / total for x in pos)
@@ -138,7 +149,12 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
     scales to an integer witness, so HOLDS (infeasible) is exact.  One LP:
     a column per y_v, then each free z_i[w] as the difference of two
     adjacent nonnegative columns; a row per vertex, then the mass row.
+    The result is kept on the model once its witness passes substitution.
     """
+    _require_model(model)
+    kept = _kept(model, "coboundary")
+    if kept is not _UNASKED:
+        return kept
     n = model.dim
     ncols = n + 2 * model.k * n
     A = []
@@ -155,7 +171,7 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
     A.append([1] * n + [0] * (ncols - n))
     sol = solve_lp(A, [0] * n + [1], [0] * ncols)
     if sol.status != OPTIMAL:
-        return CoboundaryResult(holds=True)
+        return _keep(model, "coboundary", CoboundaryResult(holds=True))
     x = sol.x
     zs = [[x[c] - x[c + 1] for c in range(n + 2 * i * n, n + 2 * (i + 1) * n, 2)]
           for i in range(model.k)]
@@ -165,7 +181,7 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
     result = CoboundaryResult(holds=False, witness_y=y, witness_z=z)
     if not verify_coboundary_witness(model, result):
         raise ConsistencyError("scaled coboundary witness fails substitution")
-    return result
+    return _keep(model, "coboundary", result)
 
 
 def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> bool:
@@ -173,6 +189,7 @@ def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> b
 
     y and each of the k vectors z_i must be tuples of `model.dim` ints.
     """
+    _require_model(model)
     n = model.dim
     y, z = result.witness_y, result.witness_z
     if result.holds or not _is_int_tuple(y, n):
@@ -191,18 +208,56 @@ def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> b
 
 
 def positive_invariant_vector(model: KGraphModel) -> tuple[Fraction, ...] | None:
-    """Strictly positive y with A_i y = y for all i (entries >= 1 after scaling)."""
+    """Strictly positive y with A_i y = y for all i (entries >= 1 after scaling).
+
+    The invariant cone on every vertex with y_v >= 1 (`cones._cone_solution`):
+    refuted without an LP when no cone generator is positive at some vertex,
+    otherwise decided by one feasibility LP.  A vector found is checked
+    positive and invariant, or `ConsistencyError` is raised; the answer,
+    None included, is kept on the model.
+    """
+    _require_model(model)
+    kept = _kept(model, "positive")
+    if kept is not _UNASKED:
+        return kept
     n = model.dim
     values = _cone_solution(model._presentation, (1 << n) - 1, [({v: 1}, ">=") for v in range(n)])
-    return None if values is None else tuple(values)
+    pos = None if values is None else tuple(values)
+    if pos is not None and not _positive_invariant(model, pos):
+        raise ConsistencyError("positive invariant vector is not positive and invariant")
+    return _keep(model, "positive", pos)
+
+
+def _positive_invariant(model: KGraphModel, pos: tuple) -> bool:
+    return all(x > 0 for x in pos) and _ext_invariant(model._presentation, pos)
+
+
+_UNASKED = object()  # no answer kept yet
+
+
+def _kept(model: KGraphModel, key: str):
+    """The answer kept on the model under `key`, or `_UNASKED`."""
+    for k, answer in model._answers:
+        if k == key:
+            return answer
+    return _UNASKED
+
+
+def _keep(model: KGraphModel, key: str, answer):
+    """Keep `answer` on the model under `key` and return it."""
+    object.__setattr__(model, "_answers", model._answers + ((key, answer),))
+    return answer
 
 
 def stiemke_crosscheck(model: KGraphModel) -> StiemkeResult:
     """Two independent routes to the same dichotomy must agree.
 
-    The coboundary LP and the positive-invariant-vector LP are a strict
-    alternative: exactly one of them is feasible.  Disagreement indicates an
-    implementation bug, not a mathematical possibility.
+    The coboundary condition (one LP on the matrices) and a strictly
+    positive invariant vector (the invariant cone, refuted by its
+    generators or decided by one LP) are a strict alternative: exactly one
+    of them exists.  Disagreement indicates an implementation bug, not a
+    mathematical possibility.  Both answers are kept on the model, so after
+    `classify` this solves nothing.
     """
     cob = coboundary_check(model)
     pos = positive_invariant_vector(model)

@@ -1,10 +1,18 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import typesemigroup as ts
+from typesemigroup import monoid
 from typesemigroup.classify import DEFAULT_CLASSIFY_BUDGETS
+from typesemigroup.monoid import _order_separator
+
+from test_states import ensemble_model
+
+# the module, which the package's `classify` function shadows as an attribute
+classify_module = importlib.import_module("typesemigroup.classify")
 
 
 class TestCuratedVerdicts:
@@ -186,3 +194,66 @@ class TestBudgetValidation:
 
     def test_none_is_the_default(self, two_loops):
         assert ts.classify(two_loops, None) == ts.classify(two_loops, DEFAULT_CLASSIFY_BUDGETS)
+
+
+def _sweep_models(seed, count=48):
+    """Seeded ensemble models, k = 1 and 2, with the classify budget (a tiny
+    search for some, so that classify reaches the unperforation sweep)."""
+    rng = random.Random(seed)
+    fixed = [ts.validate_kgraph(["v"], [[[2]]]), ts.validate_kgraph(["v"], [[[2]], [[3]]]),
+             ts.validate_kgraph(["u", "w"], [[[0, 2], [2, 0]]])]
+    for model in fixed + [ensemble_model(rng, rng.randint(1, 5), i % 3, 1 + i // 3 % 2)
+                          for i in range(count)]:
+        search = ts.SearchBudget(4, 1) if rng.random() < 0.3 else ts.SearchBudget(300, 6)
+        yield model, ts.ClassifyBudgets(search, 1, 200)
+
+
+class TestParadoxSweep:
+    def test_results_equal_a_per_vertex_kl_paradoxical_loop(self):
+        swept = {1: 0, 2: 0}
+        verdicts = set()
+        for model, budgets in _sweep_models(61):
+            report = ts.classify(model, budgets)
+            if report.paradox_results is None:
+                continue
+            pres, n = model._presentation, model.dim
+            expected = tuple(
+                (v, ts.kl_paradoxical(pres, ts.unit_vector(n, vi), 2, 1, budgets.search))
+                for vi, v in enumerate(model.vertices))
+            assert report.paradox_results == expected
+            assert repr(report.paradox_results) == repr(expected)
+            swept[model.k] += 1
+            verdicts.update(outcome.verdict for _, outcome in expected)
+        assert min(swept.values()) >= 3
+        assert verdicts == {ts.Verdict.EQUIV, ts.Verdict.NOT_EQUIV, ts.Verdict.UNKNOWN}
+
+    def test_moves_compiled_at_most_once_per_classify(self, monkeypatch):
+        # the paradox sweep compiles the moves once, when the first vertex
+        # reaches the search, and never when no vertex does; the
+        # unperforation sweep compiles its own, once, inside monoid
+        swept, shared = [], []
+        real_compile = monoid._compiled_moves
+
+        def counting(into):
+            def compile_moves(p):
+                into.append(1)
+                return real_compile(p)
+            return compile_moves
+
+        monkeypatch.setattr(classify_module, "_compiled_moves", counting(swept))
+        monkeypatch.setattr(monoid, "_compiled_moves", counting(shared))
+        seen = set()
+        for model, budgets in _sweep_models(67):
+            pres, n = model._presentation, model.dim
+            swept.clear()
+            shared.clear()
+            report = ts.classify(model, budgets)
+            searched = report.paradox_results is not None and pres._unit is None and sum(
+                _order_separator(pres, tuple(2 * x for x in e), e) is None
+                for e in (ts.unit_vector(n, vi) for vi in range(n)))
+            assert len(swept) == (searched > 0)
+            assert len(shared) <= (report.unperforation is not None)
+            seen.add((report.paradox_results is not None, min(searched, 2)))
+        # no sweep; a sweep with no search; one with a search at one vertex,
+        # and at several
+        assert seen >= {(False, 0), (True, 0), (True, 1), (True, 2)}

@@ -2,8 +2,9 @@
 
 A presentation carries its unit-move structure and the supports of its move
 sides (and keeps a memo of cone generators, filled by queries; see
-`test_monoid.TestConeMemo`), a k-graph model its presentation, and an action
-its orbit index.  These tests pin that the derived fields stay out of
+`test_monoid.TestConeMemo`), a k-graph model its presentation (and keeps its
+coboundary result and positive invariant vector once asked; see
+`test_states.TestModelAnswers`), and an action its orbit index.  These tests pin that the derived fields stay out of
 equality, hashing and repr, that every way of building a model derives the
 same form, that the deciders agree with reference copies that rebuild the
 form on every call, and that no query rebuilds it.
@@ -23,8 +24,8 @@ from typesemigroup.monoid import _equiv_unit, _leq_unit, _unit_structure, as_vec
 from test_acceptance import _all_small_actions, _dedupe
 from test_monoid import _kgraph_presentation
 
-DERIVED = {ts.MonoidPresentation: ("_unit", "_supports", "_cones"), ts.KGraphModel: ("_presentation",),
-           ts.FiniteGroupAction: ("_roots",)}
+DERIVED = {ts.MonoidPresentation: ("_unit", "_supports", "_cones"),
+           ts.KGraphModel: ("_presentation", "_answers"), ts.FiniteGroupAction: ("_roots",)}
 
 
 @pytest.fixture(scope="module")

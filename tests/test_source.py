@@ -4,7 +4,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
-from typesemigroup import MonoidPresentation
+from typesemigroup import KGraphModel, MonoidPresentation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "typesemigroup"
 
@@ -99,4 +99,30 @@ def test_one_home_of_the_cone_layer():
                             "monoid.py:MonoidPresentation.__post_init__"]
     private = [f for f in dataclasses.fields(MonoidPresentation) if f.name.startswith("_")]
     assert [f.name for f in private] == ["_unit", "_supports", "_cones"]
+    assert [f.name for f in private if f.init or f.compare or f.repr] == []
+
+
+def test_one_home_of_the_model_answers():
+    # the model's kept answers, `_answers`, are read and written in `states`
+    # alone: the model only declares the field and sets its initial value.
+    # Like every private field of the model it is derived, and out of `==`,
+    # `hash` and `repr`.
+    memo = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where[-1] != ":" else where + node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "_answers") or (
+                isinstance(node, ast.Name) and node.id == "_answers") or (
+                isinstance(node, ast.Constant) and node.value == "_answers"):
+            memo.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "states.py":
+            visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), f"{path.name}:")
+    assert sorted(memo) == ["graphs.py:KGraphModel", "graphs.py:KGraphModel.__post_init__"]
+    private = [f for f in dataclasses.fields(KGraphModel) if f.name.startswith("_")]
+    assert [f.name for f in private] == ["_presentation", "_answers"]
     assert [f.name for f in private if f.init or f.compare or f.repr] == []

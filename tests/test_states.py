@@ -502,7 +502,9 @@ class TestFaithfulFiniteState:
 
     def test_bad_average_raises_consistency_error(self, monkeypatch):
         # the check must survive python -O, so it cannot be an assert; the
-        # swap model's vector (1, 1) becomes (2, 1), which no move fixes
+        # swap model's vector (1, 1) becomes (2, 1), which no move fixes.
+        # The model is built here: one asked before would answer from what
+        # it keeps, and the patched solver would never run
         real = cones_module.solve_lp
 
         def skewed(*args, **kwargs):
@@ -511,6 +513,23 @@ class TestFaithfulFiniteState:
 
         monkeypatch.setattr(cones_module, "solve_lp", skewed)
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
+        with pytest.raises(ts.ConsistencyError):
+            ts.faithful_finite_state(m)
+        # the vector failed its check, so nothing is kept and asking again
+        # solves, and raises, again
+        assert m._answers == ()
+        for query in (ts.faithful_finite_state, ts.positive_invariant_vector, ts.stiemke_crosscheck):
+            with pytest.raises(ts.ConsistencyError):
+                query(m)
+        monkeypatch.undo()
+        assert ts.faithful_finite_state(m) == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_a_kept_vector_is_checked_on_every_call(self):
+        # a vector kept on the model that is not invariant is still caught
+        m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
+        assert ts.positive_invariant_vector(m) == (1, 1)
+        object.__setattr__(m, "_answers", tuple(
+            (key, (2, 1) if key == "positive" else answer) for key, answer in m._answers))
         with pytest.raises(ts.ConsistencyError):
             ts.faithful_finite_state(m)
 
@@ -542,10 +561,27 @@ class TestCoboundary:
         assert res.witness_z == ((-1,),)
         assert ts.verify_coboundary_witness(two_loops, res)
 
-    def test_rejected_witness_raises_consistency_error(self, monkeypatch, two_loops):
+    def test_rejected_witness_raises_consistency_error(self, monkeypatch):
+        # built here, not the shared fixture: a model asked before answers
+        # from what it keeps, and the patched check would never run
+        model = ts.validate_kgraph(["v"], [[[2]]])
         monkeypatch.setattr(states_module, "verify_coboundary_witness", lambda model, res: False)
         with pytest.raises(ts.ConsistencyError):
-            ts.coboundary_check(two_loops)
+            ts.coboundary_check(model)
+        # a call that raises keeps nothing, so the next one solves, and
+        # raises, again
+        assert model._answers == ()
+        for query in (ts.coboundary_check, ts.stiemke_crosscheck):
+            with pytest.raises(ts.ConsistencyError):
+                query(model)
+            assert model._answers == ()
+        # classify asks for the positive vector first, which is kept
+        with pytest.raises(ts.ConsistencyError):
+            ts.classify(model)
+        assert model._answers == (("positive", None),)
+        monkeypatch.undo()
+        res = ts.coboundary_check(model)
+        assert not res.holds and ts.verify_coboundary_witness(model, res)
 
     def test_swap_holds(self):
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
@@ -591,3 +627,115 @@ class TestStiemke:
             assert res.consistent
             faithful = ts.faithful_finite_state(model)
             assert (faithful is not None) == res.coboundary_holds
+
+
+def _twin(model):
+    """An equal model that has been asked nothing."""
+    return ts.KGraphModel(model.k, model.vertices, model.matrices)
+
+
+MODEL_QUERIES = {
+    "classify": ts.classify,
+    "stiemke_crosscheck": ts.stiemke_crosscheck,
+    "faithful_finite_state": ts.faithful_finite_state,
+    "coboundary_check": ts.coboundary_check,
+    "positive_invariant_vector": ts.positive_invariant_vector,
+}
+
+
+def _memo_models(seed, count=30):
+    rng = random.Random(seed)
+    models = [ensemble_model(rng, rng.randint(1, 5), i % 3, 1 + i // 3 % 2) for i in range(count)]
+    return models + [sparse_model(rng) for _ in range(count // 3)]
+
+
+class TestModelAnswers:
+    """The coboundary result and the positive invariant vector are kept on
+    the model by the first query that asks; the answers are those of a
+    model asked nothing."""
+
+    def test_any_order_answers_as_a_fresh_twin(self):
+        rng = random.Random(97)
+        holds = set()
+        for model in _memo_models(97):
+            expected = {name: query(_twin(model)) for name, query in MODEL_QUERIES.items()}
+            # the second round answers from what the first kept
+            for _ in range(2):
+                for name in rng.sample(sorted(MODEL_QUERIES), len(MODEL_QUERIES)):
+                    got = MODEL_QUERIES[name](model)
+                    assert got == expected[name] and repr(got) == repr(expected[name])
+            twin = _twin(model)
+            assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
+            assert sorted(key for key, _ in model._answers) == [
+                "coboundary", "positive"]
+            assert ts.coboundary_check(model) is ts.coboundary_check(model)
+            holds.add(ts.coboundary_check(model).holds)
+        assert holds == {True, False}
+
+    def test_one_coboundary_lp_and_one_cone_solve_per_model(self, monkeypatch):
+        # classify and then stiemke_crosscheck, the classify ensemble's unit,
+        # solve the coboundary LP once and the positive vector's cone once
+        coboundary_lps, positive_cones = [], []
+        real_solve, real_cone = states_module.solve_lp, states_module._cone_solution
+
+        def counted_solve(*args, **kwargs):
+            coboundary_lps.append(1)
+            return real_solve(*args, **kwargs)
+
+        def counted_cone(pres, F, rows):
+            if all(op == ">=" for _, op in rows):
+                positive_cones.append(1)
+            return real_cone(pres, F, rows)
+
+        monkeypatch.setattr(states_module, "solve_lp", counted_solve)
+        monkeypatch.setattr(states_module, "_cone_solution", counted_cone)
+        for model in _memo_models(101):
+            coboundary_lps.clear()
+            positive_cones.clear()
+            ts.classify(model)
+            ts.stiemke_crosscheck(model)
+            assert len(coboundary_lps) == len(positive_cones) == 1
+            # the model-only queries now solve nothing; classify still
+            # solves its per-vertex questions on every call
+            with monkeypatch.context() as patch:
+                cone_lps = count_lp_solves(patch)
+                for name, query in MODEL_QUERIES.items():
+                    if name != "classify":
+                        query(model)
+            assert len(coboundary_lps) == len(positive_cones) == 1 and cone_lps == []
+
+    def test_per_call_queries_keep_nothing(self):
+        # states at a target and the structural checks are asked per call,
+        # and a model built from an asked one starts empty
+        for model in _memo_models(103, 9):
+            ts.structural_checks(model)
+            for v in range(model.dim):
+                ts.solve_state_at(model, ts.unit_vector(model.dim, v))
+            assert model._answers == ()
+            ts.stiemke_crosscheck(model)
+            assert len(model._answers) == 2
+            assert ts.relabel_kgraph(model, list(range(model.dim))[::-1])._answers == ()
+            assert dataclasses.replace(model)._answers == ()
+
+
+@pytest.mark.parametrize("bad", [5, None, [[1]], "v", {"k": 1, "vertices": ["v"], "matrices": [[[2]]]},
+                                 ts.build_presentation(1, [((1,), (2,))])],
+                         ids=["int", "None", "matrix", "str", "dict", "presentation"])
+@pytest.mark.parametrize("query", [
+    ts.classify, ts.structural_checks, ts.faithful_finite_state, ts.coboundary_check,
+    ts.positive_invariant_vector, ts.stiemke_crosscheck,
+    lambda model: ts.solve_state_at(model, (1,)), ts.presentation_from_kgraph,
+    lambda model: ts.relabel_kgraph(model, [0]), lambda model: ts.adjacency_power(model, (1,)),
+    lambda model: ts.theta(model, (1,), (1,)),
+    lambda model: ts.verify_state_certificate(model, ts.StateCertificate((1,), (1,), (0,))),
+    lambda model: ts.verify_coboundary_witness(model, ts.CoboundaryResult(False, (1,), ((-1,),)))],
+    ids=["classify", "structural_checks", "faithful_finite_state", "coboundary_check",
+         "positive_invariant_vector", "stiemke_crosscheck", "solve_state_at",
+         "presentation_from_kgraph", "relabel_kgraph", "adjacency_power", "theta",
+         "verify_state_certificate", "verify_coboundary_witness"])
+def test_what_is_not_a_model_is_rejected(query, bad):
+    # a schema error, never an AttributeError from deep inside, and never a
+    # verifier's False
+    with pytest.raises(ts.InputError) as info:
+        query(bad)
+    assert info.value.code == "SCHEMA_VIOLATION"
