@@ -102,13 +102,15 @@ class ClassificationReport:
 def _paradox_sweep(model: KGraphModel, budget: SearchBudget):
     """`kl_paradoxical(pres, e_v, 2, 1, budget)` at every vertex v, in order:
     the same ladder (`monoid._decide_leq`), with the moves compiled once,
-    when the first vertex reaches the search, and shared by the rest."""
+    when the first vertex reaches the search, and shared by the rest.  Every
+    root e_v and target 2 e_v has coordinates up to 2, so one layout holds
+    them all."""
     pres = model._presentation
-    moves = cache(lambda: _compiled_moves(pres))
+    layout = cache(lambda: _compiled_moves(pres, budget.max_coord, 2))
     results = []
     for vi, v in enumerate(model.vertices):
         e = unit_vector(model.dim, vi)
-        results.append((v, _decide_leq(pres, vec_scale(2, e), e, budget, moves)))
+        results.append((v, _decide_leq(pres, vec_scale(2, e), e, budget, layout)))
     return tuple(results)
 
 

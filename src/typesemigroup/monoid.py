@@ -23,12 +23,16 @@ different least admissible supports are never congruent, and the extended
 separator 0 on one of those supports and oo off it shows it.  The order
 tries `_order_separator`, which asks the least admissible support of g
 alone: rational when it is the full support, extended otherwise.  Both
-searches grow their levels with the same `_SearchTree.expand`, over the
-moves compiled to their nonzero coordinates (`_compiled_moves`) once per
-search.  `almost_unperforated_up_to` compiles them once per sweep and grows
-one tree per right-hand side eta, shared by every theta whose pair reaches
-the search (`_dominate`).  `classify`'s per-vertex (2, 1) tests run the
-order's ladder (`_decide_leq`) over moves compiled at most once per call.
+searches grow their levels with the same `_SearchTree.expand`, over
+states packed into one int each, with the moves compiled once per search
+to packed ints of the same layout (`_compiled_moves`, `_Layout`): a move
+is tested by one guarded subtraction and applied as s - need + give, and
+certificates are unpacked only when a result is returned.
+`almost_unperforated_up_to` compiles them once per sweep, in one layout
+for its whole span, and grows one tree per right-hand side eta, shared by
+every theta whose pair reaches the search (`_dominate`).  `classify`'s
+per-vertex (2, 1) tests run the order's ladder (`_decide_leq`) over moves
+compiled at most once per call.
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
@@ -724,32 +728,72 @@ def _leq_unit(pres: MonoidPresentation, unit: _UnitStructure, f: Vector, g: Vect
 # bounded search
 
 
-def _compiled_moves(pres: MonoidPresentation):
-    """Both directions of every move, in move order, compiled once per
-    search: (idx, direction, need, delta, the nonzero (i, need_i), the
-    nonzero (i, delta_i), the coordinates the delta raises)."""
-    comp = []
-    for i, mv in enumerate(pres.moves):
-        forward = tuple([b - a for a, b in zip(mv.lhs, mv.rhs)])
-        for dn, need, delta in ((Direction.FORWARD, mv.lhs, forward),
-                                (Direction.BACKWARD, mv.rhs, tuple([-x for x in forward]))):
-            comp.append((i, dn, need, delta,
-                         [(j, x) for j, x in enumerate(need) if x],
-                         [(j, x) for j, x in enumerate(delta) if x],
-                         [j for j, x in enumerate(delta) if x > 0]))
-    return comp
+class _Layout:
+    """One search's packing of vectors into ints, and its compiled moves.
+
+    Coordinate i sits in field i, `bits` bits at offset i * (bits + 1),
+    under one guard bit; `guard` has every guard bit set.  Width condition:
+    2**bits > max(cap, c) + e, where c is the largest coordinate of any
+    vector the search packs (its roots and `_dominate`'s targets) and e the
+    largest move entry.  Under it no field borrows from or carries into the
+    next, so one int operation tests or moves every coordinate at once:
+
+    * s covers a packed v iff ((s | guard) - v) & guard == guard: each
+      field's guard bit survives exactly when s_i >= v_i;
+    * a move from need to give turns s into s - need + give;
+    * a state exceeds the cap iff (s + over) & guard, where `over` adds
+      2**bits - 1 - cap to every field.
+
+    `moves` holds both directions of every move, in move order, as
+    (idx, direction, need, give) with need and give packed.
+    """
+
+    __slots__ = ("dim", "stride", "mask", "guard", "over", "moves")
+
+    def __init__(self, pres: MonoidPresentation, cap: int, bits: int):
+        self.dim = pres.dim
+        self.stride = bits + 1
+        self.mask = (1 << bits) - 1
+        self.guard = self.pack((1 << bits,) * pres.dim)
+        self.over = self.pack((self.mask - cap,) * pres.dim)
+        self.moves = []
+        for i, mv in enumerate(pres.moves):
+            lhs, rhs = self.pack(mv.lhs), self.pack(mv.rhs)
+            self.moves.append((i, Direction.FORWARD, lhs, rhs))
+            self.moves.append((i, Direction.BACKWARD, rhs, lhs))
+
+    def pack(self, vec: Vector) -> int:
+        state = 0
+        for x in reversed(vec):
+            state = state << self.stride | x
+        return state
+
+    def unpack(self, state: int) -> Vector:
+        mask = self.mask
+        return tuple([state >> shift & mask
+                      for shift in range(0, self.dim * self.stride, self.stride)])
 
 
-def _back_steps(visited: dict, moves, state: Vector) -> list[RewriteStep]:
-    """The steps from the root to `state`.  Each step is the first compiled
-    move that takes the parent to the child, which is the one `expand`
-    recorded: it tries a state's moves in the same order."""
+def _compiled_moves(pres: MonoidPresentation, cap: int, largest: int) -> _Layout:
+    """The narrowest `_Layout` of a search within coordinate `cap` that
+    meets the width condition for roots and targets whose coordinates are
+    at most `largest`; packing a larger coordinate breaks it."""
+    entry = max((max(mv.lhs + mv.rhs) for mv in pres.moves), default=0)
+    return _Layout(pres, cap, (max(cap, largest) + entry).bit_length())
+
+
+def _back_steps(visited: dict, layout: _Layout, state: int) -> list[RewriteStep]:
+    """The steps from the root to `state`, both packed by `layout`.  Each
+    step is the first compiled move that applies to the parent and takes it
+    to the child, which is the one `expand` recorded: it tries a state's
+    moves in the same order."""
+    guard = layout.guard
     steps = []
     prev = visited[state]
     while prev is not None:
-        for (idx, dn, need, delta, *_) in moves:
-            if all(pv >= nv and pv + dv == sv
-                   for pv, nv, dv, sv in zip(prev, need, delta, state)):
+        armed = prev | guard
+        for (idx, dn, need, give) in layout.moves:
+            if (armed - need) & guard == guard and prev - need + give == state:
                 steps.append(RewriteStep(idx, dn))
                 break
         state, prev = prev, visited[prev]
@@ -758,54 +802,42 @@ def _back_steps(visited: dict, moves, state: Vector) -> list[RewriteStep]:
 
 
 class _SearchTree:
-    """One breadth-first search: visited states, each mapped to its parent,
-    and the current frontier."""
+    """One breadth-first search over packed states: visited states, each
+    mapped to its parent, and the current frontier."""
 
     __slots__ = ("visited", "frontier", "cap_hit")
 
-    def __init__(self, root: Vector):
+    def __init__(self, root: int):
         self.visited: dict = {root: None}
-        self.frontier: list[Vector] = [root]
+        self.frontier: list[int] = [root]
         self.cap_hit = False
 
-    def expand(self, moves, cap: int):
+    def expand(self, layout: _Layout):
         """Advance the frontier one level, yielding each newly visited state
         in discovery order.  A caller that stops early ends the search.
 
-        `moves` is `_compiled_moves`' list.  A move applies when the state
-        covers its nonzero need coordinates, and the new state is the state
-        plus the move's nonzero delta coordinates.  A state within the cap
-        leaves it only through a coordinate the move raises, so only those
-        are checked.  Only a root can lie above the cap, and its new states
-        get the full test, on every coordinate.
+        The root must be packed by `layout`, under its width condition.
+        Each state tries `layout.moves` in order: a move applies when the
+        state covers its need, and the new state is kept unless it exceeds
+        the cap on some coordinate, which sets `cap_hit` instead.  A state
+        within the cap can exceed it only where the move raises a
+        coordinate, and a root above the cap anywhere; one mask test covers
+        both.
         """
         visited = self.visited
-        nxt: list[Vector] = []
+        guard, over = layout.guard, layout.over
+        nxt = []
         for state in self.frontier:
-            everywhere = range(len(state)) if max(state) > cap else None
-            for (_, _, _, _, need, delta, raised) in moves:
-                for i, nv in need:
-                    if state[i] < nv:
-                        break
-                else:
-                    new = list(state)
-                    for i, dv in delta:
-                        new[i] += dv
-                    for i in everywhere or raised:
-                        if new[i] > cap:
-                            self.cap_hit = True
-                            break
-                    else:
-                        # From a list, the tuple is allocated at its final
-                        # size; tuple() of a generator resizes a 10-slot
-                        # tuple, and every freed state would then grow
-                        # CPython's free list of dim-sized tuples, which only
-                        # a full collection empties.
-                        new = tuple(new)
-                        if new not in visited:
-                            visited[new] = state
-                            yield new
-                            nxt.append(new)
+            armed = state | guard
+            for (_, _, need, give) in layout.moves:
+                if (armed - need) & guard == guard:
+                    new = state - need + give
+                    if (new + over) & guard:
+                        self.cap_hit = True
+                    elif new not in visited:
+                        visited[new] = state
+                        yield new
+                        nxt.append(new)
         self.frontier = nxt
 
 
@@ -816,8 +848,8 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
     level sets, not on intra-level ordering (this keeps verdicts invariant
     under coordinate relabeling).
     """
-    moves = _compiled_moves(pres)
-    from_f, from_g = _SearchTree(f), _SearchTree(g)
+    layout = _compiled_moves(pres, budget.max_coord, max(f + g))
+    from_f, from_g = _SearchTree(layout.pack(f)), _SearchTree(layout.pack(g))
 
     def report(exhausted: bool) -> DecisionOutcome:
         return DecisionOutcome(
@@ -836,10 +868,10 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
             mine, other = from_f, from_g
         else:
             mine, other = from_g, from_f
-        for new in mine.expand(moves, budget.max_coord):
+        for new in mine.expand(layout):
             if new in other.visited:
-                steps_f = _back_steps(from_f.visited, moves, new)
-                steps_g = _back_steps(from_g.visited, moves, new)
+                steps_f = _back_steps(from_f.visited, layout, new)
+                steps_g = _back_steps(from_g.visited, layout, new)
                 inverted = [
                     RewriteStep(s.move_index, _flip(s.direction))
                     for s in reversed(steps_g)
@@ -858,23 +890,27 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
     return report(exhausted=not (from_f.cap_hit or from_g.cap_hit))
 
 
-def _dominate(tree: _SearchTree, moves, fs: list[Vector],
-              budget: SearchBudget) -> tuple[dict, list[Vector], bool]:
+def _dominate(tree: _SearchTree, layout: _Layout, fs: list[int],
+              budget: SearchBudget) -> tuple[dict, list[int], bool]:
     """Grow `tree` by whole levels until a visited state dominates every f in
     `fs`, the frontier runs out, or a level ends with more than
     `budget.max_states` states visited.
 
+    The fs are packed by `layout`, and its width condition must hold for
+    them as for the root: a wider f would spill into the next field.
     Returns the first new state that dominates each f found, as a dict, the
-    fs left undominated, in order, and whether the budget stopped the search.
-    The root is not tested.  The levels do not depend on `fs`, and the search
-    stops only at the end of a level or once no f is left, so f is found
-    exactly when a search for f alone would find it.
+    fs left undominated, in order, and whether the budget stopped the
+    search.  The root is not tested.  The levels do not depend on `fs`, and
+    the search stops only at the end of a level or once no f is left, so f
+    is found exactly when a search for f alone would find it.
     """
+    guard = layout.guard
     found: dict = {}
     left = list(fs)
     while tree.frontier:
-        for new in tree.expand(moves, budget.max_coord):
-            hit = [f for f in left if all(map(operator.ge, new, f))]
+        for new in tree.expand(layout):
+            armed = new | guard
+            hit = [f for f in left if (armed - f) & guard == guard]
             if hit:
                 found.update(dict.fromkeys(hit, new))
                 left = [f for f in left if f not in found]
@@ -886,19 +922,21 @@ def _dominate(tree: _SearchTree, moves, fs: list[Vector],
 
 
 def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
-             moves=None) -> DecisionOutcome:
+             layout: _Layout | None = None) -> DecisionOutcome:
     """Breadth-first search from g for a congruent vector dominating f, over
-    `_compiled_moves`' list, compiled here when `moves` is None."""
-    if moves is None:
-        moves = _compiled_moves(pres)
-    tree = _SearchTree(g)
-    found, _, stopped = _dominate(tree, moves, [f], budget)
+    the `_Layout` `layout`, compiled here when it is None; its fields must
+    hold f and g."""
+    if layout is None:
+        layout = _compiled_moves(pres, budget.max_coord, max(f + g))
+    tree = _SearchTree(layout.pack(g))
+    found, _, stopped = _dominate(tree, layout, [layout.pack(f)], budget)
     if found:
-        new = found[f]
+        [new] = found.values()
+        end = layout.unpack(new)
         return DecisionOutcome(
             Verdict.EQUIV,
-            certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, moves, new)), new),
-            slack=vec_sub(new, f),
+            certificate=EquivCertificate(g, tuple(_back_steps(tree.visited, layout, new)), end),
+            slack=vec_sub(end, f),
         )
     return DecisionOutcome(
         Verdict.UNKNOWN,
@@ -946,14 +984,17 @@ def decide_leq(
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
-    return _decide_leq(pres, f, g, budget or DEFAULT_BUDGET, lambda: _compiled_moves(pres))
+    budget = budget or DEFAULT_BUDGET
+    return _decide_leq(pres, f, g, budget,
+                       lambda: _compiled_moves(pres, budget.max_coord, max(f + g)))
 
 
 def _decide_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
-                moves) -> DecisionOutcome:
+                layout) -> DecisionOutcome:
     """`decide_leq`'s ladder on checked vectors: coordinatewise order, the
-    unit path, an order separator, then the search over the move list
-    `moves()` gives, asked for only when the search is reached."""
+    unit path, an order separator, then the search over the `_Layout`
+    `layout()` gives, asked for only when the search is reached; its fields
+    must hold f and g."""
     if all(fv <= gv for fv, gv in zip(f, g)):
         return DecisionOutcome(
             Verdict.EQUIV,
@@ -965,7 +1006,7 @@ def _decide_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBu
     sep = _order_separator(pres, f, g)
     if sep is not None:
         return DecisionOutcome(Verdict.NOT_EQUIV, separator=sep)
-    return _bfs_leq(pres, f, g, budget, moves())
+    return _bfs_leq(pres, f, g, budget, layout())
 
 
 def kl_paradoxical(
@@ -1079,9 +1120,11 @@ def almost_unperforated_up_to(
             if not (supports[i] & ~F or refuted(F, i, j)):
                 searches.setdefault(eta, []).append(theta)
         if searches:
-            moves = _compiled_moves(pres)
             budget = budget or DEFAULT_BUDGET
+            layout = _compiled_moves(pres, budget.max_coord, max(map(max, span)))
+            pack = layout.pack
             for eta, thetas in searches.items():
-                unknown += len(_dominate(_SearchTree(eta), moves, thetas, budget)[1])
+                unknown += len(_dominate(_SearchTree(pack(eta)), layout,
+                                         [pack(theta) for theta in thetas], budget)[1])
     return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)
 

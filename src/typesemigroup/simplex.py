@@ -124,8 +124,10 @@ def solve_lp(A: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
         y = [D - Z[n + i] if b[i] >= 0 else Z[n + i] - D for i in range(m)]
         if not _check_farkas(A, b, y):
             raise ConsistencyError("internal: Farkas certificate failed substitution")
-        # built from a list, so the tuple is allocated at its final size
-        # (see `monoid._SearchTree.expand`)
+        # built from a list, so the tuple is allocated at its final size:
+        # tuple() of a generator resizes a 10-slot tuple, and every freed one
+        # would grow CPython's free list of tuples of that size, which only a
+        # full collection empties
         return LPSolution(INFEASIBLE, farkas=tuple([Fraction(v, D) for v in y]))
     x = [Fraction(0)] * n
     for row, j in zip(T, basis):

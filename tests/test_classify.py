@@ -235,9 +235,9 @@ class TestParadoxSweep:
         real_compile = monoid._compiled_moves
 
         def counting(into):
-            def compile_moves(p):
+            def compile_moves(p, cap, largest):
                 into.append(1)
-                return real_compile(p)
+                return real_compile(p, cap, largest)
             return compile_moves
 
         monkeypatch.setattr(classify_module, "_compiled_moves", counting(swept))

@@ -1180,9 +1180,10 @@ class TestCompiledSweep:
         compiled, roots = [], []
         real_compile, real_tree = monoid._compiled_moves, monoid._SearchTree
 
-        def counting_compile(p):
-            compiled.append(1)
-            return real_compile(p)
+        def counting_compile(p, cap, largest):
+            layout = real_compile(p, cap, largest)
+            compiled.append(layout)
+            return layout
 
         class CountingTree(real_tree):
             def __init__(self, root):
@@ -1210,23 +1211,25 @@ class TestCompiledSweep:
                     assert compiled == [] and roots == []
                     continue
                 assert len(compiled) == (1 if searched else 0)
-                assert sorted(roots) == sorted(set(searched))
+                assert sorted(layout.unpack(root) for layout in compiled
+                              for root in roots) == sorted(set(searched))
                 shared += len(searched) > len(roots)
         assert shared >= 5
 
 def _parent_bfs_leq(p, f, g, budget):
     """`_bfs_leq` with its own level loop, as it was before the sweep shared
     its searches."""
-    moves = monoid._compiled_moves(p)
-    tree = monoid._SearchTree(g)
+    layout = monoid._compiled_moves(p, budget.max_coord, max(f + g))
+    tree = monoid._SearchTree(layout.pack(g))
     while tree.frontier:
-        for new in tree.expand(moves, budget.max_coord):
-            if all(nv >= fv for nv, fv in zip(new, f)):
+        for new in tree.expand(layout):
+            end = layout.unpack(new)
+            if all(nv >= fv for nv, fv in zip(end, f)):
                 return ts.DecisionOutcome(
                     ts.Verdict.EQUIV,
                     certificate=ts.EquivCertificate(
-                        g, tuple(monoid._back_steps(tree.visited, moves, new)), new),
-                    slack=tuple(a - b for a, b in zip(new, f)),
+                        g, tuple(monoid._back_steps(tree.visited, layout, new)), end),
+                    slack=tuple(a - b for a, b in zip(end, f)),
                 )
         if len(tree.visited) > budget.max_states:
             return ts.DecisionOutcome(ts.Verdict.UNKNOWN, budget=ts.BudgetReport(
@@ -1489,9 +1492,9 @@ class TestSupportSeparator:
 
 
 # ---------------------------------------------------------------------------
-# the BFS level expansion as it was before moves were compiled sparse: every
-# move tested and applied on every coordinate, and the cap tested on all of
-# them
+# the BFS level expansion on tuples, as it was before moves were compiled:
+# every move tested and applied on every coordinate, and the cap tested on
+# all of them
 
 
 class _DenseSearchTree(monoid._SearchTree):
@@ -1535,27 +1538,32 @@ def _kernel_presentations(rng):
 
 class TestSparseKernelMatchesDense:
     def test_levels(self):
-        # roots reach above the cap of 2-4, and the states are compared level
-        # by level, parents and cap flags included
+        # roots reach above the cap of 2-4, and the packed tree's states,
+        # unpacked, equal the dense tree's level by level and in order,
+        # parents and cap flags included
         rng = random.Random(97)
         over = 0
         for p in _kernel_presentations(rng):
-            sparse_moves = monoid._compiled_moves(p)
             dense_moves = _reference_compiled_moves(p)
             for _ in range(3):
                 cap = rng.randint(2, 4)
                 root = tuple(rng.randint(0, cap + 2) for _ in range(p.dim))
                 over += max(root) > cap
-                sparse, dense = monoid._SearchTree(root), _DenseSearchTree(root)
+                layout = monoid._compiled_moves(p, cap, max(root))
+                unpack = layout.unpack
+                packed, dense = monoid._SearchTree(layout.pack(root)), _DenseSearchTree(root)
                 for _ in range(6):
-                    assert (list(sparse.expand(sparse_moves, cap))
+                    assert ([unpack(s) for s in packed.expand(layout)]
                             == list(dense.expand(dense_moves, cap)))
-                    assert sparse.visited == dense.visited
-                    assert sparse.frontier == dense.frontier
-                    assert sparse.cap_hit is dense.cap_hit
+                    assert [(unpack(s), None if t is None else unpack(t))
+                            for s, t in packed.visited.items()] == list(dense.visited.items())
+                    assert [unpack(s) for s in packed.frontier] == dense.frontier
+                    assert packed.cap_hit is dense.cap_hit
         assert over > 30
 
-    def test_searches(self, monkeypatch):
+    def test_searches(self):
+        # both searches equal the dense tuple searches, certificates and
+        # budget reports included
         rng = random.Random(101)
         seen = set()
         for p in _kernel_presentations(rng):
@@ -1564,18 +1572,99 @@ class TestSparseKernelMatchesDense:
                 top = min(budget.max_coord + 1, 6)
                 f = tuple(rng.randint(0, top) for _ in range(p.dim))
                 g = tuple(rng.randint(0, top) for _ in range(p.dim))
-                sparse = (_bfs_equiv(p, f, g, budget), _bfs_leq(p, f, g, budget))
-                monkeypatch.setattr(monoid, "_compiled_moves", _reference_compiled_moves)
-                monkeypatch.setattr(monoid, "_SearchTree", _DenseSearchTree)
-                dense = (_bfs_equiv(p, f, g, budget), _bfs_leq(p, f, g, budget))
-                monkeypatch.undo()
-                assert sparse == dense
-                for out in sparse:
+                packed = (_bfs_equiv(p, f, g, budget), _bfs_leq(p, f, g, budget))
+                dense = (_reference_bfs_equiv(p, f, g, budget),
+                         _reference_bfs_leq(p, f, g, budget))
+                assert packed == dense
+                for out in packed:
                     seen.add(out.verdict if out.budget is None else
                              (out.budget.coordinate_cap_hit, out.budget.exhausted))
         # both verdicts, and budget reports bound by the cap, by the state
         # budget and by clean exhaustion
         assert seen >= {ts.Verdict.EQUIV, (True, False), (False, False), (False, True)}
+
+
+# ---------------------------------------------------------------------------
+# the packed layout at its edges: each field must hold the cap or the largest
+# packed coordinate, whichever is larger, plus the largest move entry
+
+
+_LAYOUT_CAPS = (0, 1, 2, 64, 2**70)
+
+
+def _layout_presentations(rng):
+    """The purely infinite [[0, 2], [2, 0]], whose nonzero pairs all reach the
+    search, and presentations of dimension 1-8 with move entries up to 1000,
+    some with a move whose two sides are equal or whose left side is zero."""
+    yield _kgraph_presentation([[0, 2], [2, 0]])
+    for dim in range(1, 9):
+        for _ in range(3):
+            top = rng.choice((2, 30, 1000))
+
+            def side():
+                return tuple(rng.choice((0, 0, 1, rng.randint(0, top))) for _ in range(dim))
+
+            moves = [(side(), side()) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.4:
+                same = side()
+                moves.insert(rng.randrange(len(moves) + 1), (same, same))
+            if rng.random() < 0.4:
+                moves.insert(rng.randrange(len(moves) + 1), ((0,) * dim, side()))
+            yield pres(dim, moves)
+
+
+def _reference_deciders(p, f, g, theta, budget):
+    """`decide_equiv`, `decide_leq` and `kl_paradoxical` with the searches
+    swapped for the tuple ones."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monoid, "_bfs_equiv", _reference_bfs_equiv)
+        patch.setattr(monoid, "_bfs_leq",
+                      lambda p, f, g, budget, layout=None: _reference_bfs_leq(p, f, g, budget))
+        return (ts.decide_equiv(p, f, g, budget), ts.decide_leq(p, f, g, budget),
+                ts.kl_paradoxical(p, theta, 2, 1, budget))
+
+
+class TestPackedLayout:
+    def test_deciders_match_the_tuple_kernel(self):
+        # roots and targets reach past the cap and past every move entry, so
+        # a field too narrow for them borrows or carries into its neighbour
+        rng = random.Random(103)
+        seen = set()
+        for p in _layout_presentations(rng):
+            entry = max(max(mv.lhs + mv.rhs) for mv in p.moves)
+            for cap in _LAYOUT_CAPS:
+                high = max(cap, entry) + 1
+                for _ in range(2):
+                    budget = ts.SearchBudget(rng.choice((0, 3, 40, 150)), cap)
+
+                    def vec():
+                        return tuple(rng.choice((0, 1, 2, high + rng.randrange(2 * high)))
+                                     for _ in range(p.dim))
+
+                    f, g, theta = vec(), vec(), vec()
+                    packed = (ts.decide_equiv(p, f, g, budget), ts.decide_leq(p, f, g, budget),
+                              ts.kl_paradoxical(p, theta, 2, 1, budget))
+                    assert packed == _reference_deciders(p, f, g, theta, budget)
+                    searches = (_bfs_equiv(p, f, g, budget), _bfs_leq(p, f, g, budget))
+                    assert searches == (_reference_bfs_equiv(p, f, g, budget),
+                                        _reference_bfs_leq(p, f, g, budget))
+                    for out in packed + searches:
+                        seen.add(out.verdict if out.budget is None else
+                                 (out.budget.coordinate_cap_hit, out.budget.exhausted))
+        assert seen >= {ts.Verdict.EQUIV, ts.Verdict.NOT_EQUIV,
+                        (True, False), (False, False), (False, True)}
+
+    def test_target_above_the_cap_is_not_aliased(self):
+        # (t, 0) <= (1, 0) holds for every t, but no state within coordinate
+        # 3 dominates (t, 0), so each search stays UNKNOWN; a target packed
+        # into fields sized for the root and the cap alone would spill into
+        # the next field and could be found
+        p = _kgraph_presentation([[0, 2], [2, 0]])
+        budget = ts.SearchBudget(50, 3)
+        for t in range(4, 300):
+            out = ts.decide_leq(p, (t, 0), (1, 0), budget)
+            assert out.is_unknown
+            assert out == _reference_deciders(p, (t, 0), (1, 0), (1, 0), budget)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -2005,9 +2094,9 @@ def _searched_pairs(p, gens, coeff_bound):
     searched = []
     real_dominate = monoid._dominate
 
-    def recording_dominate(tree, moves, fs, budget):
-        searched.extend((f, tree.frontier[0]) for f in fs)
-        return real_dominate(tree, moves, fs, budget)
+    def recording_dominate(tree, layout, fs, budget):
+        searched.extend((layout.unpack(f), layout.unpack(tree.frontier[0])) for f in fs)
+        return real_dominate(tree, layout, fs, budget)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monoid, "_dominate", recording_dominate)
