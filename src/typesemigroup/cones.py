@@ -2,10 +2,10 @@
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: a c >= 0 on a support F,
-invariant under every move inside F, infinite off F and normalised by one
-or more rows.  F is admissible when every move has both sides inside F or
-both sticking out (`least_admissible_support`); then c, infinite off F, is
-invariant under every move.
+invariant under every move inside F, infinite off F and normalised.  F is
+admissible when every move has both sides inside F or both sticking out
+(`least_admissible_support`); then c, infinite off F, is invariant under
+every move.
 
 When the left side of every move inside F is a unit vector e_v and every
 vertex of F has the same number of moves inside F, as on a k-graph
@@ -22,29 +22,28 @@ solutions are generated by one integral ray per distinguished class of N
 `_distinguished_rays`), and the sums y . r are the next generators.  When
 the B_j commute, as the matrices of a k-graph do (Kumjian and Pask, New
 York J. Math. 6, 2000), each B_j r_i lies in the cone of the r_l and the
-check passes.  Where it fails there are no generators, and one LP decides.
-So the generators, when given, are exact even for matrices that do not
-commute, and each is checked nonnegative and invariant under every move
-inside F before it is returned, or `ConsistencyError` is raised.
+check passes, so a k-graph support always has generators.  Where the check
+fails there are none.  So the generators, when given, are exact even for
+matrices that do not commute, and each is checked nonnegative and invariant
+under every move inside F before it is returned, or `ConsistencyError` is
+raised.
 
 The generators depend on the moves alone, so each (presentation, support)
 pair is built once, by whichever query asks first, and kept on the
 presentation (`MonoidPresentation._cones`, which no other module reads or
-writes) as tuples, every zero cone as one shared empty tuple.  A build that
-raises keeps nothing.  Everything else here, the LPs included, is solved
-afresh on every call; of the answers built on it, only the positive
-invariant vector, which depends on the model alone, is kept, on the model
-(`states.positive_invariant_vector`).
+writes) as tuples.  A build that raises keeps nothing.  States and positive
+invariant vectors are read off them (`states`), with no LP.
 
-`_cone_solution` refutes a row w when no generator is positive on it, with
-no LP; every other question is answered by one exact feasibility LP, whose
-point is the answer.  The substitution checks guarantee that every
-generator lies in the cone, and that each step's generators are the
-combinations y . r of the last step's for the rays y of N.  That the rays
-of each matrix generate all of its nonnegative fixed vectors is the
-Frobenius-Victory theorem, which `_distinguished_rays` implements and no
-check covers: a ray it missed would refute a row wrongly, and for a state
-nothing downstream would notice, since "no state" carries no certificate.
+An order separator is a c with c.gap >= 1, found by `_cone_solution`: it
+refutes the gap when no generator is positive on it, with no LP, and
+otherwise solves one exact feasibility LP afresh, whose point is the
+separator.  The substitution checks guarantee that every generator lies in
+the cone, and that each step's generators are the combinations y . r of the
+last step's for the rays y of N.  That the rays of each matrix generate all
+of its nonnegative fixed vectors is the Frobenius-Victory theorem, which
+`_distinguished_rays` implements and no check covers: a ray it missed would
+refute a gap or a state wrongly, and for a state nothing downstream would
+notice, since "no state" carries no certificate.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ if TYPE_CHECKING:
     from .monoid import MonoidPresentation
 
 INFINITY = float("inf")
-
-_ZERO_CONE: tuple = ()  # the generators of every zero cone
 
 
 def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int:
@@ -84,39 +81,24 @@ def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int
     return F
 
 
-def _cone_solution(pres: MonoidPresentation, F: int,
-                   rows: list[tuple[dict[int, int], str]]) -> list | None:
-    """A c >= 0 on F, invariant under every move inside F, with c.w >= 1 or
-    c.w == 1 for each of one or more rows (w, op), w a map from vertices of
-    F to nonzero coefficients: separators pass c.gap >= 1, states
-    c.target == 1, invariant vectors c_v >= 1 for every v.  Returns its
+def _cone_solution(pres: MonoidPresentation, F: int, gap: dict[int, int]) -> list | None:
+    """A c >= 0 on F, invariant under every move inside F, with c.gap >= 1,
+    `gap` a map from vertices of F to nonzero coefficients.  Returns its
     values, INFINITY off F, or None when there is none.
 
-    A row that no generator of the cone (`_cone_generators`) makes positive
+    A gap that no generator of the cone (`_cone_generators`) makes positive
     has no solution, and no LP is solved.  Otherwise one exact feasibility
-    LP decides: one column per vertex of F, ascending, then a slack per row
-    c.w >= 1; one row lhs - rhs == 0 per move inside F (zero rows dropped),
-    then the normalising rows in order.  The solver returns the point its
-    Phase I ends at.
+    LP decides: one column per vertex of F, ascending, then a slack; one row
+    lhs - rhs == 0 per move inside F (zero rows dropped), then c.gap - slack
+    == 1.  The solver returns the point its Phase I ends at.
     """
     support, inside, gens = _cone_generators(pres, F)
-    if gens is not None and any(
-            all(sum(ray[v] * c for v, c in w.items()) <= 0 for ray in gens)
-            for w, _ in rows):
+    if gens is not None and all(sum(ray[v] * c for v, c in gap.items()) <= 0 for ray in gens):
         return None
-    nslack = sum(op == ">=" for _, op in rows)
-    A = [row + [0] * nslack for row in (
+    A = [row + [0] for row in (
         [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
-    b = [0] * len(A)
-    slack = len(support)
-    for w, op in rows:
-        row = [w.get(i, 0) for i in support] + [0] * nslack
-        if op == ">=":
-            row[slack] = -1
-            slack += 1
-        A.append(row)
-        b.append(1)
-    sol = solve_lp(A, b, [0] * (len(support) + nslack))
+    A.append([gap.get(i, 0) for i in support] + [-1])
+    sol = solve_lp(A, [0] * (len(A) - 1) + [1], [0] * (len(support) + 1))
     if sol.status != OPTIMAL:
         return None
     x = iter(sol.x)
@@ -151,8 +133,7 @@ def _cone_generators(pres: MonoidPresentation, F: int):
 
 
 def _build_generators(dim: int, support: list[int], inside) -> tuple | None:
-    """`_cone_generators`' generators, built afresh; every zero cone is the
-    one shared `_ZERO_CONE`."""
+    """`_cone_generators`' generators, built afresh."""
     moved: dict[int, list] = {v: [] for v in support}
     for mv, ls in inside:
         if not ls or ls & (ls - 1) or mv.lhs[ls.bit_length() - 1] != 1:
@@ -178,7 +159,7 @@ def _build_generators(dim: int, support: list[int], inside) -> tuple | None:
         if min(r.values(), default=0) < 0 or any(
                 sum(c * (mv.lhs[w] - mv.rhs[w]) for w, c in r.items()) for mv, _ in inside):
             raise ConsistencyError("cone generator is not nonnegative and invariant")
-    return tuple(tuple(r.get(v, 0) for v in range(dim)) for _, r in gens) or _ZERO_CONE
+    return tuple(tuple(r.get(v, 0) for v in range(dim)) for _, r in gens)
 
 
 def _combination(gens, y: dict[int, int]) -> dict[int, int]:

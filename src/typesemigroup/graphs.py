@@ -123,23 +123,22 @@ class KGraphModel:
 
     `__post_init__` derives the monoid presentation once; like
     `MonoidPresentation._unit` it is a private field outside `==`, `hash`
-    and `repr`, and `presentation_from_kgraph` returns it.  `_answers`
-    starts empty and keeps the answers that depend on the matrices alone,
-    the coboundary result and the positive invariant vector, each stored by
-    the first query that asks (`states`, the only code that reads or writes
-    it); a model never asked holds only the shared empty tuple.  It too
-    stays out of `==`, `hash` and `repr`.
+    and `repr`, and `presentation_from_kgraph` returns it.  `_coboundary`
+    starts as None and keeps the coboundary result, which depends on the
+    matrices alone, stored by the first query that asks (`states`, the only
+    code that reads or writes it).  It too stays out of `==`, `hash` and
+    `repr`.
     """
 
     k: int
     vertices: tuple[str, ...]
     matrices: tuple[Matrix, ...]
     _presentation: MonoidPresentation = field(init=False, repr=False, compare=False)
-    _answers: tuple = field(init=False, repr=False, compare=False)
+    _coboundary: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_presentation", _kgraph_presentation(self))
-        object.__setattr__(self, "_answers", ())
+        object.__setattr__(self, "_coboundary", None)
 
     @property
     def dim(self) -> int:

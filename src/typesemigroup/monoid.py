@@ -54,8 +54,9 @@ moves and search tree.
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
 that every move leaves invariant, finite exactly on an admissible support,
-and normalised.  The cone layer, `cones`, solves that cone for all of them;
-this module keeps only the wrappers that turn its points into
+and normalised.  The cone layer, `cones`, gives that cone's generators,
+off which `states` reads states and positive vectors, and solves the
+separator LP; this module keeps only the wrappers that turn its points into
 `LinearSeparator`s (`_zero_on_support`, `_separator_on_support`,
 `_scale_extended`).  One check, `_ext_invariant`, verifies invariance for
 all of them in extended arithmetic.
@@ -575,7 +576,7 @@ def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector,
                           g: Vector) -> LinearSeparator | None:
     """The cone solution on F with c.gap >= 1, scaled to a separator."""
     gap = {i: f[i] - g[i] for i in range(pres.dim) if F >> i & 1 and f[i] != g[i]}
-    values = _cone_solution(pres, F, [(gap, ">=")]) if gap else None
+    values = _cone_solution(pres, F, gap) if gap else None
     if values is None:
         return None
     kind = SeparatorKind.RATIONAL if F == (1 << pres.dim) - 1 else SeparatorKind.EXTENDED

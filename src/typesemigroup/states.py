@@ -1,31 +1,35 @@
-"""Exact solvers for normalized states, invariant vectors, and coboundaries.
+"""Exact normalized states, positive invariant vectors, and coboundaries.
 
 A state on the type semigroup is an additive map into [0, oo] that respects
 the defining relations, normalized at a target class: an extended invariant
 functional, the same kind of object as an EXTENDED order separator, with
-c . target = 1 in place of c(f) > c(g).  So the same code solves and checks
-both, on the presentation the k-graph model carries: the least admissible
-support F containing the target (`cones.least_admissible_support`), the
-invariant cone on F (`cones._cone_solution`), with values infinite off F,
-and the move check in extended arithmetic (`monoid._ext_invariant`).  Fixing
-the finite support first keeps the linear program purely rational.  A
-positive invariant vector is the same cone on every vertex with c_v >= 1,
-and a faithful state is that vector scaled to mass one.
+c . target = 1 in place of c(f) > c(g).  On the presentation the k-graph
+model carries, every state at the target is finite on the least admissible
+support F containing the target's support
+(`cones.least_admissible_support`), infinite off it, and on F a point of
+the invariant cone, whose exact integral generators a k-graph support
+always has (`cones._cone_generators`).  So a state exists exactly when some
+generator r is positive at the target, and r scaled to r . target = 1 is
+one; a strictly positive invariant vector exists exactly when the
+generators of the full support together cover every vertex, and their sum
+is one.  Both are read off the generators with no LP, and the vector is
+checked positive and invariant in extended arithmetic
+(`monoid._ext_invariant`) on every call.  A faithful state is that vector
+scaled to mass one.
 
 The coboundary check decides whether the integer lattice spanned by the
 columns of the operators (I - A_i^t) meets the positive cone nontrivially;
 witnesses are returned scaled to integers and verified by substitution.  The
-Stiemke cross-check solves the dual feasibility problem (a strictly positive
-invariant vector) independently and compares: a mismatch is a bug, never a
+Stiemke cross-check compares it with the dual problem (a strictly positive
+invariant vector), solved by the other route: a mismatch is a bug, never a
 property of the model.
 
-The coboundary result and the positive invariant vector depend on the
-matrices alone, so each is computed once per model, by whichever query asks
-first, after its check passes, and kept on the model (`KGraphModel._answers`,
-which no other module reads or writes); a call that raises keeps nothing.
-`classify`, `stiemke_crosscheck` and `faithful_finite_state` then share
-them.  A state at a target is solved on every call, and the faithful state
-is rescaled and checked positive and invariant on every call.
+The coboundary result depends on the matrices alone, so it is computed once
+per model, by whichever query asks first, after its check passes, and kept
+on the model (`KGraphModel._coboundary`, which no other module reads or
+writes); a call that raises keeps nothing.  `classify` and
+`stiemke_crosscheck` then share it.  States and positive vectors are read
+afresh on every call from the generators the presentation keeps.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Sequence
 
 from .errors import ZERO_TARGET, ConsistencyError, InputError
 from .graphs import KGraphModel, _require_model
-from .cones import _cone_solution, least_admissible_support
+from .cones import INFINITY, _cone_generators, least_admissible_support
 from .monoid import Vector, _ext_dot, _ext_invariant, _is_infinity, _is_int_tuple, _support, as_vector
 from .simplex import OPTIMAL, solve_lp
 
@@ -64,36 +68,48 @@ class StiemkeResult:
 
 
 def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificate | None:
-    """First normalized invariant extended vector at `target`, or None.
+    """A normalized invariant extended vector at `target`, or None.
 
-    A state is an extended invariant functional normalized at the target,
-    solved as the order separators are.  "First" is over admissible finite
-    supports ordered by size, then lexicographically.  A support is
-    admissible when every move of the model's presentation has both sides
-    inside it or both sticking out: it is out-closed, and every vertex
-    outside it escapes it through each matrix.  Every admissible support
-    contains the least one containing the target's support, F
-    (`cones.least_admissible_support`), which comes first; F is out-closed,
-    so a solution on any admissible support restricts to one on F.  The
-    invariant cone on F with c . target = 1 (`cones._cone_solution`)
-    therefore decides: a solution on F is the answer, and none on F is a
-    complete negative answer over all admissible supports.  On a k-graph
-    the cone's generators give that None without an LP: none of them is
-    positive at the target.  Each generator is checked by substitution, but
-    the None itself carries no certificate.
+    A state is an extended invariant functional normalized at the target.
+    Its finite support is admissible: every move of the model's
+    presentation has both sides inside it or both sticking out, so it is
+    out-closed, and every vertex outside it escapes it through each matrix.
+    Every admissible support containing the target's support contains the
+    least one, F (`cones.least_admissible_support`), and F is out-closed,
+    so a state on any of them restricts to one on F.  On F a state is a
+    point of the invariant cone, a nonnegative combination of its
+    generators (`cones._cone_generators`): there is one exactly when some
+    generator r has r . target > 0, and the answer is the first such r,
+    scaled to r . target = 1, infinite off F.  None is then a complete
+    negative answer over all admissible supports.  Each generator is
+    checked by substitution, but the None itself carries no certificate.
+    On F every generator is positive at the target, since the zero set of
+    an invariant r >= 0 in F is admissible, so the answer is the first
+    generator, and None means the cone on F is zero.
     """
     _require_model(model)
     target = as_vector(target, model.dim)
     seed = _support(target)
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")
-    pres = model._presentation
-    F = least_admissible_support(zip(*pres._supports), seed)
-    values = _cone_solution(pres, F, [({v: t for v, t in enumerate(target) if t}, "==")])
-    if values is None:
-        return None
-    support = tuple(v for v in range(model.dim) if F >> v & 1)
-    return StateCertificate(values=tuple(values), target=target, support=support)
+    F = least_admissible_support(zip(*model._presentation._supports), seed)
+    support, gens = _kgraph_generators(model, F)
+    for r in gens:
+        mass = sum(x * t for x, t in zip(r, target))
+        if mass > 0:
+            values = tuple(Fraction(x, mass) if F >> v & 1 else INFINITY for v, x in enumerate(r))
+            return StateCertificate(values=values, target=target, support=tuple(support))
+    return None
+
+
+def _kgraph_generators(model: KGraphModel, F: int) -> tuple[list[int], tuple]:
+    """The vertices of F and the invariant cone generators on F
+    (`cones._cone_generators`), which every support of a k-graph
+    presentation has; `ConsistencyError` if they are missing."""
+    support, _, gens = _cone_generators(model._presentation, F)
+    if gens is None:
+        raise ConsistencyError("k-graph support has no invariant cone generators")
+    return support, gens
 
 
 def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool:
@@ -128,18 +144,15 @@ def faithful_finite_state(model: KGraphModel) -> tuple[Fraction, ...] | None:
     """Strictly positive normalized invariant vector, or None.
 
     A faithful state exists exactly when a strictly positive invariant
-    vector does, and is then that vector (`positive_invariant_vector`)
-    scaled to mass one, which is positive and invariant exactly when the
-    vector is.  The vector is kept on the model; the check runs on every
-    call.
+    vector does, and is then that vector (`positive_invariant_vector`,
+    checked positive and invariant on every call) scaled to mass one,
+    which is positive and invariant exactly when the vector is.
     """
     pos = positive_invariant_vector(model)
     if pos is None:
         return None
-    if not _positive_invariant(model, pos):
-        raise ConsistencyError("faithful state is not positive and invariant")
     total = sum(pos)
-    return tuple(x / total for x in pos)
+    return tuple(Fraction(x, total) for x in pos)
 
 
 def coboundary_check(model: KGraphModel) -> CoboundaryResult:
@@ -152,9 +165,8 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
     The result is kept on the model once its witness passes substitution.
     """
     _require_model(model)
-    kept = _kept(model, "coboundary")
-    if kept is not _UNASKED:
-        return kept
+    if model._coboundary is not None:
+        return model._coboundary
     n = model.dim
     ncols = n + 2 * model.k * n
     A = []
@@ -171,17 +183,19 @@ def coboundary_check(model: KGraphModel) -> CoboundaryResult:
     A.append([1] * n + [0] * (ncols - n))
     sol = solve_lp(A, [0] * n + [1], [0] * ncols)
     if sol.status != OPTIMAL:
-        return _keep(model, "coboundary", CoboundaryResult(holds=True))
-    x = sol.x
-    zs = [[x[c] - x[c + 1] for c in range(n + 2 * i * n, n + 2 * (i + 1) * n, 2)]
-          for i in range(model.k)]
-    scale = lcm(*(q.denominator for q in x[:n]), *(q.denominator for z in zs for q in z))
-    y = tuple(int(q * scale) for q in x[:n])
-    z = tuple(tuple(int(q * scale) for q in zi) for zi in zs)
-    result = CoboundaryResult(holds=False, witness_y=y, witness_z=z)
-    if not verify_coboundary_witness(model, result):
-        raise ConsistencyError("scaled coboundary witness fails substitution")
-    return _keep(model, "coboundary", result)
+        result = CoboundaryResult(holds=True)
+    else:
+        x = sol.x
+        zs = [[x[c] - x[c + 1] for c in range(n + 2 * i * n, n + 2 * (i + 1) * n, 2)]
+              for i in range(model.k)]
+        scale = lcm(*(q.denominator for q in x[:n]), *(q.denominator for z in zs for q in z))
+        y = tuple(int(q * scale) for q in x[:n])
+        z = tuple(tuple(int(q * scale) for q in zi) for zi in zs)
+        result = CoboundaryResult(holds=False, witness_y=y, witness_z=z)
+        if not verify_coboundary_witness(model, result):
+            raise ConsistencyError("scaled coboundary witness fails substitution")
+    object.__setattr__(model, "_coboundary", result)
+    return result
 
 
 def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> bool:
@@ -208,56 +222,34 @@ def verify_coboundary_witness(model: KGraphModel, result: CoboundaryResult) -> b
 
 
 def positive_invariant_vector(model: KGraphModel) -> tuple[Fraction, ...] | None:
-    """Strictly positive y with A_i y = y for all i (entries >= 1 after scaling).
+    """Strictly positive y with A_i y = y for all i, or None.
 
-    The invariant cone on every vertex with y_v >= 1 (`cones._cone_solution`):
-    refuted without an LP when no cone generator is positive at some vertex,
-    otherwise decided by one feasibility LP.  A vector found is checked
-    positive and invariant, or `ConsistencyError` is raised; the answer,
-    None included, is kept on the model.
+    Every invariant y >= 0 is a nonnegative combination of the invariant
+    cone generators on every vertex (`cones._cone_generators`), so a
+    strictly positive one exists exactly when the generators together
+    cover every vertex, and their sum is then one.  It is checked positive
+    and invariant on every call, or `ConsistencyError` is raised.
     """
     _require_model(model)
-    kept = _kept(model, "positive")
-    if kept is not _UNASKED:
-        return kept
     n = model.dim
-    values = _cone_solution(model._presentation, (1 << n) - 1, [({v: 1}, ">=") for v in range(n)])
-    pos = None if values is None else tuple(values)
-    if pos is not None and not _positive_invariant(model, pos):
+    _, gens = _kgraph_generators(model, (1 << n) - 1)
+    pos = [sum(r[v] for r in gens) for v in range(n)]
+    if not all(pos):
+        return None
+    if not (all(x > 0 for x in pos) and _ext_invariant(model._presentation, pos)):
         raise ConsistencyError("positive invariant vector is not positive and invariant")
-    return _keep(model, "positive", pos)
-
-
-def _positive_invariant(model: KGraphModel, pos: tuple) -> bool:
-    return all(x > 0 for x in pos) and _ext_invariant(model._presentation, pos)
-
-
-_UNASKED = object()  # no answer kept yet
-
-
-def _kept(model: KGraphModel, key: str):
-    """The answer kept on the model under `key`, or `_UNASKED`."""
-    for k, answer in model._answers:
-        if k == key:
-            return answer
-    return _UNASKED
-
-
-def _keep(model: KGraphModel, key: str, answer):
-    """Keep `answer` on the model under `key` and return it."""
-    object.__setattr__(model, "_answers", model._answers + ((key, answer),))
-    return answer
+    return tuple(map(Fraction, pos))
 
 
 def stiemke_crosscheck(model: KGraphModel) -> StiemkeResult:
     """Two independent routes to the same dichotomy must agree.
 
     The coboundary condition (one LP on the matrices) and a strictly
-    positive invariant vector (the invariant cone, refuted by its
-    generators or decided by one LP) are a strict alternative: exactly one
-    of them exists.  Disagreement indicates an implementation bug, not a
-    mathematical possibility.  Both answers are kept on the model, so after
-    `classify` this solves nothing.
+    positive invariant vector (the sum of the invariant cone's generators,
+    no LP) are a strict alternative: exactly one of them exists.
+    Disagreement indicates an implementation bug, not a mathematical
+    possibility.  The coboundary result is kept on the model, so after
+    `classify` this solves no LP.
     """
     cob = coboundary_check(model)
     pos = positive_invariant_vector(model)

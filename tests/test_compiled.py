@@ -25,7 +25,7 @@ from test_acceptance import _all_small_actions, _dedupe
 from test_monoid import _kgraph_presentation
 
 DERIVED = {ts.MonoidPresentation: ("_unit", "_supports", "_cones"),
-           ts.KGraphModel: ("_presentation", "_answers"), ts.FiniteGroupAction: ("_roots",)}
+           ts.KGraphModel: ("_presentation", "_coboundary"), ts.FiniteGroupAction: ("_roots",)}
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import typesemigroup as ts
-from typesemigroup import cones, linalg, monoid
+from typesemigroup import cones, linalg, monoid, states
 from typesemigroup.linalg import (
     integer_diagonalize,
     primitive_integer,
@@ -1135,7 +1135,7 @@ class TestCompiledSweep:
         left = set()
         for F, gap in least_keys:
             before = len(solved)
-            _cone_solution(p, F, [_gap_row(p, F, gap)])
+            _cone_solution(p, F, _gap_row(p, F, gap))
             if len(solved) > before:
                 left.add((F, gap))
         solved.clear()
@@ -1689,9 +1689,9 @@ def _reference_cone_solution(p, F, rows):
     return [x[col[i]] if i in col else INFINITY for i in range(p.dim)]
 
 
-def _counted_cone_solution(p, F, rows):
+def _counted_cone_solution(p, F, gap):
     """`_cone_solution` and the number of LPs it solved: 0 when no cone
-    generator is positive on some row, 1 otherwise."""
+    generator is positive on the gap, 1 otherwise."""
     solved = []
     real = cones.solve_lp
 
@@ -1701,13 +1701,33 @@ def _counted_cone_solution(p, F, rows):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cones, "solve_lp", counting)
-        values = _cone_solution(p, F, rows)
+        values = _cone_solution(p, F, gap)
     return values, len(solved)
 
 
 def _gap_row(p, F, gap):
     support = [i for i in range(p.dim) if F >> i & 1]
-    return {i: v for i, v in zip(support, gap) if v}, ">="
+    return {i: v for i, v in zip(support, gap) if v}
+
+
+def _reached(gens, rows):
+    """Some generator is positive on every row (w, op)."""
+    return all(any(sum(r[v] * c for v, c in w.items()) > 0 for r in gens) for w, _ in rows)
+
+
+def _check_cone_rows(p, F, gap, rows):
+    """Check one kind of normalising rows (w, op) on F against the rule-free
+    reference LP, and return whether it is feasible.  An order gap is solved
+    by `_cone_solution`, with the reference's point and one LP exactly when
+    it is feasible; a state target or every vertex is read off the cone's
+    generators, which reach the rows exactly when the LP is feasible."""
+    expected = _reference_cone_solution(p, F, rows)
+    if gap is None:
+        assert _reached(_cone_generators(p, F)[2], rows) == (expected is not None)
+    else:
+        got, lps = _counted_cone_solution(p, F, gap)
+        assert got == expected and lps == (expected is not None)
+    return expected is not None
 
 
 def _random_supports_and_gaps(rng, p, count):
@@ -1722,14 +1742,15 @@ def _random_supports_and_gaps(rng, p, count):
 
 
 def _random_rows(rng, p, count):
-    """Admissible supports with one of the three kinds of normalising rows:
-    an order gap c.gap >= 1, a state target c.t == 1, or c_v >= 1 on every
-    vertex of the support."""
+    """Admissible supports with one of the three kinds of normalising rows,
+    as (F, gap, rows): an order gap c.gap >= 1, a state target c.t == 1, or
+    c_v >= 1 on every vertex of the support; gap is None for the last two."""
     for F, support, gap in _random_supports_and_gaps(rng, p, count):
         target = {v: t for v, t in zip(support, map(abs, gap)) if t}
-        yield F, [_gap_row(p, F, gap)]
-        yield F, [(target, "==")]
-        yield F, [({v: 1}, ">=") for v in support]
+        w = _gap_row(p, F, gap)
+        yield F, w, [(w, ">=")]
+        yield F, None, [(target, "==")]
+        yield F, None, [({v: 1}, ">=") for v in support]
 
 
 def _one_matrix_presentation(rng, n):
@@ -1741,18 +1762,16 @@ def _one_matrix_presentation(rng, n):
 
 class TestZeroConeRule:
     def test_one_matrix_exactly_when_the_lp_is_infeasible(self):
-        # every kind of row is refuted without an LP exactly when the LP is
-        # infeasible, and otherwise solved as the rule-free LP solves it
+        # every kind of row is refuted by the generators exactly when the LP
+        # is infeasible; a feasible gap is solved as the rule-free LP solves it
         rng = random.Random(103)
         refuted = kept = 0
         for _ in range(300):
             p = _one_matrix_presentation(rng, rng.randint(1, 7))
-            for F, rows in _random_rows(rng, p, 4):
-                got, lps = _counted_cone_solution(p, F, rows)
-                expected = _reference_cone_solution(p, F, rows)
-                assert got == expected and lps == (expected is not None)
-                refuted += not lps
-                kept += lps
+            for F, gap, rows in _random_rows(rng, p, 4):
+                feasible = _check_cone_rows(p, F, gap, rows)
+                refuted += not feasible
+                kept += feasible
         assert refuted > 2500 and kept > 300
 
     def test_two_graphs_refute_only_infeasible_lps(self):
@@ -1763,11 +1782,8 @@ class TestZeroConeRule:
             p = _graph_presentation(rng, rng.randint(1, 6))
             if len(p.moves) == p.dim:
                 continue
-            for F, rows in _random_rows(rng, p, 4):
-                got, lps = _counted_cone_solution(p, F, rows)
-                expected = _reference_cone_solution(p, F, rows)
-                assert got == expected and lps == (expected is not None)
-                refuted += not lps
+            for F, gap, rows in _random_rows(rng, p, 4):
+                refuted += not _check_cone_rows(p, F, gap, rows)
         assert refuted > 800
 
     def test_not_used_outside_its_scope(self):
@@ -1799,9 +1815,9 @@ class TestZeroConeRule:
                 gap = gap or tuple(rng.randint(-2, 2) for _ in support)
                 if not any(gap):
                     continue
-                rows = [_gap_row(q, F, gap)]
-                got, lps = _counted_cone_solution(q, F, rows)
-                expected = _reference_cone_solution(q, F, rows)
+                w = _gap_row(q, F, gap)
+                got, lps = _counted_cone_solution(q, F, w)
+                expected = _reference_cone_solution(q, F, [(w, ">=")])
                 inside = [mv for mv in q.moves
                           if not (monoid._support(mv.lhs) | monoid._support(mv.rhs)) & ~F]
                 counts = {v: sum(mv.lhs == ts.unit_vector(n, v) for mv in inside)
@@ -1908,15 +1924,13 @@ def _assert_exact_generators(rng, p, F, gens):
         for mv in inside:
             assert sum(map(operator.mul, r, mv.lhs)) == sum(map(operator.mul, r, mv.rhs))
     gaps = [tuple(rng.randint(-2, 2) for _ in support) for _ in range(3)]
-    row_sets = [[_gap_row(p, F, gap)] for gap in gaps if any(gap)]
+    row_sets = [[(_gap_row(p, F, gap), ">=")] for gap in gaps if any(gap)]
     target = [rng.randint(0, 2) for _ in support]
     target[rng.randrange(len(support))] = 1
     row_sets.append([({v: t for v, t in zip(support, target) if t}, "==")])
     row_sets.append([({v: 1}, ">=") for v in support])
     for rows in row_sets:
-        reached = all(any(sum(r[v] * c for v, c in w.items()) > 0 for r in gens)
-                      for w, _ in rows)
-        assert reached == (_reference_cone_solution(p, F, rows) is not None)
+        assert _reached(gens, rows) == (_reference_cone_solution(p, F, rows) is not None)
 
 
 class TestConeGenerators:
@@ -2000,7 +2014,7 @@ class TestConeMemo:
     def test_a_queried_presentation_answers_as_a_fresh_one(self):
         # the least supports asked in ascending and in descending order give
         # what an equal, unqueried presentation builds for each, and asked
-        # again, the very tuple kept; every zero cone is one shared object
+        # again, the very tuple kept
         rng = random.Random(149)
         kinds = {"zero": 0, "none": 0, "several": 0}
         for _ in range(40):
@@ -2014,8 +2028,6 @@ class TestConeMemo:
                         assert _cone_generators(q, F)[2] is answer[2]
                     assert sorted(_cone_memo(q)) == supports and len(q._cones) == 2 * len(supports)
                     for gens in _cone_memo(q).values():
-                        if gens == ():
-                            assert gens is cones._ZERO_CONE
                         kinds["zero"] += gens == ()
                         kinds["none"] += gens is None
                         kinds["several"] += gens is not None and len(gens) > 1
@@ -2038,7 +2050,7 @@ class TestConeMemo:
             return real_generators(p, F)
 
         monkeypatch.setattr(cones, "_build_generators", counting_build)
-        for module in (cones, monoid):
+        for module in (cones, monoid, states):
             monkeypatch.setattr(module, "_cone_generators", recording_generators)
         budget = ts.SearchBudget(200, 6)
         verdicts, repeated = set(), 0

@@ -46,7 +46,9 @@ def test_non_int_entry_rejected(bad):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_library_builds_integer_lps_with_nonnegative_b(seed, monkeypatch):
     # every LP the library solves has int entries and b >= 0, so the solver
-    # scales nothing, and its sign flip of a row with b < 0 is never needed
+    # scales nothing, and its sign flip of a row with b < 0 is never needed.
+    # States and positive vectors solve none, so only order separators reach
+    # `cones`' LP, and the sample is large enough for 50 of them
     seen = {cones: [], states: []}
     for module, calls in seen.items():
         def recording(A, b, c, real=module.solve_lp, calls=calls):
@@ -54,7 +56,7 @@ def test_library_builds_integer_lps_with_nonnegative_b(seed, monkeypatch):
             return real(A, b, c)
 
         monkeypatch.setattr(module, "solve_lp", recording)
-    run_library_sample(seed, models=90)
+    run_library_sample(seed, models=200)
     assert len(seen[cones]) > 50 and len(seen[states]) > 10
     for A, b in seen[cones] + seen[states]:
         assert all(type(v) is int for row in A for v in row)

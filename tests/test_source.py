@@ -23,11 +23,11 @@ def test_no_assert_statements():
 
 
 def test_no_true_division_or_floats_in_exact_arithmetic():
-    # the simplex, the elimination and the cone generators run in Python
-    # ints, where a stray `/` or float literal silently turns exact values
-    # into floats
+    # the simplex, the elimination, the cone generators and the states read
+    # off them run in Python ints and Fractions, where a stray `/` or float
+    # literal silently turns exact values into floats
     found = []
-    for name in ("simplex.py", "linalg.py", "cones.py"):
+    for name in ("simplex.py", "linalg.py", "cones.py", "states.py"):
         path = SRC / name
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -38,10 +38,9 @@ def test_no_true_division_or_floats_in_exact_arithmetic():
 
 
 def test_one_builder_of_invariance_lps():
-    # order separators, states and invariant vectors all solve the invariant
-    # cone on a support with `cones._cone_solution`; the coboundary check
-    # solves the dual problem on the matrices.  No other code outside the
-    # solver calls `solve_lp`.
+    # order separators solve the invariant cone on a support with
+    # `cones._cone_solution`; the coboundary check solves the dual problem
+    # on the matrices.  No other code outside the solver calls `solve_lp`.
     found = []
 
     def visit(node, where):
@@ -103,18 +102,18 @@ def test_one_home_of_the_cone_layer():
 
 
 def test_one_home_of_the_model_answers():
-    # the model's kept answers, `_answers`, are read and written in `states`
-    # alone: the model only declares the field and sets its initial value.
-    # Like every private field of the model it is derived, and out of `==`,
-    # `hash` and `repr`.
+    # the model's kept answer, the coboundary result `_coboundary`, is read
+    # and written in `states` alone: the model only declares the field and
+    # sets its initial value.  Like every private field of the model it is
+    # derived, and out of `==`, `hash` and `repr`.
     memo = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where[-1] != ":" else where + node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "_answers") or (
-                isinstance(node, ast.Name) and node.id == "_answers") or (
-                isinstance(node, ast.Constant) and node.value == "_answers"):
+        if (isinstance(node, ast.Attribute) and node.attr == "_coboundary") or (
+                isinstance(node, ast.Name) and node.id == "_coboundary") or (
+                isinstance(node, ast.Constant) and node.value == "_coboundary"):
             memo.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -124,5 +123,5 @@ def test_one_home_of_the_model_answers():
             visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), f"{path.name}:")
     assert sorted(memo) == ["graphs.py:KGraphModel", "graphs.py:KGraphModel.__post_init__"]
     private = [f for f in dataclasses.fields(KGraphModel) if f.name.startswith("_")]
-    assert [f.name for f in private] == ["_presentation", "_answers"]
+    assert [f.name for f in private] == ["_presentation", "_coboundary"]
     assert [f.name for f in private if f.init or f.compare or f.repr] == []

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ from typesemigroup.monoid import INFINITY
 from typesemigroup.cli import _as_kgraph, _build_model
 from typesemigroup.simplex import OPTIMAL
 
+from library_traffic import _random_model as traffic_model
 from lp_reference import feasible_point, lp_matrix, reference_solve_lp
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -77,9 +79,11 @@ def sparse_model(rng, max_vertices=6):
 
 # The invariance LPs as first written, from the matrices: one row
 # sum_w A_i[v][w] c_w - c_v == 0 per matrix, then per vertex of F.  The
-# library builds them from the presentation's moves (`cones._cone_solution`),
-# with rows lhs - rhs, after the cone generators' refutation; these copies,
-# without it, are the reference the differential tests compare it with.
+# library solves no LP for states and positive vectors: it reads them off
+# the invariant cone generators of the presentation's supports
+# (`cones._cone_generators`).  These copies are the reference the
+# differential tests compare it with: the library finds an answer exactly
+# when the LP is feasible, on the same support.
 
 
 def _invariance_lp(model, F):
@@ -211,17 +215,35 @@ def _reference_solve_state_at(model, target):
 
 
 def count_lp_solves(monkeypatch):
-    """Count the invariant-cone LPs the library solves (`cones.solve_lp`);
-    the reference copies here call the solver through `lp_reference`."""
+    """Count the LPs the library solves (`cones.solve_lp`, the separators',
+    and `states.solve_lp`, the coboundary check's); the reference copies
+    here call the solver through `lp_reference`."""
     calls = []
-    real = cones_module.solve_lp
+    for module in (cones_module, states_module):
+        def counted(*args, real=module.solve_lp, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cones_module, "solve_lp", counted)
+        monkeypatch.setattr(module, "solve_lp", counted)
     return calls
+
+
+def traffic_models(seed, count=40):
+    """The 1-graphs and 2-graphs of `library_traffic`'s sample."""
+    rng = random.Random(seed)
+    return [traffic_model(rng) for _ in range(count)]
+
+
+def assert_no_lp_for_states(monkeypatch, model):
+    """States at every vertex, the positive vector and the faithful state
+    solve no LP."""
+    with monkeypatch.context() as patch:
+        calls = count_lp_solves(patch)
+        for v in range(model.dim):
+            ts.solve_state_at(model, ts.unit_vector(model.dim, v))
+        ts.positive_invariant_vector(model)
+        ts.faithful_finite_state(model)
+    assert calls == []
 
 
 def diag_model(n):
@@ -311,11 +333,11 @@ class TestSolveStateAt:
         (feeder_model(16, 1), 0, (0, 1)),
     ])
     def test_one_lp_on_sixteen_vertices(self, monkeypatch, model, vertex, support):
-        # at most one LP; the cone generators refute exactly, so none
-        # exactly when there is no state
+        # no LP: the cone generators on the least admissible support decide,
+        # and give the state when there is one
         calls = count_lp_solves(monkeypatch)
         cert = ts.solve_state_at(model, ts.unit_vector(16, vertex))
-        assert len(calls) == (support is not None)
+        assert calls == []
         if support is None:
             assert cert is None
         else:
@@ -323,13 +345,13 @@ class TestSolveStateAt:
 
     def test_matches_reference_enumerator(self, monkeypatch):
         # dense models mostly settle on the out-closure of the target; sparse
-        # ones also reach supports beyond it.  Every call solves at most one
-        # LP, and none exactly when the cone generators refute the target,
-        # which they do exactly when there is no state, for every k.
+        # ones also reach supports beyond it.  No call solves an LP: the cone
+        # generators give a state exactly when the enumerator finds one, on
+        # the support it finds first, for every k, and each state verifies.
         rng = random.Random(2024)
         models = [random_model(rng, max_vertices=6) for _ in range(40)]
         models += [sparse_model(rng) for _ in range(60)]
-        checked = none = refuted = beyond_closure = 0
+        checked = none = beyond_closure = 0
         for model in models:
             targets = [ts.unit_vector(model.dim, v) for v in range(model.dim)]
             targets.append(tuple(rng.randint(0, 2) for _ in range(model.dim)))
@@ -340,17 +362,40 @@ class TestSolveStateAt:
                 with monkeypatch.context() as patch:
                     calls = count_lp_solves(patch)
                     got = ts.solve_state_at(model, target)
-                assert got == expected and len(calls) == (got is not None)
+                assert (got is None) == (expected is None) and calls == []
                 checked += 1
-                refuted += not calls
                 if got is None:
                     none += 1
                     continue
+                assert got.support == expected.support and got.target == expected.target
                 assert ts.verify_state_certificate(model, got)
                 seed = frozenset(v for v, x in enumerate(target) if x)
                 beyond_closure += len(got.support) > len(_out_closure(model, seed))
         assert checked > 400 and 0 < none < checked and beyond_closure > 10
-        assert refuted > 0
+
+    def test_every_generator_of_the_least_support_reaches_the_target(self):
+        # the zero set of an invariant r >= 0 in the least admissible
+        # support F is admissible, so every generator on F is positive at
+        # the target: the state is the first generator, scaled
+        rng = random.Random(2025)
+        several = 0
+        for model in [random_model(rng) for _ in range(100)] + [sparse_model(rng) for _ in range(200)]:
+            p = model._presentation
+            for _ in range(4):
+                target = tuple(rng.randint(0, 1) for _ in range(model.dim))
+                if not any(target):
+                    continue
+                F = least_admissible_support(zip(*p._supports), sum(1 << v for v, t in enumerate(target) if t))
+                gens = cones_module._cone_generators(p, F)[2]
+                assert all(sum(map(operator.mul, r, target)) > 0 for r in gens)
+                several += len(gens) > 1
+                got = ts.solve_state_at(model, target)
+                assert (got is None) == (gens == ())
+                if gens:
+                    mass = sum(map(operator.mul, gens[0], target))
+                    assert got.values == tuple(Fraction(x, mass) if F >> v & 1 else INFINITY
+                                               for v, x in enumerate(gens[0]))
+        assert several > 10
 
     def test_least_support_matches_frozenset_fixpoint(self):
         rng = random.Random(83)
@@ -385,11 +430,19 @@ def assert_faithful_state(model, got, expected):
             model, ts.StateCertificate(got, (1,) * model.dim, tuple(range(model.dim))))
 
 
+def assert_positive_invariant(model, vec):
+    """Strictly positive, and A_i vec = vec for every matrix."""
+    n = model.dim
+    assert len(vec) == n and all(type(x) is Fraction and x > 0 for x in vec)
+    for mat in model.matrices:
+        assert [sum(mat[v][w] * vec[w] for w in range(n)) for v in range(n)] == list(vec)
+
+
 class TestMatchesMatrixInvarianceLP:
-    """States and invariant vectors solved on the cone LP of the model's
-    presentation equal those of the LPs built from the matrices (the copies
-    above), outside one pinned case; faithful states exist exactly when the
-    matrix copy finds one."""
+    """States, invariant vectors and faithful states read off the cone
+    generators of the model's presentation exist exactly when the LPs built
+    from the matrices (the copies above) are feasible, states on the same
+    support, and each verifies."""
 
     @staticmethod
     def _file_models():
@@ -412,22 +465,28 @@ class TestMatchesMatrixInvarianceLP:
             targets.append(tuple(rng.randint(0, 2) for _ in range(n)))
             for target in filter(any, targets):
                 got = ts.solve_state_at(model, target)
-                assert got == _matrix_solve_state_at(model, target)
-                assert got is None or ts.verify_state_certificate(model, got)
+                expected = _matrix_solve_state_at(model, target)
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert got.support == expected.support
+                    assert ts.verify_state_certificate(model, got)
                 calls += 1
                 found += got is not None
             got = ts.faithful_finite_state(model)
             assert_faithful_state(model, got, _matrix_faithful_finite_state(model))
             faithful += got is not None
             got = ts.positive_invariant_vector(model)
-            assert got == _matrix_positive_invariant_vector(model)
+            assert (got is None) == (_matrix_positive_invariant_vector(model) is None)
+            if got is not None:
+                assert_positive_invariant(model, got)
             positive += got is not None
         assert calls > 1000 and 0 < found < calls
         assert 0 < faithful < len(models) and 0 < positive < len(models)
 
     def test_pinned_divergence(self):
-        # the cone has several extreme rays, and rows lhs - rhs in place of
-        # A c - c send Phase I to another vertex of it; both states verify
+        # the cone has two extreme rays, (0, 0, 1, 0, 2) and (0, 0, 0, 1, 2):
+        # the library scales the first, Phase I on the matrix copy ends at
+        # the second; both states verify
         a = [[0, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 1, 1, 0, 0], [2, 1, 0, 1, 0], [2, 0, 2, 2, 0]]
         b = [[sum(a[i][t] * a[t][j] for t in range(5)) for j in range(5)] for i in range(5)]
         model = ts.validate_kgraph([f"v{i}" for i in range(5)], [a, b])
@@ -502,52 +561,66 @@ class TestFaithfulFiniteState:
 
     def test_bad_average_raises_consistency_error(self, monkeypatch):
         # the check must survive python -O, so it cannot be an assert; the
-        # swap model's vector (1, 1) becomes (2, 1), which no move fixes.
-        # The model is built here: one asked before would answer from what
-        # it keeps, and the patched solver would never run
-        real = cones_module.solve_lp
+        # swap model's generator (1, 1) becomes (2, 1), which no move fixes
+        real = states_module._cone_generators
 
-        def skewed(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            return dataclasses.replace(sol, x=(sol.x[0] + 1,) + sol.x[1:])
+        def skewed(pres, F):
+            support, inside, gens = real(pres, F)
+            return support, inside, tuple((r[0] + 1,) + r[1:] for r in gens)
 
-        monkeypatch.setattr(cones_module, "solve_lp", skewed)
+        monkeypatch.setattr(states_module, "_cone_generators", skewed)
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
-        with pytest.raises(ts.ConsistencyError):
-            ts.faithful_finite_state(m)
-        # the vector failed its check, so nothing is kept and asking again
-        # solves, and raises, again
-        assert m._answers == ()
+        # nothing is kept, so asking again reads, and raises, again
         for query in (ts.faithful_finite_state, ts.positive_invariant_vector, ts.stiemke_crosscheck):
-            with pytest.raises(ts.ConsistencyError):
-                query(m)
+            for _ in range(2):
+                with pytest.raises(ts.ConsistencyError):
+                    query(m)
         monkeypatch.undo()
         assert ts.faithful_finite_state(m) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_a_kept_vector_is_checked_on_every_call(self):
-        # a vector kept on the model that is not invariant is still caught
+        # the vector is summed from the generators the presentation keeps;
+        # a kept generator that is not invariant is still caught
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
         assert ts.positive_invariant_vector(m) == (1, 1)
-        object.__setattr__(m, "_answers", tuple(
-            (key, (2, 1) if key == "positive" else answer) for key, answer in m._answers))
-        with pytest.raises(ts.ConsistencyError):
-            ts.faithful_finite_state(m)
+        p = m._presentation
+        assert p._cones == (0b11, ((1, 1),))
+        object.__setattr__(p, "_cones", (0b11, ((2, 1),)))
+        for query in (ts.positive_invariant_vector, ts.faithful_finite_state):
+            with pytest.raises(ts.ConsistencyError):
+                query(m)
 
     def test_solves_at_most_one_lp_and_exists_iff_per_vertex_rebuild(self, monkeypatch):
+        # the n maximisations became no LP at all: the cone generators give
+        # a faithful state exactly when the maximise-and-average copy does.
+        # On the library's own traffic, states, positive vectors and
+        # faithful states solve no LP either
         rng = random.Random(89)
-        found = refuted = 0
+        found = 0
         for model in [random_model(rng, max_vertices=5) for _ in range(40)]:
             expected = _matrix_faithful_finite_state(model)
             with monkeypatch.context() as patch:
                 calls = count_lp_solves(patch)
                 got = ts.faithful_finite_state(model)
-            # the n maximisations became one LP, and none exactly when the
-            # cone generators refute positivity
-            assert len(calls) == (got is not None)
+            assert calls == []
             assert_faithful_state(model, got, expected)
             found += got is not None
-            refuted += not calls
-        assert 0 < found < 40 and refuted > 0
+        assert 0 < found < 40
+        for model in traffic_models(89):
+            assert_no_lp_for_states(monkeypatch, model)
+
+    def test_missing_generators_raise(self, monkeypatch):
+        # a k-graph support always has generators; if one ever had none,
+        # states and positive vectors raise and never fall back to an LP
+        real = states_module._cone_generators
+        monkeypatch.setattr(states_module, "_cone_generators", lambda p, F: real(p, F)[:2] + (None,))
+        m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
+        calls = count_lp_solves(monkeypatch)
+        for query in (lambda m: ts.solve_state_at(m, (1, 0)), ts.positive_invariant_vector,
+                      ts.faithful_finite_state):
+            with pytest.raises(ts.ConsistencyError):
+                query(m)
+        assert calls == []
 
 
 class TestCoboundary:
@@ -570,15 +643,11 @@ class TestCoboundary:
             ts.coboundary_check(model)
         # a call that raises keeps nothing, so the next one solves, and
         # raises, again
-        assert model._answers == ()
-        for query in (ts.coboundary_check, ts.stiemke_crosscheck):
+        assert model._coboundary is None
+        for query in (ts.coboundary_check, ts.stiemke_crosscheck, ts.classify):
             with pytest.raises(ts.ConsistencyError):
                 query(model)
-            assert model._answers == ()
-        # classify asks for the positive vector first, which is kept
-        with pytest.raises(ts.ConsistencyError):
-            ts.classify(model)
-        assert model._answers == (("positive", None),)
+            assert model._coboundary is None
         monkeypatch.undo()
         res = ts.coboundary_check(model)
         assert not res.holds and ts.verify_coboundary_witness(model, res)
@@ -650,9 +719,9 @@ def _memo_models(seed, count=30):
 
 
 class TestModelAnswers:
-    """The coboundary result and the positive invariant vector are kept on
-    the model by the first query that asks; the answers are those of a
-    model asked nothing."""
+    """The coboundary result is kept on the model by the first query that
+    asks; the answers, the positive vector read afresh from the kept cone
+    generators included, are those of a model asked nothing."""
 
     def test_any_order_answers_as_a_fresh_twin(self):
         rng = random.Random(97)
@@ -666,43 +735,46 @@ class TestModelAnswers:
                     assert got == expected[name] and repr(got) == repr(expected[name])
             twin = _twin(model)
             assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
-            assert sorted(key for key, _ in model._answers) == [
-                "coboundary", "positive"]
-            assert ts.coboundary_check(model) is ts.coboundary_check(model)
+            assert model._coboundary is ts.coboundary_check(model) is ts.coboundary_check(model)
             holds.add(ts.coboundary_check(model).holds)
         assert holds == {True, False}
 
     def test_one_coboundary_lp_and_one_cone_solve_per_model(self, monkeypatch):
         # classify and then stiemke_crosscheck, the classify ensemble's unit,
-        # solve the coboundary LP once and the positive vector's cone once
-        coboundary_lps, positive_cones = [], []
-        real_solve, real_cone = states_module.solve_lp, states_module._cone_solution
+        # solve the coboundary LP once and build the full support's cone
+        # generators, off which the positive vector is read, once
+        coboundary_lps, full_cones = [], []
+        real_solve, real_build = states_module.solve_lp, cones_module._build_generators
 
         def counted_solve(*args, **kwargs):
             coboundary_lps.append(1)
             return real_solve(*args, **kwargs)
 
-        def counted_cone(pres, F, rows):
-            if all(op == ">=" for _, op in rows):
-                positive_cones.append(1)
-            return real_cone(pres, F, rows)
+        def counted_build(dim, support, inside):
+            if len(support) == dim:
+                full_cones.append(1)
+            return real_build(dim, support, inside)
 
         monkeypatch.setattr(states_module, "solve_lp", counted_solve)
-        monkeypatch.setattr(states_module, "_cone_solution", counted_cone)
+        monkeypatch.setattr(cones_module, "_build_generators", counted_build)
         for model in _memo_models(101):
             coboundary_lps.clear()
-            positive_cones.clear()
+            full_cones.clear()
             ts.classify(model)
             ts.stiemke_crosscheck(model)
-            assert len(coboundary_lps) == len(positive_cones) == 1
-            # the model-only queries now solve nothing; classify still
-            # solves its per-vertex questions on every call
+            assert len(coboundary_lps) == len(full_cones) == 1
+            # the model-only queries now solve no LP and build nothing;
+            # classify still asks its per-vertex questions on every call
             with monkeypatch.context() as patch:
-                cone_lps = count_lp_solves(patch)
+                lps = count_lp_solves(patch)
                 for name, query in MODEL_QUERIES.items():
                     if name != "classify":
                         query(model)
-            assert len(coboundary_lps) == len(positive_cones) == 1 and cone_lps == []
+            assert len(coboundary_lps) == len(full_cones) == 1 and lps == []
+        # nor do states, positive vectors and faithful states on the
+        # library's own traffic
+        for model in traffic_models(101):
+            assert_no_lp_for_states(monkeypatch, model)
 
     def test_per_call_queries_keep_nothing(self):
         # states at a target and the structural checks are asked per call,
@@ -711,11 +783,11 @@ class TestModelAnswers:
             ts.structural_checks(model)
             for v in range(model.dim):
                 ts.solve_state_at(model, ts.unit_vector(model.dim, v))
-            assert model._answers == ()
+            assert model._coboundary is None
             ts.stiemke_crosscheck(model)
-            assert len(model._answers) == 2
-            assert ts.relabel_kgraph(model, list(range(model.dim))[::-1])._answers == ()
-            assert dataclasses.replace(model)._answers == ()
+            assert model._coboundary is not None
+            assert ts.relabel_kgraph(model, list(range(model.dim))[::-1])._coboundary is None
+            assert dataclasses.replace(model)._coboundary is None
 
 
 @pytest.mark.parametrize("bad", [5, None, [[1]], "v", {"k": 1, "vertices": ["v"], "matrices": [[[2]]]},
