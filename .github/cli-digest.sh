@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Hash the stdout and exit code of the README's example commands and of
-# classify, coboundary and unperforation on every model file, in both
-# formats, together.  Run from the repository root:
+# Hash the stdout and exit code of the README's example commands, of two
+# sweeps that leave pairs unknown, and of classify, coboundary and
+# unperforation on every model file, in both formats, together.  Run from the repository root:
 #
 #     bash .github/cli-digest.sh [EXPECTED]
 #
@@ -21,6 +21,8 @@ paradox models/rank2_single_vertex.json --target 1 --k 2 --l 1
 state models/one_loop.json --target 1
 coboundary models/triangular.json
 unperforation models/two_loops.json --coeff-bound 4
+unperforation models/cross_double.json --coeff-bound 4 --budget-states 3
+unperforation models/triangular.json --coeff-bound 4 --budget-states 3
 oracle-compare models/three_cycle.json --samples 100 --seed 7
 stabilize-test models/transposition.json --n 4
 COMMANDS

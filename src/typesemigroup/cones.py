@@ -92,9 +92,10 @@ def _cone_solution(pres: MonoidPresentation, F: int, gap: dict[int, int]) -> lis
     lhs - rhs == 0 per move inside F (zero rows dropped), then c.gap - slack
     == 1.  The solver returns the point its Phase I ends at.
     """
-    support, inside, gens = _cone_generators(pres, F)
+    gens = _cone_generators(pres, F)
     if gens is not None and all(sum(ray[v] * c for v, c in gap.items()) <= 0 for ray in gens):
         return None
+    support, inside = _support_and_inside(pres, F)
     A = [row + [0] for row in (
         [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
     A.append([gap.get(i, 0) for i in support] + [-1])
@@ -105,31 +106,35 @@ def _cone_solution(pres: MonoidPresentation, F: int, gap: dict[int, int]) -> lis
     return [next(x) if F >> i & 1 else INFINITY for i in range(pres.dim)]
 
 
-def _cone_generators(pres: MonoidPresentation, F: int):
-    """The vertices of F, ascending, the moves inside F with the supports of
-    their left sides, in move order, and the integral generators of
-    {c >= 0 on F : c invariant under every move inside F}, as a tuple of
-    vectors of length `pres.dim`, 0 off F.
+def _support_and_inside(pres: MonoidPresentation, F: int) -> tuple[list[int], list]:
+    """The vertices of F, ascending, and the moves inside F with the
+    supports of their left sides, in move order."""
+    return ([i for i in range(pres.dim) if F >> i & 1],
+            [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F])
 
-    The generators are None when the left side of some move inside F is not
-    a unit vector e_v with coefficient 1, when the vertices of F do not all
-    have the same number of moves inside F, or when some B_j r_i is not the
+
+def _cone_generators(pres: MonoidPresentation, F: int) -> tuple | None:
+    """The integral generators of {c >= 0 on F : c invariant under every
+    move inside F}, as a tuple of vectors of length `pres.dim`, 0 off F.
+
+    They are None when the left side of some move inside F is not a unit
+    vector e_v with coefficient 1, when the vertices of F do not all have
+    the same number of moves inside F, or when some B_j r_i is not the
     combination of the generators read off at their markers.
 
     They depend on the moves alone, so they are built once per presentation
     and support and kept in `pres._cones`, a flat tuple of (F, generators)
-    entries; a build that raises keeps nothing.  The two lists are cheap
-    and are rebuilt on every call.
+    entries, which is looked up first; a build that raises keeps nothing.
+    Only the generators are kept: a caller that needs the vertices of F or
+    the moves inside it builds them (`_support_and_inside`).
     """
-    support = [i for i in range(pres.dim) if F >> i & 1]
-    inside = [(mv, ls) for mv, ls, rs in zip(pres.moves, *pres._supports) if not (ls | rs) & ~F]
     entries = iter(pres._cones)
     for key, gens in zip(entries, entries):
         if key == F:
-            return support, inside, gens
-    gens = _build_generators(pres.dim, support, inside)
+            return gens
+    gens = _build_generators(pres.dim, *_support_and_inside(pres, F))
     object.__setattr__(pres, "_cones", pres._cones + (F, gens))
-    return support, inside, gens
+    return gens
 
 
 def _build_generators(dim: int, support: list[int], inside) -> tuple | None:

@@ -28,9 +28,11 @@ states packed into one int each, with the moves compiled once per search
 to packed ints of the same layout (`_compiled_moves`, `_Layout`): a move
 is tested by one guarded subtraction and applied as s - need + give, and
 certificates are unpacked only when a result is returned.
-`almost_unperforated_up_to` compiles them once per sweep, in one layout
-for its whole span, and grows one tree per right-hand side eta, shared by
-every theta whose pair reaches the search (`_dominate`).  `classify`'s
+`almost_unperforated_up_to` compiles them once per sweep on a presentation
+that is not unit, in one layout for its whole span, packs the span in it
+and walks the right-hand sides eta: every theta of one eta is tested
+below eta by one guarded subtraction, and those no separator refutes share
+one tree from eta (`_dominate`).  `classify`'s
 per-vertex (2, 1) tests run the order's ladder (`_decide_leq`) over moves
 compiled at most once per call.
 
@@ -47,9 +49,10 @@ questions of one presentation and only counts, asks each pair what
 least admissible support once per support of eta; on a support whose
 invariant cone has generators, the value of every span vector under them,
 which decide each pair with integer comparisons and no LP; on any other
-support, one separator LP per pair.  The moves it compiles and the trees
-it grows live only for that call as well, as do each decider's compiled
-moves and search tree.
+support, one separator LP per pair.  A unit presentation's sweep decides
+no pair and builds only as much of the span as fixes the count.  The
+moves it compiles and the trees it grows live only for that call as well,
+as do each decider's compiled moves and search tree.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
@@ -71,7 +74,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -901,7 +904,8 @@ def _dominate(tree: _SearchTree, layout: _Layout, fs: list[int],
     them as for the root: a wider f would spill into the next field.
     Returns the first new state that dominates each f found, as a dict, the
     fs left undominated, in order, and whether the budget stopped the
-    search.  The root is not tested.  The levels do not depend on `fs`, and
+    search.  The root is not tested.  A new state is tested against the fs
+    left until one is dominated; lists are rebuilt only on such a hit.  The levels do not depend on `fs`, and
     the search stops only at the end of a level or once no f is left, so f
     is found exactly when a search for f alone would find it.
     """
@@ -911,12 +915,15 @@ def _dominate(tree: _SearchTree, layout: _Layout, fs: list[int],
     while tree.frontier:
         for new in tree.expand(layout):
             armed = new | guard
-            hit = [f for f in left if (armed - f) & guard == guard]
-            if hit:
-                found.update(dict.fromkeys(hit, new))
-                left = [f for f in left if f not in found]
-                if not left:
-                    return found, left, False
+            for f in left:
+                if (armed - f) & guard == guard:
+                    break
+            else:
+                continue
+            found.update(dict.fromkeys([f for f in left if (armed - f) & guard == guard], new))
+            left = [f for f in left if f not in found]
+            if not left:
+                return found, left, False
         if len(tree.visited) > budget.max_states:
             return found, left, True
     return found, left, False
@@ -1029,6 +1036,19 @@ def kl_paradoxical(
     return decide_leq(pres, vec_scale(k, theta), vec_scale(l, theta), budget)
 
 
+def _sweep_span(gens: list[Vector], coeff_bound: int, limit: int) -> list[Vector]:
+    """The first `limit` distinct combinations of `gens` with coefficients
+    up to `coeff_bound`, in the order `itertools.product` gives the
+    coefficients, each summed from the generators' precomputed multiples."""
+    multiples = [[tuple([c * x for x in gv]) for c in range(coeff_bound + 1)] for gv in gens]
+    span: dict[Vector, None] = {}
+    for parts in itertools.product(*multiples):
+        span[tuple(map(sum, zip(*parts)))] = None
+        if len(span) >= limit:
+            break
+    return list(span)
+
+
 def almost_unperforated_up_to(
     pres: MonoidPresentation,
     generators: Sequence[Sequence[int]],
@@ -1041,22 +1061,33 @@ def almost_unperforated_up_to(
 
     Decides theta <= eta for the first `max_pairs` pairs of the span with
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
-    left undecided.  Each pair is counted as `decide_leq` would count it.  A
-    unit presentation's pairs are only counted, since its unit path decides
-    every pair.  Otherwise a pair not below eta coordinatewise is decided on
-    the least admissible support F0 of eta alone: it is refuted when theta
-    sticks out of F0, or when some invariant functional c >= 0 on F0 has
+    left undecided.  Pairs run theta-major over the span, so eta j is paired
+    with the thetas i < ceil((pairs_checked - j) / n), n the span's length.
+    Each pair is counted as `decide_leq` would count it.  The span is summed
+    from each generator's multiples (`_sweep_span`) and cut one vector past
+    max_pairs, since max_pairs + 1 vectors already give more pairs.
+
+    A unit presentation's pairs are only counted, since its unit path
+    decides every pair; its span stops once its square passes max_pairs,
+    at isqrt(max_pairs) + 1 vectors, which decide the count.  Otherwise the
+    span is packed in one `_Layout`, compiled once per sweep, and the sweep
+    walks the etas, deciding all the thetas of one eta together, each test
+    one list comprehension over the thetas the last one left:
+    theta <= eta coordinatewise is one guarded subtraction on the packed
+    vectors, and holds with no search.  The rest are decided on the least
+    admissible support F0 of eta alone: refuted when theta sticks out of F0,
+    one mask test, or when some invariant functional c >= 0 on F0 has
     c.theta > c.eta: exactly the pairs `_order_separator` refutes.  F0 is
-    found once per support of eta.  Where the cone on a support has
-    generators (`cones._cone_generators`, built once per presentation and
-    kept on it), the value of every span vector under each of them is found
-    once, and a functional exists exactly when some generator is larger at
-    theta than at eta: no LP.  On the other supports each pair solves its
-    separator LP (`_separator_on_support`).  The pairs nothing refutes are
-    searched with one tree per distinct eta, over moves compiled once.  The
-    least supports, the value tables, the compiled moves and the trees live
-    only until the call returns.  `coeff_bound`, `mult_bound` and
-    `max_pairs` are `int`s >= 0.
+    found once per support of eta.  Where the cone on F0 has generators
+    (`cones._cone_generators`, built once per presentation and kept on it),
+    the value of every span vector under each of them is found once, the
+    first time a theta gets past the first two tests on F0, and a functional
+    exists exactly when some generator is larger at theta than at eta: no
+    LP.  On the other supports each pair solves its separator LP
+    (`_separator_on_support`).  The thetas nothing refutes go to one search
+    tree from eta.  The least supports, the value tables, the compiled moves
+    and the trees live only until the call returns.  `coeff_bound`,
+    `mult_bound` and `max_pairs` are `int`s >= 0.
 
     One tree per eta counts what one search per pair would.  The search
     from eta has the same levels whatever theta is, and it stops only at the
@@ -1080,52 +1111,55 @@ def almost_unperforated_up_to(
     require_int("coeff_bound", coeff_bound, nonnegative=True)
     require_int("mult_bound", mult_bound, nonnegative=True)
     require_int("max_pairs", max_pairs, nonnegative=True)
-    # one vector past max_pairs already gives more pairs than max_pairs
-    span: list[Vector] = []
-    seen = set()
-    for coeffs in itertools.product(range(coeff_bound + 1), repeat=len(gens)):
-        vec = tuple(sum(c * gv[i] for c, gv in zip(coeffs, gens)) for i in range(pres.dim))
-        if vec not in seen:
-            seen.add(vec)
-            span.append(vec)
-            if len(span) > max_pairs:
-                break
-    pairs_checked = min(len(span) ** 2, max_pairs)
+    unit = pres._unit is not None
+    # one vector past max_pairs already gives more pairs than max_pairs; a
+    # unit sweep only counts, and more than max_pairs pairs decide its count
+    span = _sweep_span(gens, coeff_bound, isqrt(max_pairs) + 1 if unit else max_pairs + 1)
+    n = len(span)
+    pairs_checked = min(n * n, max_pairs)
     unknown = 0
-    if pres._unit is None:
+    if not unit:
+        budget = budget or DEFAULT_BUDGET
+        layout = _compiled_moves(pres, budget.max_coord, max(map(max, span)))
+        guard = layout.guard
+        packed = [layout.pack(vec) for vec in span]
         sides = list(zip(*pres._supports))
-        supports = [_support(vec) for vec in span]
-        least: dict[int, int] = {}  # support of eta -> its least admissible support
+        # support of eta -> its least admissible support F, and the fields
+        # off F packed at their full width
+        least: dict[int, tuple[int, int]] = {}
         values: dict[int, list | None] = {}  # F -> the span's values under F's generators
-        searches: dict[Vector, list[Vector]] = {}  # eta -> the thetas it must dominate
-
-        def refuted(F: int, i: int, j: int) -> bool:
-            """Some invariant c >= 0 on F has c.theta > c.eta."""
+        # pair (i, j) is the (i * n + j)-th, so the first pairs_checked pairs
+        # give eta j the thetas i < ceil((pairs_checked - j) / n)
+        for j in range(min(n, pairs_checked)):
+            armed = packed[j] | guard
+            # theta <= eta coordinatewise is decided without a search
+            left = [i for i in range((pairs_checked - j + n - 1) // n)
+                    if (armed - packed[i]) & guard != guard]
+            if not left:
+                continue
+            support = _support(span[j])
+            if support not in least:
+                F = least_admissible_support(sides, support)
+                least[support] = F, layout.pack(
+                    [0 if F >> k & 1 else layout.mask for k in range(pres.dim)])
+            F, off = least[support]
+            # a theta that sticks out of F is refuted
+            left = [i for i in left if not packed[i] & off]
+            if not left:
+                continue
             if F not in values:
-                rays = _cone_generators(pres, F)[2]
+                rays = _cone_generators(pres, F)
                 values[F] = None if rays is None else [tuple([
                     sum(map(operator.mul, ray, vec)) for ray in rays]) for vec in span]
             table = values[F]
             if table is None:
-                return _separator_on_support(pres, F, span[i], span[j]) is not None
-            return any(map(operator.gt, table[i], table[j]))
-
-        for (i, theta), (j, eta) in itertools.islice(
-                itertools.product(enumerate(span), repeat=2), max_pairs):
-            # theta <= eta coordinatewise is decided without a search
-            if all(map(operator.le, theta, eta)):
-                continue
-            if supports[j] not in least:
-                least[supports[j]] = least_admissible_support(sides, supports[j])
-            F = least[supports[j]]
-            if not (supports[i] & ~F or refuted(F, i, j)):
-                searches.setdefault(eta, []).append(theta)
-        if searches:
-            budget = budget or DEFAULT_BUDGET
-            layout = _compiled_moves(pres, budget.max_coord, max(map(max, span)))
-            pack = layout.pack
-            for eta, thetas in searches.items():
-                unknown += len(_dominate(_SearchTree(pack(eta)), layout,
-                                         [pack(theta) for theta in thetas], budget)[1])
-    return UnperforationSweep(None, pairs_checked, unknown, len(span) ** 2 > pairs_checked)
+                left = [i for i in left
+                        if _separator_on_support(pres, F, span[i], span[j]) is None]
+            else:
+                at_eta = table[j]
+                left = [i for i in left if not any(map(operator.gt, table[i], at_eta))]
+            if left:
+                unknown += len(_dominate(_SearchTree(packed[j]), layout,
+                                         [packed[i] for i in left], budget)[1])
+    return UnperforationSweep(None, pairs_checked, unknown, n * n > pairs_checked)
 

@@ -93,23 +93,23 @@ def solve_state_at(model: KGraphModel, target: Sequence[int]) -> StateCertificat
     if not seed:
         raise InputError(ZERO_TARGET, "target vector must be nonzero")
     F = least_admissible_support(zip(*model._presentation._supports), seed)
-    support, gens = _kgraph_generators(model, F)
-    for r in gens:
+    for r in _kgraph_generators(model, F):
         mass = sum(x * t for x, t in zip(r, target))
         if mass > 0:
             values = tuple(Fraction(x, mass) if F >> v & 1 else INFINITY for v, x in enumerate(r))
-            return StateCertificate(values=values, target=target, support=tuple(support))
+            support = tuple(v for v in range(model.dim) if F >> v & 1)
+            return StateCertificate(values=values, target=target, support=support)
     return None
 
 
-def _kgraph_generators(model: KGraphModel, F: int) -> tuple[list[int], tuple]:
-    """The vertices of F and the invariant cone generators on F
-    (`cones._cone_generators`), which every support of a k-graph
-    presentation has; `ConsistencyError` if they are missing."""
-    support, _, gens = _cone_generators(model._presentation, F)
+def _kgraph_generators(model: KGraphModel, F: int) -> tuple:
+    """The invariant cone generators on F (`cones._cone_generators`), which
+    every support of a k-graph presentation has; `ConsistencyError` if they
+    are missing."""
+    gens = _cone_generators(model._presentation, F)
     if gens is None:
         raise ConsistencyError("k-graph support has no invariant cone generators")
-    return support, gens
+    return gens
 
 
 def verify_state_certificate(model: KGraphModel, cert: StateCertificate) -> bool:
@@ -232,7 +232,7 @@ def positive_invariant_vector(model: KGraphModel) -> tuple[Fraction, ...] | None
     """
     _require_model(model)
     n = model.dim
-    _, gens = _kgraph_generators(model, (1 << n) - 1)
+    gens = _kgraph_generators(model, (1 << n) - 1)
     pos = [sum(r[v] for r in gens) for v in range(n)]
     if not all(pos):
         return None

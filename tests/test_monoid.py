@@ -1168,13 +1168,14 @@ class TestCompiledSweep:
         memo = _cone_memo(p)
         assert len(reached) == 2 and sorted(memo) == sorted(reached)
         assert len(p._cones) == 2 * len(memo) and twin._cones == ()
-        assert all(memo[F] == _cone_generators(twin, F)[2] for F in reached)
+        assert all(memo[F] == _cone_generators(twin, F) for F in reached)
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == first
 
     def test_moves_compiled_once_per_sweep(self, monkeypatch):
-        # moves are compiled once per sweep that searches, never for a unit
-        # presentation, and one search tree is grown per right-hand side eta
-        # that has a pair left after the separators, no more
+        # moves are compiled at most once per sweep, exactly once when it
+        # searches and never for a unit presentation; one search tree is
+        # grown per right-hand side eta that has a pair left after the
+        # separators, no more
         rng = random.Random(73)
         budget = ts.SearchBudget(300, 6)
         compiled, roots = [], []
@@ -1210,7 +1211,7 @@ class TestCompiledSweep:
                 if p._unit is not None:
                     assert compiled == [] and roots == []
                     continue
-                assert len(compiled) == (1 if searched else 0)
+                assert len(compiled) == 1 if searched else len(compiled) <= 1
                 assert sorted(layout.unpack(root) for layout in compiled
                               for root in roots) == sorted(set(searched))
                 shared += len(searched) > len(roots)
@@ -1236,6 +1237,21 @@ def _parent_bfs_leq(p, f, g, budget):
                 len(tree.visited), tree.cap_hit, exhausted=False))
     return ts.DecisionOutcome(ts.Verdict.UNKNOWN, budget=ts.BudgetReport(
         len(tree.visited), tree.cap_hit, exhausted=not tree.cap_hit))
+
+
+def _search_alone(layout, root, f, budget):
+    """A search from the packed `root` for the packed f alone, by whole
+    levels: the first new state that dominates f coordinatewise, unpacked
+    to compare, or None, and whether the budget stopped the search."""
+    tree = monoid._SearchTree(root)
+    target = layout.unpack(f)
+    while tree.frontier:
+        for new in tree.expand(layout):
+            if all(a >= b for a, b in zip(layout.unpack(new), target)):
+                return new, False
+        if len(tree.visited) > budget.max_states:
+            return None, True
+    return None, False
 
 
 # tiny budgets put the level boundary where the searches stop
@@ -1285,6 +1301,36 @@ class TestSharedSearchLevels:
         # a found chain, and UNKNOWN with the frontier run out, stopped by
         # the coordinate cap and stopped by the state budget
         assert seen == {ts.Verdict.EQUIV, (False, True), (True, False), (False, False)}
+
+    def test_dominate_maps_each_f_to_its_first_dominating_state(self):
+        # duplicate and nested fs share one tree: each f maps to the first
+        # new state, in `expand`'s discovery order, that dominates it,
+        # exactly when a search for f alone finds one, and the fs left and
+        # the budget stop are those searches' too
+        rng = random.Random(101)
+        shared_hits = stops = runs_out = 0
+        for dim in range(1, 4):
+            for p in _sweep_presentations(rng, dim)[1:] + [
+                    _non_unit_presentation(rng, dim, rng.randint(1, 4)) for _ in range(2)]:
+                for _ in range(3):
+                    g = tuple(rng.randint(0, 3) for _ in range(dim))
+                    fs = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(3)]
+                    fs += [fs[0], tuple(map(min, fs[1], g)), tuple(x + 1 for x in fs[2]), fs[2]]
+                    rng.shuffle(fs)
+                    for budget in _TINY_BUDGETS:
+                        layout = monoid._compiled_moves(p, budget.max_coord, max(g + sum(fs, ())))
+                        root, packed = layout.pack(g), [layout.pack(f) for f in fs]
+                        found, left, stopped = monoid._dominate(
+                            monoid._SearchTree(root), layout, packed, budget)
+                        alone = {f: _search_alone(layout, root, f, budget) for f in packed}
+                        assert found == {f: new for f, (new, _) in alone.items() if new is not None}
+                        assert left == [f for f in packed if alone[f][0] is None]
+                        assert {alone[f][1] for f in left} == ({stopped} if left else set())
+                        assert not stopped or left
+                        shared_hits += len(set(found.values())) < len(found)
+                        stops += stopped
+                        runs_out += bool(left) and not stopped
+        assert shared_hits >= 50 and stops >= 50 and runs_out >= 50
 
     def test_budget_stop_on_the_last_level_is_not_exhaustion(self):
         # no move applies to (1,), so the first level visits nothing and
@@ -1378,6 +1424,65 @@ def _unit_presentations(rng):
     return out
 
 
+def _generator_lists(dim):
+    """The unit vectors, and generator lists that are not: a repeated
+    generator, sums that collide (e0, e0, 2 e0), and a zero generator."""
+    e = [ts.unit_vector(dim, i) for i in range(dim)]
+    zero = (0,) * dim
+    return [e, [e[0], e[0], tuple(2 * x for x in e[0])], e + [e[0]],
+            [zero] + e[::-1], [e[-1], (1,) * dim, zero, (2,) * dim]]
+
+
+def _bounds_around(span_len):
+    """max_pairs 0 and 1, at and next to the span's length, at and next to
+    every perfect square below the span's pairs, and at and next to those
+    pairs."""
+    pairs = span_len ** 2
+    bounds = {0, 1, span_len - 1, span_len, span_len + 1, pairs - 1, pairs, pairs + 1}
+    bounds.update(k * k + d for k in range(1, span_len) for d in (-1, 0, 1))
+    return sorted(b for b in bounds if b >= 0)
+
+
+class TestSweepSpan:
+    def test_matches_the_reference_span(self):
+        # the span summed from precomputed multiples is `_span`'s, in its
+        # order, cut after any number of distinct vectors
+        collided = 0
+        for dim in range(1, 4):
+            p = pres(dim, [])
+            for gens in _generator_lists(dim):
+                for coeff_bound in range(4):
+                    span = _span(p, gens, coeff_bound)
+                    for limit in range(1, len(span) + 2):
+                        assert monoid._sweep_span(gens, coeff_bound, limit) == span[:limit]
+                    collided += len(span) < (coeff_bound + 1) ** len(gens)
+        assert collided >= 30
+
+    def test_sweep_matches_per_pair_loop(self):
+        # non-unit presentations, generator lists with repeats, collisions
+        # and zeros, and max_pairs around the span's length and every
+        # square: the sweep counts what `decide_leq` on the first max_pairs
+        # pairs of `_span` counts
+        rng = random.Random(103)
+        budget = ts.SearchBudget(30, 4)
+        unknown_seen = 0
+        for dim in range(1, 4):
+            for p in _sweep_presentations(rng, dim)[1:]:
+                for gens in _generator_lists(dim):
+                    coeff_bound = 2 if dim <= 2 else 1
+                    span = _span(p, gens, coeff_bound)
+                    unknown = [ts.decide_leq(p, t, e, budget).is_unknown
+                               for t, e in itertools.product(span, repeat=2)]
+                    for max_pairs in _bounds_around(len(span)):
+                        sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4,
+                                                             budget, max_pairs)
+                        checked = unknown[:max_pairs]
+                        assert sweep == ts.UnperforationSweep(
+                            None, len(checked), sum(checked), len(unknown) > len(checked))
+                        unknown_seen += sweep.unknown_pairs > 0
+        assert unknown_seen >= 20
+
+
 class TestUnitSweepIsCounted:
     def test_sweep_matches_per_pair_loop(self, monkeypatch):
         rng = random.Random(79)
@@ -1392,22 +1497,24 @@ class TestUnitSweepIsCounted:
         presentations = _unit_presentations(rng)
         assert all(p._unit is not None for p in presentations)
         for p in presentations:
-            gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
-            coeff_bound = 2 if p.dim <= 2 else 1
-            span = _span(p, gens, coeff_bound)
-            pairs = len(span) ** 2
-            outcomes = [ts.decide_leq(p, t, e) for t, e in itertools.product(span, repeat=2)]
-            assert not any(out.is_unknown for out in outcomes)
-            assert calls  # the counter sees the per-pair loop
-            for max_pairs in (0, 1, len(span) - 1, len(span), len(span) + 1,
-                              pairs - 1, pairs, pairs + 1):
-                calls.clear()
-                sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, None, max_pairs)
-                checked = outcomes[:max_pairs]
-                assert sweep == ts.UnperforationSweep(
-                    None, len(checked), sum(out.is_unknown for out in checked),
-                    pairs > len(checked))
-                assert calls == []
+            for gens in _generator_lists(p.dim):
+                coeff_bound = 2 if p.dim <= 2 else 1
+                span = _span(p, gens, coeff_bound)
+                pairs = len(span) ** 2
+                outcomes = [ts.decide_leq(p, t, e) for t, e in itertools.product(span, repeat=2)]
+                assert not any(out.is_unknown for out in outcomes)
+                assert calls  # the counter sees the per-pair loop
+                # the span stops once its square passes max_pairs, so the
+                # bounds at and next to every square are where it could
+                # stop one vector early or late
+                for max_pairs in _bounds_around(len(span)):
+                    calls.clear()
+                    sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, None, max_pairs)
+                    checked = outcomes[:max_pairs]
+                    assert sweep == ts.UnperforationSweep(
+                        None, len(checked), sum(out.is_unknown for out in checked),
+                        pairs > len(checked))
+                    assert calls == []
 
 
 def _graph_presentation(rng, n):
@@ -1723,7 +1830,7 @@ def _check_cone_rows(p, F, gap, rows):
     generators, which reach the rows exactly when the LP is feasible."""
     expected = _reference_cone_solution(p, F, rows)
     if gap is None:
-        assert _reached(_cone_generators(p, F)[2], rows) == (expected is not None)
+        assert _reached(_cone_generators(p, F), rows) == (expected is not None)
     else:
         got, lps = _counted_cone_solution(p, F, gap)
         assert got == expected and lps == (expected is not None)
@@ -1823,7 +1930,7 @@ class TestZeroConeRule:
                 counts = {v: sum(mv.lhs == ts.unit_vector(n, v) for mv in inside)
                           for v in support}
                 in_scope = all(sum(mv.lhs) == 1 for mv in inside) and len(set(counts.values())) == 1
-                assert (_cone_generators(q, F)[2] is not None) == in_scope
+                assert (_cone_generators(q, F) is not None) == in_scope
                 assert got == expected and lps == (expected is not None or not in_scope)
                 if not in_scope:
                     infeasible += expected is None
@@ -1942,7 +2049,7 @@ class TestConeGenerators:
         for _ in range(80):
             for p in _commuting_kgraphs(rng):
                 for F in _least_supports(p):
-                    gens = _cone_generators(p, F)[2]
+                    gens = _cone_generators(p, F)
                     assert gens is not None
                     _assert_exact_generators(rng, p, F, gens)
                     supports += 1
@@ -1955,7 +2062,7 @@ class TestConeGenerators:
         for _ in range(400):
             p = _unit_left_presentation(rng, rng.randint(1, 5))
             for F in _least_supports(p):
-                gens = _cone_generators(p, F)[2]
+                gens = _cone_generators(p, F)
                 if gens is None:
                     absent += 1
                 else:
@@ -1973,7 +2080,7 @@ class TestConeGenerators:
             return model, ts.presentation_from_kgraph(model)
 
         model, p = fresh()
-        assert _cone_generators(p, 0b111)[2] == ((1, 1, 2),)
+        assert _cone_generators(p, 0b111) == ((1, 1, 2),)
         real = cones._distinguished_rays
 
         def bumped(B, support):
@@ -1986,7 +2093,7 @@ class TestConeGenerators:
 
         monkeypatch.setattr(cones, "_distinguished_rays", bumped)
         # generators kept before the patch were checked when they were built
-        assert _cone_generators(p, 0b111)[2] == ((1, 1, 2),)
+        assert _cone_generators(p, 0b111) == ((1, 1, 2),)
         gens = [ts.unit_vector(3, i) for i in range(3)]
         for call in (lambda model, p: _cone_generators(p, 0b111),
                      lambda model, p: ts.solve_state_at(model, (1, 0, 0)),
@@ -2025,7 +2132,7 @@ class TestConeMemo:
                     answers = [_cone_generators(q, F) for F in order]
                     for F, answer in zip(order, answers):
                         assert answer == _cone_generators(ts.MonoidPresentation(p.dim, p.moves), F)
-                        assert _cone_generators(q, F)[2] is answer[2]
+                        assert _cone_generators(q, F) is answer
                     assert sorted(_cone_memo(q)) == supports and len(q._cones) == 2 * len(supports)
                     for gens in _cone_memo(q).values():
                         kinds["zero"] += gens == ()

@@ -386,7 +386,7 @@ class TestSolveStateAt:
                 if not any(target):
                     continue
                 F = least_admissible_support(zip(*p._supports), sum(1 << v for v, t in enumerate(target) if t))
-                gens = cones_module._cone_generators(p, F)[2]
+                gens = cones_module._cone_generators(p, F)
                 assert all(sum(map(operator.mul, r, target)) > 0 for r in gens)
                 several += len(gens) > 1
                 got = ts.solve_state_at(model, target)
@@ -565,8 +565,7 @@ class TestFaithfulFiniteState:
         real = states_module._cone_generators
 
         def skewed(pres, F):
-            support, inside, gens = real(pres, F)
-            return support, inside, tuple((r[0] + 1,) + r[1:] for r in gens)
+            return tuple((r[0] + 1,) + r[1:] for r in real(pres, F))
 
         monkeypatch.setattr(states_module, "_cone_generators", skewed)
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
@@ -612,8 +611,7 @@ class TestFaithfulFiniteState:
     def test_missing_generators_raise(self, monkeypatch):
         # a k-graph support always has generators; if one ever had none,
         # states and positive vectors raise and never fall back to an LP
-        real = states_module._cone_generators
-        monkeypatch.setattr(states_module, "_cone_generators", lambda p, F: real(p, F)[:2] + (None,))
+        monkeypatch.setattr(states_module, "_cone_generators", lambda p, F: None)
         m = ts.validate_kgraph(["u", "w"], [[[0, 1], [1, 0]]])
         calls = count_lp_solves(monkeypatch)
         for query in (lambda m: ts.solve_state_at(m, (1, 0)), ts.positive_invariant_vector,
