@@ -53,13 +53,21 @@ class FiniteGroupAction:
 
 
 def build_action(points: Sequence[Any], generators: Sequence[Sequence[Any]]) -> FiniteGroupAction:
-    """Validate an action given by one-line images over the declared points."""
+    """Validate an action given by one-line images over the declared points.
+
+    The points and each generator's images are lists, never a string, whose
+    characters would otherwise be read as points, and each image is one of
+    the points, of the same type."""
+    if isinstance(points, str):
+        raise InputError(BAD_REFERENCE, f"points must be a list, got {points!r}")
     pts = tuple(points)
     if not pts or len(set(pts)) != len(pts):
         raise InputError(BAD_REFERENCE, "points must be nonempty and distinct")
     index = {p: i for i, p in enumerate(pts)}
     gens = []
     for g in generators:
+        if isinstance(g, str):
+            raise InputError(BAD_REFERENCE, f"generator must be a list of points, got {g!r}")
         if len(g) != len(pts):
             raise InputError(
                 NOT_A_PERMUTATION, "generator image list has wrong length", length=len(g)
@@ -68,6 +76,10 @@ def build_action(points: Sequence[Any], generators: Sequence[Sequence[Any]]) -> 
             images = tuple(index[x] for x in g)
         except KeyError as bad:
             raise InputError(BAD_REFERENCE, f"generator maps to unknown point {bad}") from None
+        # an image equal to a point of another type (True to 1) is not that point
+        for x, i in zip(g, images):
+            if type(x) is not type(pts[i]):
+                raise InputError(BAD_REFERENCE, f"generator maps to unknown point {x!r}")
         if len(set(images)) != len(images):
             raise InputError(NOT_A_PERMUTATION, "generator is not a bijection")
         gens.append(images)

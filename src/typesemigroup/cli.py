@@ -218,23 +218,30 @@ def parse_model(path: str) -> dict:
     return raw
 
 
+_MODEL_FIELDS = {"graph": (build_graph, "vertices", "edges"),
+                 "kgraph": (validate_kgraph, "vertices", "matrices"),
+                 "action": (build_action, "points", "generators")}
+
+
 def _build_model(raw: dict):
+    """Build the model of a parsed file.  Each field the builder takes must
+    be a JSON array; anything else is a SCHEMA_VIOLATION, never converted."""
     kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
+        raise InputError(SCHEMA_VIOLATION, f"unknown model kind {kind!r}")
+    build, *names = _MODEL_FIELDS[kind]
+    for name in names:
+        if name not in raw:
+            raise InputError(SCHEMA_VIOLATION, f"model is missing field {name!r}")
+        if type(raw[name]) is not list:
+            raise InputError(SCHEMA_VIOLATION, f"field {name!r} must be a JSON array",
+                             field=name)
     try:
-        if kind == "graph":
-            graph = build_graph(raw["vertices"], raw["edges"])
-            return kind, graph
-        if kind == "kgraph":
-            return kind, validate_kgraph(raw["vertices"], raw["matrices"])
-        if kind == "action":
-            return kind, build_action(raw["points"], raw["generators"])
-    except KeyError as missing:
-        raise InputError(SCHEMA_VIOLATION, f"model is missing field {missing}") from None
+        return kind, build(*(raw[name] for name in names))
     except InputError:
         raise
     except (TypeError, ValueError) as e:
         raise InputError(SCHEMA_VIOLATION, f"malformed model payload: {e}") from None
-    raise InputError(SCHEMA_VIOLATION, f"unknown model kind {kind!r}")
 
 
 def _as_kgraph(kind: str, model) -> KGraphModel:

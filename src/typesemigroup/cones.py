@@ -34,16 +34,19 @@ presentation (`MonoidPresentation._cones`, which no other module reads or
 writes) as tuples.  A build that raises keeps nothing.  States and positive
 invariant vectors are read off them (`states`), with no LP.
 
-An order separator is a c with c.gap >= 1, found by `_cone_solution`: it
-refutes the gap when no generator is positive on it, with no LP, and
-otherwise solves one exact feasibility LP afresh, whose point is the
-separator.  The substitution checks guarantee that every generator lies in
-the cone, and that each step's generators are the combinations y . r of the
-last step's for the rays y of N.  That the rays of each matrix generate all
-of its nonnegative fixed vectors is the Frobenius-Victory theorem, which
-`_distinguished_rays` implements and no check covers: a ray it missed would
-refute a gap or a state wrongly, and for a state nothing downstream would
-notice, since "no state" carries no certificate.
+An order separator is a c with c.gap > 0, read off the same generators by
+`_cone_solution`: the first generator positive on the gap, or none when no
+generator is, with no LP.  So the separator every k-graph query prints is
+decided here, by generator order.  Only a support without generators,
+which no k-graph presentation has, solves one exact feasibility LP, whose
+point is scaled to primitive integers.  The substitution checks guarantee that every
+generator lies in the cone, and that each step's generators are the
+combinations y . r of the last step's for the rays y of N.  That the rays
+of each matrix generate all of its nonnegative fixed vectors is the
+Frobenius-Victory theorem, which `_distinguished_rays` implements and no
+check covers: a ray it missed would refute a gap or a state wrongly, and
+for a state nothing downstream would notice, since "no state" carries no
+certificate.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConsistencyError
+from .linalg import primitive_integer
 from .simplex import OPTIMAL, solve_lp
 
 if TYPE_CHECKING:
@@ -81,29 +85,34 @@ def least_admissible_support(sides: Iterable[tuple[int, int]], seed: int) -> int
     return F
 
 
-def _cone_solution(pres: MonoidPresentation, F: int, gap: dict[int, int]) -> list | None:
-    """A c >= 0 on F, invariant under every move inside F, with c.gap >= 1,
+def _cone_solution(pres: MonoidPresentation, F: int, gap: dict[int, int]) -> tuple | None:
+    """A c >= 0 on F, invariant under every move inside F, with c.gap > 0,
     `gap` a map from vertices of F to nonzero coefficients.  Returns its
-    values, INFINITY off F, or None when there is none.
+    values, primitive integers on F and INFINITY off it, or None when there
+    is none.
 
-    A gap that no generator of the cone (`_cone_generators`) makes positive
-    has no solution, and no LP is solved.  Otherwise one exact feasibility
-    LP decides: one column per vertex of F, ascending, then a slack; one row
-    lhs - rhs == 0 per move inside F (zero rows dropped), then c.gap - slack
-    == 1.  The solver returns the point its Phase I ends at.
+    Where the cone has generators (`_cone_generators`), c is the first of
+    them with c.gap > 0: a c in the cone is a nonnegative combination of
+    them, so none exists when no generator is positive on the gap.  No LP
+    is solved.  Only on a support without generators does one exact
+    feasibility LP decide: one column per vertex of F, ascending, then a
+    slack; one row lhs - rhs == 0 per move inside F (zero rows dropped),
+    then c.gap - slack == 1.  Its Phase I point, scaled to primitive
+    integers, is c.
     """
     gens = _cone_generators(pres, F)
-    if gens is not None and all(sum(ray[v] * c for v, c in gap.items()) <= 0 for ray in gens):
-        return None
-    support, inside = _support_and_inside(pres, F)
-    A = [row + [0] for row in (
-        [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
-    A.append([gap.get(i, 0) for i in support] + [-1])
-    sol = solve_lp(A, [0] * (len(A) - 1) + [1], [0] * (len(support) + 1))
-    if sol.status != OPTIMAL:
-        return None
-    x = iter(sol.x)
-    return [next(x) if F >> i & 1 else INFINITY for i in range(pres.dim)]
+    if gens is None:
+        support, inside = _support_and_inside(pres, F)
+        A = [row + [0] for row in (
+            [mv.lhs[i] - mv.rhs[i] for i in support] for mv, _ in inside) if any(row)]
+        A.append([gap.get(i, 0) for i in support] + [-1])
+        sol = solve_lp(A, [0] * (len(A) - 1) + [1], [0] * (len(support) + 1))
+        if sol.status != OPTIMAL:
+            return None
+        x = iter(primitive_integer(sol.x[:-1]))
+        return tuple(next(x) if F >> i & 1 else INFINITY for i in range(pres.dim))
+    ray = next((r for r in gens if sum(r[v] * c for v, c in gap.items()) > 0), None)
+    return None if ray is None else tuple(c if F >> i & 1 else INFINITY for i, c in enumerate(ray))
 
 
 def _support_and_inside(pres: MonoidPresentation, F: int) -> tuple[list[int], list]:

@@ -72,12 +72,23 @@ class DirectedGraph:
         return [e for e in self.edges if e.range == v]
 
 
-def build_graph(vertices: Sequence[str], edges: Iterable) -> DirectedGraph:
-    """Validate a directed graph: nonempty unique ids, resolvable endpoints,
-    no sources."""
-    verts = tuple(str(v) for v in vertices)
-    if not verts or len(set(verts)) != len(verts):
+def _vertex_ids(vertices: Sequence[str]) -> tuple[str, ...]:
+    """The vertex ids: a nonempty list or tuple of distinct `str`s.  Anything
+    else is rejected with BAD_REFERENCE, never converted."""
+    if not isinstance(vertices, (list, tuple)):
+        raise InputError(BAD_REFERENCE, f"vertex ids must be a list, got {vertices!r}")
+    for v in vertices:
+        if not isinstance(v, str):
+            raise InputError(BAD_REFERENCE, f"vertex id {v!r} is not a string", vertex=repr(v))
+    if not vertices or len(set(vertices)) != len(vertices):
         raise InputError(BAD_REFERENCE, "vertex ids must be nonempty and unique")
+    return tuple(vertices)
+
+
+def build_graph(vertices: Sequence[str], edges: Iterable) -> DirectedGraph:
+    """Validate a directed graph: nonempty unique `str` vertex ids, unique
+    `str` edge ids, endpoints that are vertex ids, no sources."""
+    verts = _vertex_ids(vertices)
     built = []
     seen_ids = set()
     for e in edges:
@@ -92,7 +103,10 @@ def build_graph(vertices: Sequence[str], edges: Iterable) -> DirectedGraph:
             eid, rng, src = e
         else:
             raise InputError(BAD_REFERENCE, f"malformed edge entry {e!r}")
-        eid, rng, src = str(eid), str(rng), str(src)
+        for name, x in (("id", eid), ("range", rng), ("source", src)):
+            if not isinstance(x, str):
+                raise InputError(BAD_REFERENCE, f"edge {name} {x!r} is not a string",
+                                 field=name, value=repr(x))
         if eid in seen_ids:
             raise InputError(BAD_REFERENCE, f"duplicate edge id {eid!r}", edge=eid)
         seen_ids.add(eid)
@@ -165,10 +179,9 @@ def _identity(n: int) -> Matrix:
 
 
 def validate_kgraph(vertices: Sequence[str], matrices: Sequence[Sequence[Sequence[int]]]) -> KGraphModel:
-    """Check shapes, nonnegativity, nonzero rows, and exact pairwise commutation."""
-    verts = tuple(str(v) for v in vertices)
-    if not verts or len(set(verts)) != len(verts):
-        raise InputError(BAD_REFERENCE, "vertex ids must be nonempty and unique")
+    """Check the vertex ids (`_vertex_ids`), shapes, nonnegativity, nonzero
+    rows, and exact pairwise commutation."""
+    verts = _vertex_ids(vertices)
     n = len(verts)
     k = len(matrices)
     if k < 1:

@@ -58,11 +58,12 @@ An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
 that every move leaves invariant, finite exactly on an admissible support,
 and normalised.  The cone layer, `cones`, gives that cone's generators,
-off which `states` reads states and positive vectors, and solves the
-separator LP; this module keeps only the wrappers that turn its points into
-`LinearSeparator`s (`_zero_on_support`, `_separator_on_support`,
-`_scale_extended`).  One check, `_ext_invariant`, verifies invariance for
-all of them in extended arithmetic.
+off which `states` reads states and positive vectors and `cones` itself
+reads order separators, already primitive integers; an LP is solved only
+on a support without generators.  This module keeps only the wrappers that
+turn those values into `LinearSeparator`s (`_zero_on_support`,
+`_separator_on_support`).  One check, `_ext_invariant`, verifies invariance
+for all of them in extended arithmetic.
 
 Positive certificates and separators are both checkable by independent code
 paths (`replay`, `verify_separator`); nothing is trusted from the search.
@@ -521,12 +522,6 @@ def find_separator(
                     row[j] * (m // gcd(s, m)) % m for row in V), modulus=m)
 
 
-def _scale_extended(values: list) -> tuple:
-    """Scale the finite part of an extended vector to primitive integers."""
-    scaled = iter(primitive_integer([v for v in values if v != INFINITY]))
-    return tuple(INFINITY if v == INFINITY else next(scaled) for v in values)
-
-
 def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSeparator | None:
     """Nonnegative invariant functional c with c.f > c.g, finite on a support F.
 
@@ -537,9 +532,9 @@ def _order_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> LinearSe
     f and g vanish off F0; every admissible F contains F0 and every move
     inside F0 is inside F, so a separator on F restricts to one on F0 (the
     restriction stays invariant because F0 is admissible, and f and g keep
-    their values), and one exact feasibility problem on F0 answers for
-    every support.  Its separator is RATIONAL when F0 is the full support
-    and EXTENDED otherwise.
+    their values), and the cone on F0 answers for every support
+    (`cones._cone_solution`).  Its separator is RATIONAL when F0 is the full
+    support and EXTENDED otherwise.
     """
     F = least_admissible_support(zip(*pres._supports), _support(g))
     if _support(f) & ~F:
@@ -577,13 +572,13 @@ def _support_separator(pres: MonoidPresentation, f: Vector, g: Vector) -> Linear
 
 def _separator_on_support(pres: MonoidPresentation, F: int, f: Vector,
                           g: Vector) -> LinearSeparator | None:
-    """The cone solution on F with c.gap >= 1, scaled to a separator."""
+    """The cone solution on F with c.gap > 0, as a separator."""
     gap = {i: f[i] - g[i] for i in range(pres.dim) if F >> i & 1 and f[i] != g[i]}
     values = _cone_solution(pres, F, gap) if gap else None
     if values is None:
         return None
     kind = SeparatorKind.RATIONAL if F == (1 << pres.dim) - 1 else SeparatorKind.EXTENDED
-    return LinearSeparator(kind, _scale_extended(values))
+    return LinearSeparator(kind, values)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,11 @@ objective row as well.  Bland's ratios are compared by cross-multiplication,
 so the pivots, the basis and every returned `Fraction` are those of the
 textbook tableau over `Fraction`.  Only x and y are rationals.
 
-The library's LPs (`cones._cone_solution`, `states.coboundary_check`) are
-many and tiny, so they hand `solve_lp` their matrices directly.
+The library's LPs are tiny, so they hand `solve_lp` their matrices
+directly.  There are two: `states.coboundary_check`, once per model, and
+`cones._cone_solution`'s order separator on a support without cone
+generators, which a presentation built by `build_presentation` from moves
+with non-unit left sides can have and a k-graph presentation never has.
 """
 
 from __future__ import annotations

@@ -44,3 +44,32 @@ def run_library_sample(seed, models=30):
             ts.decide_equiv(p, f, g, budget)
             ts.decide_leq(p, f, g, budget)
         ts.almost_unperforated_up_to(p, [ts.unit_vector(n, v) for v in range(n)], 2, 4, budget)
+
+
+def _generatorless_presentation(rng):
+    """A presentation on 1-4 generators whose moves have non-unit left
+    sides, so that cones on its supports mostly have no generators."""
+    n = rng.randint(1, 4)
+    moves = []
+    for _ in range(rng.randint(1, 4)):
+        lhs = [rng.choice((0, 0, 1, 2)) for _ in range(n)]
+        lhs[rng.randrange(n)] += 1
+        if sum(lhs) == 1:
+            lhs[rng.randrange(n)] += 1
+        moves.append((tuple(lhs), tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))))
+    return ts.build_presentation(n, moves)
+
+
+def run_generatorless_sample(seed, presentations=30):
+    """Order queries and sweeps on `build_presentation` presentations without
+    cone generators: the traffic that still reaches the separator LP."""
+    rng = random.Random(seed)
+    budget = ts.SearchBudget(200, 6)
+    for _ in range(presentations):
+        p = _generatorless_presentation(rng)
+        n = p.dim
+        for _ in range(4):
+            f = tuple(rng.randint(0, 2) for _ in range(n))
+            g = tuple(rng.randint(0, 2) for _ in range(n))
+            ts.decide_leq(p, f, g, budget)
+        ts.almost_unperforated_up_to(p, [ts.unit_vector(n, v) for v in range(n)], 1, 4, budget)

@@ -26,6 +26,22 @@ class TestValidation:
             ts.build_action([1, 2], [[2, 3]])
         assert e.value.code == "BAD_REFERENCE"
 
+    @pytest.mark.parametrize("points,generators", [("ab", [["b", "a"]]), ("ab", ["ba"]),
+                                                   (["a", "b"], ["ba"]), (["a", "b"], "ba")])
+    def test_strings_are_not_read_as_lists(self, points, generators):
+        # a string's characters would otherwise be points or images
+        with pytest.raises(ts.InputError) as e:
+            ts.build_action(points, generators)
+        assert e.value.code == "BAD_REFERENCE"
+        assert ts.build_action(["a", "b"], [["b", "a"]]).generators == ((1, 0),)
+
+    @pytest.mark.parametrize("points,image", [([1, 2], True), ([1.0, 2], 1), ([1, 2], 1.0)])
+    def test_image_of_another_type_is_not_a_point(self, points, image):
+        # True == 1 == 1.0 as dict keys, but none of them is the other point
+        with pytest.raises(ts.InputError) as e:
+            ts.build_action(points, [[2, image]])
+        assert e.value.code == "BAD_REFERENCE"
+
     def test_closure_cap(self):
         a = three_cycle()
         with pytest.raises(ts.InputError) as e:

@@ -9,10 +9,14 @@ import typesemigroup as ts
 from typesemigroup import cli, simplex
 from typesemigroup.cli import main
 
+# (file content, error code).  A code of None stands for SCHEMA_VIOLATION:
+# those rows once accepted any code, and keep None so that their test ids
+# stay as they were
 MALFORMED = [
     ("not json at all", None),
     (json.dumps({"no": "kind"}), None),
     (json.dumps({"kind": "mystery"}), None),
+    (json.dumps({"kind": ["graph"]}), "SCHEMA_VIOLATION"),
     (json.dumps({"kind": "graph", "vertices": ["v"], "edges": []}), "ROW_ZERO"),
     (
         json.dumps(
@@ -39,6 +43,31 @@ MALFORMED = [
     (json.dumps({"kind": "graph", "vertices": ["v"], "edges": ["oops"]}), "BAD_REFERENCE"),
     (json.dumps({"kind": "kgraph", "vertices": ["v"], "matrices": "nope"}), None),
     (json.dumps({"kind": "action", "points": [1], "generators": 3}), None),
+    # a field that is not a JSON array is rejected, never iterated: a string
+    # would give its characters, an object its keys
+    (json.dumps({"kind": "kgraph", "vertices": "ab", "matrices": [[[1, 1], [1, 1]]]}),
+     "SCHEMA_VIOLATION"),
+    (json.dumps({"kind": "kgraph", "vertices": {"a": 1}, "matrices": [[[1]]]}),
+     "SCHEMA_VIOLATION"),
+    (json.dumps({"kind": "graph", "vertices": "v",
+                 "edges": [{"id": "e", "range": "v", "source": "v"}]}), "SCHEMA_VIOLATION"),
+    (json.dumps({"kind": "graph", "vertices": ["v"], "edges": "e"}), "SCHEMA_VIOLATION"),
+    (json.dumps({"kind": "graph", "vertices": ["v"],
+                 "edges": {"e": {"id": "e", "range": "v", "source": "v"}}}), "SCHEMA_VIOLATION"),
+    (json.dumps({"kind": "action", "points": "ab", "generators": ["ba"]}), "SCHEMA_VIOLATION"),
+    (json.dumps({"kind": "action", "points": ["a", "b"], "generators": "ba"}),
+     "SCHEMA_VIOLATION"),
+    # ids that are not strings are rejected, never converted by str()
+    (json.dumps({"kind": "kgraph", "vertices": [1], "matrices": [[[1]]]}), "BAD_REFERENCE"),
+    (json.dumps({"kind": "kgraph", "vertices": [1, "1"], "matrices": [[[1, 1], [1, 1]]]}),
+     "BAD_REFERENCE"),
+    (json.dumps({"kind": "graph", "vertices": ["v"],
+                 "edges": [{"id": 1, "range": "v", "source": "v"}]}), "BAD_REFERENCE"),
+    (json.dumps({"kind": "graph", "vertices": ["0"], "edges": [["e", "0", 0]]}), "BAD_REFERENCE"),
+    # a generator written as a string is not read as its characters
+    (json.dumps({"kind": "action", "points": ["a", "b"], "generators": ["ba"]}), "BAD_REFERENCE"),
+    # nor is true the point 1
+    (json.dumps({"kind": "action", "points": [1, 2], "generators": [[2, True]]}), "BAD_REFERENCE"),
 ]
 
 
@@ -234,9 +263,18 @@ class TestModelsAndExitCodes:
         code, out = run_cli(["classify", str(path)], capsys)
         assert code == 2
         payload = json.loads(out)
-        assert "error" in payload
-        if expected_code is not None:
-            assert payload["error"]["code"] == expected_code
+        assert payload["error"]["code"] == (expected_code or "SCHEMA_VIOLATION")
+
+    def test_non_string_vertex_is_named_not_a_duplicate(self, tmp_path, capsys):
+        # [1, "1"] is one id that is not a string, not "1" twice
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"kind": "kgraph", "vertices": [1, "1"],
+                                    "matrices": [[[1, 1], [1, 1]]]}), encoding="utf-8")
+        code, out = run_cli(["classify", str(path)], capsys)
+        error = json.loads(out)["error"]
+        assert code == 2 and error["code"] == "BAD_REFERENCE"
+        assert error["message"] == "vertex id 1 is not a string" and error["details"] == {
+            "vertex": "1"}
 
     @pytest.mark.parametrize("argv", [
         ["classify"], ["coboundary"], ["state", "--target", "1"],

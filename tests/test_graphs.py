@@ -75,6 +75,35 @@ class TestValidation:
             ts.validate_kgraph(vertices, [[[1] * len(vertices)] * len(vertices)])
         assert e.value.code == "BAD_REFERENCE"
 
+    @pytest.mark.parametrize("vertices", ["ab", {"a": 1, "b": 2}, [1, 2], [1, "1"], ["a", None],
+                                          ["a", b"b"], ("a", 2)])
+    def test_vertex_ids_are_a_list_of_strings(self, vertices):
+        # a string is not read as its characters, a dict as its keys, nor an
+        # id as its str(): [1, "1"] is an id that is not a string, not a
+        # duplicate
+        for build in (lambda: ts.build_graph(vertices, []),
+                      lambda: ts.validate_kgraph(vertices, [[[1, 1], [1, 1]]])):
+            with pytest.raises(ts.InputError) as e:
+                build()
+            assert e.value.code == "BAD_REFERENCE"
+            assert "unique" not in str(e.value)
+
+    @pytest.mark.parametrize("edge", [(1, "v", "v"), ("e", 0, "v"), ("e", "v", 0),
+                                      {"id": 1, "range": "v", "source": "v"},
+                                      {"id": "e", "range": "v", "source": ["v"]},
+                                      ts.Edge("e", "v", 0), ("e", "v", None)])
+    def test_edge_ids_and_endpoints_are_strings(self, edge):
+        # with vertex "0" too, so that str(0) would have named a vertex
+        for vertices in (["v"], ["v", "0"]):
+            with pytest.raises(ts.InputError) as e:
+                ts.build_graph(vertices, [edge, ("f", "0", "0")])
+            assert e.value.code == "BAD_REFERENCE"
+
+    def test_string_ids_still_build(self):
+        g = ts.build_graph(("0", "v"), [("e", "v", "0"), ("f", "0", "v")])
+        assert g.vertices == ("0", "v") and [e.id for e in g.edges] == ["e", "f"]
+        assert ts.validate_kgraph(("0", "v"), [[[0, 1], [1, 0]]]).vertices == ("0", "v")
+
 
 class TestAdjacencyPower:
     def test_cube(self):

@@ -25,7 +25,6 @@ from typesemigroup.monoid import (
     _equiv_unit,
     _flip,
     _order_separator,
-    _scale_extended,
     _separator_on_support,
     _support_separator,
     _unit_path,
@@ -624,7 +623,7 @@ def _reference_extended_separator(p, f, g):
             x = feasible_point(len(F), rows + [(gap, ">=", 1)])
             if x is not None:
                 values = [x[col[i]] if i in Fset else INFINITY for i in range(d)]
-                return ts.LinearSeparator(ts.SeparatorKind.EXTENDED, _scale_extended(values))
+                return ts.LinearSeparator(ts.SeparatorKind.EXTENDED, _parent_scale_extended(values))
     return None
 
 
@@ -1086,8 +1085,9 @@ class TestCompiledSweep:
 
     def test_triangular_sweep_solves_each_lp_once(self, monkeypatch):
         # the triangular 1-graph's sweep and the 2-graph (A, I)'s both refute
-        # by their cones' generators and solve no LP; `decide_leq` solves one
-        # LP per pair the generators leave
+        # by their cones' generators and solve no LP, and so does
+        # `decide_leq` on every pair: a pair some generator separates takes
+        # the first such generator as its separator
         gens = [ts.unit_vector(2, i) for i in range(2)]
         solved = []
         real_solve = cones.solve_lp
@@ -1114,31 +1114,41 @@ class TestCompiledSweep:
         p = ts.presentation_from_kgraph(ts.validate_kgraph(
             ["v0", "v1"], [[[1, 1], [0, 1]], [[1, 0], [0, 1]]]))
         _, pairs = _sweep_pairs(p, 4, 5000)
+        read = []
+        real_cone_solution = monoid._cone_solution
+
+        def recording_cone_solution(pres, F, gap):
+            values = real_cone_solution(pres, F, gap)
+            read.append(values is not None)
+            return values
+
+        monkeypatch.setattr(monoid, "_cone_solution", recording_cone_solution)
         for q in (triangular, p):
-            solved.clear()
+            read.clear()
             for theta, eta in pairs:
                 ts.decide_leq(q, theta, eta)
-            # one LP per pair the generators leave (256 when the full support
-            # came first, 406 before the zero-cone rule)
-            assert len(solved) == 156
+            # a generator is the separator of 156 pairs, which an LP's point
+            # separated before (256 LPs when the full support came first,
+            # 406 before the zero-cone rule), and no LP is solved
+            assert solved == [] and sum(read) == 156
+        monkeypatch.setattr(monoid, "_cone_solution", real_cone_solution)
         monkeypatch.setattr(monoid, "_separator_on_support", recording_separator)
         for theta, eta in pairs:
             if any(t > e for t, e in zip(theta, eta)):
                 _order_separator(p, theta, eta)
         monkeypatch.setattr(monoid, "_separator_on_support", real_separator)
         # `_order_separator` asks eta's least admissible support F0 alone,
-        # as the sweep does; the generators leave 30 distinct (F0, gap) keys
-        # to an LP, and the sweep solves none of them
+        # as the sweep does; on 30 distinct (F0, gap) keys some generator is
+        # positive, and its values are the separator, with no LP
         least_keys = _least_support_keys(p, pairs)
         assert keys == least_keys
-        solved.clear()
         left = set()
         for F, gap in least_keys:
-            before = len(solved)
-            _cone_solution(p, F, _gap_row(p, F, gap))
-            if len(solved) > before:
+            w = _gap_row(p, F, gap)
+            values = _cone_solution(p, F, w)
+            assert values == _first_positive(F, _cone_generators(p, F), w)
+            if values is not None:
                 left.add((F, gap))
-        solved.clear()
         assert ts.almost_unperforated_up_to(p, gens, 4, 4) == sweep  # as the 1-graph's
         assert solved == [] and len(left) == 30
         assert len(left) < len(least_keys) < 156
@@ -1397,10 +1407,25 @@ class TestScaleWithoutRewrapping:
                 Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 12, 10**18 + 9, big)))))
                 for _ in range(rng.randint(1, 6))])
         for values in cases:
-            assert repr(_scale_extended(values)) == repr(_parent_scale_extended(values))
             finite = [v for v in values if v != INFINITY]
             if finite:
                 assert repr(primitive_integer(finite)) == repr(_parent_primitive_integer(finite))
+        # the one extended vector the library still scales is the point of
+        # the separator LP, on a support without cone generators: it comes
+        # out as `_scale_extended` scaled it, INFINITY off the support
+        solved = 0
+        for _ in range(300):
+            p = _non_unit_presentation(rng, rng.randint(1, 5), rng.randint(1, 4))
+            for F, _, gap in _random_supports_and_gaps(rng, p, 3):
+                if _cone_generators(p, F) is not None:
+                    continue
+                w = _gap_row(p, F, gap)
+                point = _reference_cone_solution(p, F, [(w, ">=")])
+                got, lps = _counted_cone_solution(p, F, w)
+                assert lps == 1 and repr(got) == repr(
+                    None if point is None else _parent_scale_extended(point))
+                solved += point is not None
+        assert solved > 100
 
     def test_other_entries_still_go_through_fraction(self):
         for vec in ([0.5, 0.25], [-1.5, 3, Fraction(1, 4)], [True, 2], [0.1, 0.2]):
@@ -1797,8 +1822,8 @@ def _reference_cone_solution(p, F, rows):
 
 
 def _counted_cone_solution(p, F, gap):
-    """`_cone_solution` and the number of LPs it solved: 0 when no cone
-    generator is positive on the gap, 1 otherwise."""
+    """`_cone_solution` and the number of LPs it solved: 0 where the cone
+    has generators, 1 otherwise."""
     solved = []
     real = cones.solve_lp
 
@@ -1817,23 +1842,42 @@ def _gap_row(p, F, gap):
     return {i: v for i, v in zip(support, gap) if v}
 
 
+def _first_positive(F, gens, gap):
+    """The first generator positive on the gap, INFINITY off F, or None."""
+    for r in gens:
+        if sum(r[v] * c for v, c in gap.items()) > 0:
+            return tuple(c if F >> v & 1 else INFINITY for v, c in enumerate(r))
+    return None
+
+
+def _is_a_generator(gens, point):
+    """The LP point `point`, scaled to primitive integers, is one of the
+    generators: a vertex of the LP's polyhedron lies on an extreme ray of
+    the cone, and the generators are its extreme rays."""
+    scaled = _parent_scale_extended(point)
+    return tuple(0 if c == INFINITY else c for c in scaled) in gens
+
+
 def _reached(gens, rows):
     """Some generator is positive on every row (w, op)."""
     return all(any(sum(r[v] * c for v, c in w.items()) > 0 for r in gens) for w, _ in rows)
 
 
 def _check_cone_rows(p, F, gap, rows):
-    """Check one kind of normalising rows (w, op) on F against the rule-free
-    reference LP, and return whether it is feasible.  An order gap is solved
-    by `_cone_solution`, with the reference's point and one LP exactly when
-    it is feasible; a state target or every vertex is read off the cone's
-    generators, which reach the rows exactly when the LP is feasible."""
+    """Check one kind of normalising rows (w, op) on F, where the cone has
+    generators, against the rule-free reference LP, and return whether it
+    is feasible.  Every kind is read off the generators, which reach the
+    rows exactly when the LP is feasible.  An order gap is answered by
+    `_cone_solution` with the first generator positive on it, with no LP,
+    and the reference's point, scaled, is one of the generators."""
     expected = _reference_cone_solution(p, F, rows)
-    if gap is None:
-        assert _reached(_cone_generators(p, F), rows) == (expected is not None)
-    else:
+    gens = _cone_generators(p, F)
+    assert _reached(gens, rows) == (expected is not None)
+    if gap is not None:
         got, lps = _counted_cone_solution(p, F, gap)
-        assert got == expected and lps == (expected is not None)
+        assert got == _first_positive(F, gens, gap) and lps == 0
+        assert (got is None) == (expected is None)
+        assert expected is None or _is_a_generator(gens, expected)
     return expected is not None
 
 
@@ -1870,7 +1914,7 @@ def _one_matrix_presentation(rng, n):
 class TestZeroConeRule:
     def test_one_matrix_exactly_when_the_lp_is_infeasible(self):
         # every kind of row is refuted by the generators exactly when the LP
-        # is infeasible; a feasible gap is solved as the rule-free LP solves it
+        # is infeasible; a feasible gap is answered by a generator, no LP
         rng = random.Random(103)
         refuted = kept = 0
         for _ in range(300):
@@ -1896,8 +1940,9 @@ class TestZeroConeRule:
     def test_not_used_outside_its_scope(self):
         # the generators read only the moves inside F: they exist exactly
         # when every one of those moves has a unit left side e_v and every
-        # vertex of F has the same number of them, 0 included; otherwise
-        # the LP decides
+        # vertex of F has the same number of them, 0 included.  Then the
+        # first generator positive on the gap answers, with no LP;
+        # otherwise the LP decides, and its point is scaled
         rng = random.Random(109)
         infeasible = free = 0
         for _ in range(150):
@@ -1930,8 +1975,14 @@ class TestZeroConeRule:
                 counts = {v: sum(mv.lhs == ts.unit_vector(n, v) for mv in inside)
                           for v in support}
                 in_scope = all(sum(mv.lhs) == 1 for mv in inside) and len(set(counts.values())) == 1
-                assert (_cone_generators(q, F) is not None) == in_scope
-                assert got == expected and lps == (expected is not None or not in_scope)
+                gens = _cone_generators(q, F)
+                assert (gens is not None) == in_scope and lps == (not in_scope)
+                assert (got is None) == (expected is None)
+                if in_scope:
+                    assert got == _first_positive(F, gens, w)
+                    assert expected is None or _is_a_generator(gens, expected)
+                elif expected is not None:
+                    assert got == _parent_scale_extended(expected)
                 if not in_scope:
                     infeasible += expected is None
                 free += in_scope and not inside

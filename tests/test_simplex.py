@@ -1,11 +1,14 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from library_traffic import run_library_sample
+from library_traffic import run_generatorless_sample, run_library_sample
 from lp_reference import reference_solve_lp
+import typesemigroup as ts
 from typesemigroup import cones, simplex, states
 from typesemigroup.errors import ConsistencyError
 from typesemigroup.simplex import INFEASIBLE, OPTIMAL, solve_lp
@@ -47,8 +50,10 @@ def test_non_int_entry_rejected(bad):
 def test_library_builds_integer_lps_with_nonnegative_b(seed, monkeypatch):
     # every LP the library solves has int entries and b >= 0, so the solver
     # scales nothing, and its sign flip of a row with b < 0 is never needed.
-    # States and positive vectors solve none, so only order separators reach
-    # `cones`' LP, and the sample is large enough for 50 of them
+    # The k-graph sample reaches only the coboundary LP: its separators,
+    # states and positive vectors are read off cone generators.  So
+    # presentations without generators are added, and their order
+    # separators give `cones`' LP more than 50 calls
     seen = {cones: [], states: []}
     for module, calls in seen.items():
         def recording(A, b, c, real=module.solve_lp, calls=calls):
@@ -57,10 +62,55 @@ def test_library_builds_integer_lps_with_nonnegative_b(seed, monkeypatch):
 
         monkeypatch.setattr(module, "solve_lp", recording)
     run_library_sample(seed, models=200)
+    assert seen[cones] == []
+    run_generatorless_sample(seed, presentations=20)
     assert len(seen[cones]) > 50 and len(seen[states]) > 10
     for A, b in seen[cones] + seen[states]:
         assert all(type(v) is int for row in A for v in row)
         assert all(type(v) is int and v >= 0 for v in b)
+
+
+def test_no_kgraph_query_solves_a_separator_lp(monkeypatch, models_dir):
+    # every support of a k-graph presentation has cone generators, so its
+    # order separators are read off them: with `cones.solve_lp` raising,
+    # every decider, the sweep, the states and classify still answer, on
+    # every k-graph in models/ and on the library sample.  The calls are
+    # also recorded, in case a caller swallowed the error
+    called = []
+
+    def refuse(*args, **kwargs):
+        called.append(args)
+        raise AssertionError("a k-graph query solved a separator LP")
+
+    monkeypatch.setattr(cones, "solve_lp", refuse)
+    models = []
+    for path in sorted(models_dir.glob("*.json")):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if raw["kind"] == "graph":
+            models.append(ts.kgraph_from_graph(ts.build_graph(raw["vertices"], raw["edges"])))
+        elif raw["kind"] == "kgraph":
+            models.append(ts.validate_kgraph(raw["vertices"], raw["matrices"]))
+    assert len(models) == 5
+    budget = ts.SearchBudget(200, 8)
+    order = set()
+    for model in models:
+        n = model.dim
+        p = ts.presentation_from_kgraph(model)
+        vectors = list(itertools.product(range(3), repeat=n))
+        for f in vectors:
+            for g in vectors:
+                ts.decide_equiv(p, f, g, budget)
+                out = ts.decide_leq(p, f, g, budget)
+                order.add(out.separator.kind if out.is_not_equiv else out.verdict)
+            if any(f):
+                ts.kl_paradoxical(p, f, 2, 1, budget)
+                ts.solve_state_at(model, f)
+        ts.almost_unperforated_up_to(p, [ts.unit_vector(n, v) for v in range(n)], 3, 4, budget)
+        ts.classify(model)
+    # separators were read off the generators on full and proper supports
+    assert order == {ts.SeparatorKind.RATIONAL, ts.SeparatorKind.EXTENDED, ts.Verdict.EQUIV}
+    run_library_sample(2, models=60)
+    assert called == []
 
 
 # Beale's cycling-prone instance (its cost left out), each row scaled to

@@ -39,13 +39,21 @@ def test_no_true_division_or_floats_in_exact_arithmetic():
 
 def test_one_builder_of_invariance_lps():
     # order separators solve the invariant cone on a support with
-    # `cones._cone_solution`; the coboundary check solves the dual problem
-    # on the matrices.  No other code outside the solver calls `solve_lp`.
+    # `cones._cone_solution`, and only in its branch for a support without
+    # cone generators, `if gens is None:`; elsewhere they are read off the
+    # generators.  The coboundary check solves the dual problem on the
+    # matrices.  No other code outside the solver calls `solve_lp`.
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             where = f"{where.split(':')[0]}:{getattr(node, 'name', '<lambda>')}"
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "gens is None":
+            for child in node.body:
+                visit(child, f"{where} if gens is None")
+            for child in node.orelse:
+                visit(child, where)
+            return
         if isinstance(node, ast.Call) and "solve_lp" in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None)):
             found.append(where)
@@ -56,7 +64,16 @@ def test_one_builder_of_invariance_lps():
         if path.name == "simplex.py":
             continue
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), f"{path.name}:")
-    assert sorted(found) == ["cones.py:_cone_solution", "states.py:coboundary_check"]
+    assert sorted(found) == ["cones.py:_cone_solution if gens is None",
+                             "states.py:coboundary_check"]
+    tree = ast.parse((SRC / "cones.py").read_text(encoding="utf-8"))
+    solution = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_cone_solution")
+    # `gens` is bound once, to the generators, before that branch
+    assert [ast.unparse(node) for node in ast.walk(solution)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            and node.id == "gens"] == ["gens"]
+    assert ast.unparse(solution.body[1]).startswith("gens = _cone_generators(pres, F)")
 
 
 CONE_LAYER = {"least_admissible_support", "_access_masks", "_distinguished_rays",
