@@ -35,25 +35,19 @@ from .classify import (
 )
 from .errors import ConsistencyError, InputError
 from .graphs import (
-    CylinderUnion,
     DirectedGraph,
     Edge,
     KGraphModel,
-    PathWord,
     StructuralReport,
     adjacency_power,
     build_graph,
-    class_of_cylinders,
-    cylinder_normalize,
     graph_adjacency,
     kgraph_from_graph,
-    path_word,
     presentation_from_kgraph,
     relabel_kgraph,
     structural_checks,
     theta,
     validate_kgraph,
-    vertex_word,
 )
 from .monoid import (
     DEFAULT_BUDGET,
@@ -95,4 +89,8 @@ from .states import (
     verify_state_certificate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the names above, without the submodules their imports bind
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

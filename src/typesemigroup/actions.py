@@ -56,14 +56,17 @@ def build_action(points: Sequence[Any], generators: Sequence[Sequence[Any]]) -> 
     """Validate an action given by one-line images over the declared points.
 
     The points and each generator's images are lists, never a string, whose
-    characters would otherwise be read as points, and each image is one of
-    the points, of the same type."""
+    characters would otherwise be read as points; the points are hashable,
+    and each image is one of the points, of the same type."""
     if isinstance(points, str):
         raise InputError(BAD_REFERENCE, f"points must be a list, got {points!r}")
     pts = tuple(points)
-    if not pts or len(set(pts)) != len(pts):
+    try:
+        index = {p: i for i, p in enumerate(pts)}
+    except TypeError:
+        raise InputError(BAD_REFERENCE, f"points must be hashable, got {points!r}") from None
+    if not pts or len(index) != len(pts):
         raise InputError(BAD_REFERENCE, "points must be nonempty and distinct")
-    index = {p: i for i, p in enumerate(pts)}
     gens = []
     for g in generators:
         if isinstance(g, str):
@@ -76,6 +79,8 @@ def build_action(points: Sequence[Any], generators: Sequence[Sequence[Any]]) -> 
             images = tuple(index[x] for x in g)
         except KeyError as bad:
             raise InputError(BAD_REFERENCE, f"generator maps to unknown point {bad}") from None
+        except TypeError:
+            raise InputError(BAD_REFERENCE, f"generator has an unhashable image: {g!r}") from None
         # an image equal to a point of another type (True to 1) is not that point
         for x, i in zip(g, images):
             if type(x) is not type(pts[i]):

@@ -13,8 +13,6 @@ INVALID_PAIR = "INVALID_PAIR"
 BAD_REFERENCE = "BAD_REFERENCE"
 ROW_ZERO = "ROW_ZERO"
 NONCOMMUTING_MATRICES = "NONCOMMUTING_MATRICES"
-NONCOMPOSABLE_WORD = "NONCOMPOSABLE_WORD"
-OVERLAPPING_CYLINDERS = "OVERLAPPING_CYLINDERS"
 NOT_A_PERMUTATION = "NOT_A_PERMUTATION"
 GROUP_TOO_LARGE = "GROUP_TOO_LARGE"
 ZERO_TARGET = "ZERO_TARGET"

@@ -6,16 +6,15 @@ and all reachability below follows edges from range to source.  A k-graph
 model is a vertex set with k pairwise commuting nonnegative adjacency
 matrices; rows must be nonzero (no sources).
 
-The vertex-count transfer operator is theta(n, f) = (A^n)^t f.  The
-presentation of the associated commutative monoid has one move per vertex
-and matrix, identifying the vertex basis vector with its transfer image.  A
-k-graph model carries its presentation: it is derived once, when the model
-is constructed, and every decider, state solver and verifier reads it.
-Cylinder calculus on path space is provided for ordinary graphs: depth
-normalization splits a cylinder along all one-edge extensions, and the class
-map sends a union of same-depth cylinders to the sum of the source vertex
-basis vectors.  The structural checks read the access relation of the sum
-of a model's matrices: for k = 1 that is the graph itself, for k >= 2 its
+The vertex-count transfer operator is theta(n, f) = (A^n)^t f; for a graph,
+theta((d,), e_v) is the class of the depth-d refinement of the cylinder at
+v, the sum of the source basis vectors of the paths of length d with range
+v.  The presentation of the associated commutative monoid has one move per
+vertex and matrix, identifying the vertex basis vector with its transfer
+image.  A k-graph model carries its presentation: it is derived once, when
+the model is constructed, and every decider, state solver and verifier
+reads it.  The structural checks read the access relation of the sum of a
+model's matrices: for k = 1 that is the graph itself, for k >= 2 its
 one-coloured skeleton.
 """
 
@@ -29,17 +28,14 @@ from .errors import (
     DIMENSION_MISMATCH,
     NEGATIVE_ENTRY,
     NONCOMMUTING_MATRICES,
-    NONCOMPOSABLE_WORD,
     NON_INTEGRAL_ENTRY,
-    OVERLAPPING_CYLINDERS,
     ROW_ZERO,
     SCHEMA_VIOLATION,
     InputError,
     non_integral_entry,
-    require_int,
 )
 from .cones import _access_masks
-from .monoid import MonoidPresentation, Move, Vector, build_presentation, unit_vector
+from .monoid import MonoidPresentation, Move, Vector, as_vector, build_presentation, unit_vector
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -55,18 +51,6 @@ class Edge:
 class DirectedGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-
-    def vertex_index(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise InputError(BAD_REFERENCE, f"unknown vertex {v!r}", vertex=v) from None
-
-    def edge_by_id(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise InputError(BAD_REFERENCE, f"unknown edge {eid!r}", edge=eid)
 
     def edges_with_range(self, v: str) -> list[Edge]:
         return [e for e in self.edges if e.range == v]
@@ -231,19 +215,11 @@ def kgraph_from_graph(graph: DirectedGraph) -> KGraphModel:
 
 
 def adjacency_power(model: KGraphModel, p: Sequence[int]) -> Matrix:
-    """A^p = prod_i A_i^{p_i}; the factors commute so the order is immaterial."""
+    """A^p = prod_i A_i^{p_i}; the factors commute so the order is immaterial.
+    `p` is checked as a vector of k entries by `as_vector`."""
     _require_model(model)
-    if len(p) != model.k:
-        raise InputError(DIMENSION_MISMATCH, f"power vector must have length {model.k}")
-    for x in p:
-        if type(x) is not int:  # also rejects bool
-            raise InputError(
-                NON_INTEGRAL_ENTRY, f"power entry {x!r} is not an integer", entry=repr(x)
-            )
-        if x < 0:
-            raise InputError(NEGATIVE_ENTRY, "power vector must be componentwise nonnegative")
     out = _identity(model.dim)
-    for mat, e in zip(model.matrices, p):
+    for mat, e in zip(model.matrices, as_vector(p, model.k)):
         for _ in range(e):
             out = _mat_mul(out, mat)
     return out
@@ -293,103 +269,6 @@ def relabel_kgraph(model: KGraphModel, perm: Sequence[int]) -> KGraphModel:
         tuple(tuple(mat[pi][pj] for pj in perm) for pi in perm) for mat in model.matrices
     )
     return KGraphModel(k=model.k, vertices=verts, matrices=mats)
-
-
-# ---------------------------------------------------------------------------
-# cylinder calculus on path space (ordinary graphs only)
-
-
-@dataclass(frozen=True)
-class PathWord:
-    """A finite path e1..en with s(e_i) = r(e_{i+1}); n = 0 words are vertices."""
-
-    range: str
-    source: str
-    edges: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def vertex_word(graph: DirectedGraph, vertex: str) -> PathWord:
-    graph.vertex_index(vertex)
-    return PathWord(vertex, vertex, ())
-
-
-def path_word(graph: DirectedGraph, edge_ids: Sequence[str]) -> PathWord:
-    if not edge_ids:
-        raise InputError(NONCOMPOSABLE_WORD, "empty edge list; use vertex_word")
-    edges = [graph.edge_by_id(str(e)) for e in edge_ids]
-    for a, b in zip(edges, edges[1:]):
-        if a.source != b.range:
-            raise InputError(
-                NONCOMPOSABLE_WORD,
-                f"edges {a.id!r} and {b.id!r} do not compose",
-                left=a.id,
-                right=b.id,
-            )
-    return PathWord(edges[0].range, edges[-1].source, tuple(e.id for e in edges))
-
-
-@dataclass(frozen=True)
-class CylinderUnion:
-    depth: int
-    words: tuple[PathWord, ...]
-
-
-def _extend_to_depth(graph: DirectedGraph, word: PathWord, depth: int) -> list[PathWord]:
-    out = [word]
-    while len(out[0]) < depth:
-        nxt = []
-        for w in out:
-            for e in graph.edges_with_range(w.source):
-                nxt.append(PathWord(w.range, e.source, w.edges + (e.id,)))
-        out = nxt
-    return out
-
-
-def cylinder_normalize(
-    graph: DirectedGraph,
-    words: Sequence[PathWord],
-    strict: bool = False,
-    depth: int | None = None,
-) -> CylinderUnion:
-    """Split every cylinder to a common depth and form the union.
-
-    The target depth defaults to the longest input word; a larger `depth`,
-    an `int`, may be requested.  Duplicates after splitting mean the inputs
-    overlapped (one word extended another, or a word repeated); in strict
-    mode that is an error, otherwise the duplicates are silently merged.
-    """
-    longest = max((len(w) for w in words), default=0)
-    depth = longest if depth is None else depth
-    require_int("depth", depth)
-    if depth < longest:
-        raise InputError(
-            OVERLAPPING_CYLINDERS,
-            f"requested depth {depth} is below the longest input word ({longest})",
-        )
-    seen: dict[PathWord, None] = {}
-    overlapped = False
-    for w in words:
-        for ext in _extend_to_depth(graph, w, depth):
-            if ext in seen:
-                overlapped = True
-            else:
-                seen[ext] = None
-    if strict and overlapped:
-        raise InputError(OVERLAPPING_CYLINDERS, "input cylinders overlap")
-    return CylinderUnion(depth=depth, words=tuple(seen))
-
-
-def class_of_cylinders(graph: DirectedGraph, union: CylinderUnion) -> Vector:
-    """Monoid class of the union: the sum of source-vertex basis vectors."""
-    n = len(graph.vertices)
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    out = [0] * n
-    for w in union.words:
-        out[idx[w.source]] += 1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

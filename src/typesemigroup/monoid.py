@@ -82,6 +82,7 @@ from .errors import (
     CERTIFICATE_MISMATCH,
     DIMENSION_MISMATCH,
     INVALID_PAIR,
+    SCHEMA_VIOLATION,
     STEP_NOT_APPLICABLE,
     ConsistencyError,
     InputError,
@@ -208,6 +209,17 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+
+def _search_budget(budget) -> SearchBudget:
+    """`None` is `DEFAULT_BUDGET`; anything but a `SearchBudget` is
+    rejected, never coerced."""
+    if type(budget) is not SearchBudget:
+        if budget is not None:
+            raise InputError(SCHEMA_VIOLATION, f"budget must be a SearchBudget, got {budget!r}",
+                             budget=repr(budget))
+        return DEFAULT_BUDGET
+    return budget
 
 
 @dataclass(frozen=True)
@@ -959,7 +971,7 @@ def decide_equiv(
     budget: SearchBudget | None = None,
 ) -> DecisionOutcome:
     """Decide congruence of f and g under the presentation."""
-    budget = budget or DEFAULT_BUDGET
+    budget = _search_budget(budget)
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
     if f == g:
@@ -987,7 +999,7 @@ def decide_leq(
     """
     f = as_vector(f, pres.dim)
     g = as_vector(g, pres.dim)
-    budget = budget or DEFAULT_BUDGET
+    budget = _search_budget(budget)
     return _decide_leq(pres, f, g, budget,
                        lambda: _compiled_moves(pres, budget.max_coord, max(f + g)))
 
@@ -1099,6 +1111,7 @@ def almost_unperforated_up_to(
     that is not a functional, which no decider here produces, so
     `counterexample` is always None.
     """
+    budget = _search_budget(budget)
     gens = [as_vector(gv, pres.dim) for gv in generators]
     if not gens:
         raise InputError(DIMENSION_MISMATCH, "generator list must be nonempty")
@@ -1114,7 +1127,6 @@ def almost_unperforated_up_to(
     pairs_checked = min(n * n, max_pairs)
     unknown = 0
     if not unit:
-        budget = budget or DEFAULT_BUDGET
         layout = _compiled_moves(pres, budget.max_coord, max(map(max, span)))
         guard = layout.guard
         packed = [layout.pack(vec) for vec in span]

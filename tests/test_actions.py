@@ -42,6 +42,13 @@ class TestValidation:
             ts.build_action(points, [[2, image]])
         assert e.value.code == "BAD_REFERENCE"
 
+    @pytest.mark.parametrize("points,generators", [([[1], [2]], []), ([1, 2], [[[1], 2]])])
+    def test_unhashable_point_or_image_rejected(self, points, generators):
+        # a list as a point or an image raised a bare TypeError
+        with pytest.raises(ts.InputError) as e:
+            ts.build_action(points, generators)
+        assert e.value.code == "BAD_REFERENCE"
+
     def test_closure_cap(self):
         a = three_cycle()
         with pytest.raises(ts.InputError) as e:

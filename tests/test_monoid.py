@@ -997,6 +997,22 @@ class TestSearchBudgetFields:
         assert (budget.max_states, budget.max_coord) == (0, 0)
         assert ts.decide_equiv(TWO_LOOPS, (2,), (1,), budget).is_unknown
 
+    # a budget that is not a SearchBudget was coerced: 0 and False became
+    # the default budget through `budget or DEFAULT_BUDGET`, "x" raised a
+    # bare AttributeError inside the search, and a unit sweep never read it
+    @pytest.mark.parametrize("bad", [0, False, "x", (200_000, 64)])
+    @pytest.mark.parametrize("call", [
+        lambda b: ts.decide_equiv(TWO_LOOPS, (1,), (3,), b),
+        lambda b: ts.decide_leq(TWO_LOOPS, (3,), (1,), b),
+        lambda b: ts.kl_paradoxical(TWO_LOOPS, (1,), 2, 1, b),
+        lambda b: ts.almost_unperforated_up_to(pres(2, [((1, 0), (0, 1))]), [(1, 0)], budget=b),
+    ], ids=["decide_equiv", "decide_leq", "kl_paradoxical", "almost_unperforated_up_to"])
+    def test_budget_that_is_not_a_search_budget_rejected(self, call, bad):
+        with pytest.raises(ts.InputError) as e:
+            call(bad)
+        assert (e.value.code, e.value.details) == ("SCHEMA_VIOLATION", {"budget": repr(bad)})
+        assert call(None) == call(ts.DEFAULT_BUDGET)
+
 
 def _kgraph_presentation(*mats):
     model = ts.validate_kgraph([f"v{i}" for i in range(len(mats[0]))], list(mats))

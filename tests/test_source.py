@@ -2,11 +2,14 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
+import typesemigroup
 from typesemigroup import KGraphModel, MonoidPresentation
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "typesemigroup"
+BENCH = SRC.parent.parent / "bench"
 
 
 def test_no_assert_statements():
@@ -142,3 +145,61 @@ def test_one_home_of_the_model_answers():
     private = [f for f in dataclasses.fields(KGraphModel) if f.name.startswith("_")]
     assert [f.name for f in private] == ["_presentation", "_coboundary"]
     assert [f.name for f in private if f.init or f.compare or f.repr] == []
+
+
+# public names that nothing in the library or the benchmark calls, kept for
+# the acceptance criterion that tests each of them
+KEPT_FOR_CRITERIA = {
+    "theta": "test_acceptance::test_criterion_7_theta_algebra",
+    "relabel_kgraph": "test_acceptance::test_criterion_6_relabeling_invariance",
+}
+
+# what `bench/` and the library call the package and its modules by
+LIBRARY_HANDLES = {"ts", "typesemigroup"} | {path.stem for path in SRC.glob("*.py")}
+
+
+def _names_read(node, local=frozenset()):
+    """Every name `node` reads, through `ts.` or a library module, or as a
+    string (for `getattr`); a function's own parameters and assignments are
+    local, so a variable named `theta` is not a reference to `theta`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        local = local | {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg) if a} | {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and node.id not in local:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id in LIBRARY_HANDLES:
+        yield node.attr
+    elif isinstance(node, ast.Constant) and type(node.value) is str:
+        yield node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _names_read(child, local)
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class is live when the benchmark, a module's own
+    # top-level code (the CLI's `main` included) or a live library
+    # definition reads it; what only its own definition or a dead one reads
+    # is dead, so a dead helper goes with its only caller.  The package
+    # exports names, not its submodules.
+    reads: dict = {}  # library top-level definition, or None for the roots -> names read
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            owner = node.name if path.parent == SRC and isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else None
+            reads.setdefault(owner, set()).update(_names_read(node))
+    live, todo = set(), [None, *KEPT_FOR_CRITERIA]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo += reads.get(name, ())
+    exported = {name: getattr(typesemigroup, name) for name in typesemigroup.__all__}
+    public = {name for name, value in exported.items()
+              if inspect.isfunction(value) or inspect.isclass(value)}
+    assert sorted(public - live) == []
+    assert [name for name, value in exported.items() if inspect.ismodule(value)] == []
