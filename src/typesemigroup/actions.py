@@ -55,10 +55,12 @@ class FiniteGroupAction:
 def build_action(points: Sequence[Any], generators: Sequence[Sequence[Any]]) -> FiniteGroupAction:
     """Validate an action given by one-line images over the declared points.
 
-    The points and each generator's images are lists, never a string, whose
-    characters would otherwise be read as points; the points are hashable,
-    and each image is one of the points, of the same type."""
-    if isinstance(points, str):
+    The points, the generators and each generator's images are lists or
+    tuples, never a string, whose characters would otherwise be read as
+    points, nor any other object; the points are hashable, and each image
+    is one of the points, of the same type.  Anything else is rejected with
+    BAD_REFERENCE, never converted."""
+    if not isinstance(points, (list, tuple)):
         raise InputError(BAD_REFERENCE, f"points must be a list, got {points!r}")
     pts = tuple(points)
     try:
@@ -67,9 +69,11 @@ def build_action(points: Sequence[Any], generators: Sequence[Sequence[Any]]) -> 
         raise InputError(BAD_REFERENCE, f"points must be hashable, got {points!r}") from None
     if not pts or len(index) != len(pts):
         raise InputError(BAD_REFERENCE, "points must be nonempty and distinct")
+    if not isinstance(generators, (list, tuple)):
+        raise InputError(BAD_REFERENCE, f"generators must be a list, got {generators!r}")
     gens = []
     for g in generators:
-        if isinstance(g, str):
+        if not isinstance(g, (list, tuple)):
             raise InputError(BAD_REFERENCE, f"generator must be a list of points, got {g!r}")
         if len(g) != len(pts):
             raise InputError(

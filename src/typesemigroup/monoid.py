@@ -29,12 +29,12 @@ to packed ints of the same layout (`_compiled_moves`, `_Layout`): a move
 is tested by one guarded subtraction and applied as s - need + give, and
 certificates are unpacked only when a result is returned.
 `almost_unperforated_up_to` compiles them once per sweep on a presentation
-that is not unit, in one layout for its whole span, packs the span in it
-and walks the right-hand sides eta: every theta of one eta is tested
-below eta by one guarded subtraction, and those no separator refutes share
-one tree from eta (`_dominate`).  `classify`'s
-per-vertex (2, 1) tests run the order's ladder (`_decide_leq`) over moves
-compiled at most once per call.
+that is not unit and walks the right-hand sides eta: the thetas of one eta
+are bits of one int, each test a few ANDs with tables built once per sweep
+or per support, and those no separator refutes share one tree from eta
+(`_undominated`), which clears the thetas each new state dominates.
+`classify`'s per-vertex (2, 1) tests run the order's ladder (`_decide_leq`)
+over moves compiled at most once per call.
 
 What depends on the moves alone is derived once, when the presentation is
 constructed: the unit-move structure (if every move is unit) and the
@@ -47,8 +47,8 @@ own vectors.  `almost_unperforated_up_to`, which asks thousands of order
 questions of one presentation and only counts, asks each pair what
 `_order_separator` asks, with tables that live only for that call: the
 least admissible support once per support of eta; on a support whose
-invariant cone has generators, the value of every span vector under them,
-which decide each pair with integer comparisons and no LP; on any other
+invariant cone has generators, for each eta the mask of the thetas no
+generator puts above it, which decides each pair with no LP; on any other
 support, one separator LP per pair.  A unit presentation's sweep decides
 no pair and builds only as much of the span as fixes the count.  The
 moves it compiles and the trees it grows live only for that call as well,
@@ -75,6 +75,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -745,7 +746,7 @@ class _Layout:
     Coordinate i sits in field i, `bits` bits at offset i * (bits + 1),
     under one guard bit; `guard` has every guard bit set.  Width condition:
     2**bits > max(cap, c) + e, where c is the largest coordinate of any
-    vector the search packs (its roots and `_dominate`'s targets) and e the
+    vector the search packs (its roots and `_dominate`'s target) and e the
     largest move entry.  Under it no field borrows from or carries into the
     next, so one int operation tests or moves every coordinate at once:
 
@@ -901,39 +902,55 @@ def _bfs_equiv(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBud
     return report(exhausted=not (from_f.cap_hit or from_g.cap_hit))
 
 
-def _dominate(tree: _SearchTree, layout: _Layout, fs: list[int],
-              budget: SearchBudget) -> tuple[dict, list[int], bool]:
-    """Grow `tree` by whole levels until a visited state dominates every f in
-    `fs`, the frontier runs out, or a level ends with more than
+def _dominate(tree: _SearchTree, layout: _Layout, f: int,
+              budget: SearchBudget) -> tuple[int | None, bool]:
+    """Grow `tree` by whole levels until a new state dominates the packed f,
+    the frontier runs out, or a level ends with more than
     `budget.max_states` states visited.
 
-    The fs are packed by `layout`, and its width condition must hold for
-    them as for the root: a wider f would spill into the next field.
-    Returns the first new state that dominates each f found, as a dict, the
-    fs left undominated, in order, and whether the budget stopped the
-    search.  The root is not tested.  A new state is tested against the fs
-    left until one is dominated; lists are rebuilt only on such a hit.  The levels do not depend on `fs`, and
-    the search stops only at the end of a level or once no f is left, so f
-    is found exactly when a search for f alone would find it.
+    f is packed by `layout`, and its width condition must hold for f as for
+    the root: a wider f would spill into the next field.  Returns the first
+    new state that dominates f, or None, and whether the budget stopped the
+    search.  The root is not tested.
     """
     guard = layout.guard
-    found: dict = {}
-    left = list(fs)
     while tree.frontier:
         for new in tree.expand(layout):
-            armed = new | guard
-            for f in left:
-                if (armed - f) & guard == guard:
-                    break
-            else:
-                continue
-            found.update(dict.fromkeys([f for f in left if (armed - f) & guard == guard], new))
-            left = [f for f in left if f not in found]
-            if not left:
-                return found, left, False
+            if ((new | guard) - f) & guard == guard:
+                return new, False
         if len(tree.visited) > budget.max_states:
-            return found, left, True
-    return found, left, False
+            return None, True
+    return None, False
+
+
+def _undominated(tree: _SearchTree, layout: _Layout, left: int, below: list[list[int]],
+                 budget: SearchBudget) -> int:
+    """The thetas of the mask `left` that no new state of `tree` dominates,
+    grown by whole levels to the stop `_dominate` has, or 0 as soon as every
+    theta is dominated.
+
+    `below[c][x]` is the mask of the thetas whose coordinate c is at most x,
+    for x up to top, the last index; every theta has coordinate c at most
+    top.  So a new state s dominates exactly the thetas in the AND over c
+    of below[c][min(s_c, top)], one lookup per coordinate.  The root is not
+    tested.  The levels do not depend on `left`, so a theta is left exactly
+    when a search for it alone (`_dominate`) finds nothing.
+    """
+    mask, top = layout.mask, len(below[0]) - 1
+    fields = list(zip(below, range(0, layout.dim * layout.stride, layout.stride)))
+    while tree.frontier:
+        for new in tree.expand(layout):
+            hit = left
+            for table, shift in fields:
+                x = new >> shift & mask
+                hit &= table[x if x < top else top]
+            if hit:
+                left ^= hit
+                if not left:
+                    return 0
+        if len(tree.visited) > budget.max_states:
+            break
+    return left
 
 
 def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudget,
@@ -944,9 +961,8 @@ def _bfs_leq(pres: MonoidPresentation, f: Vector, g: Vector, budget: SearchBudge
     if layout is None:
         layout = _compiled_moves(pres, budget.max_coord, max(f + g))
     tree = _SearchTree(layout.pack(g))
-    found, _, stopped = _dominate(tree, layout, [layout.pack(f)], budget)
-    if found:
-        [new] = found.values()
+    new, stopped = _dominate(tree, layout, layout.pack(f), budget)
+    if new is not None:
         end = layout.unpack(new)
         return DecisionOutcome(
             Verdict.EQUIV,
@@ -1056,6 +1072,16 @@ def _sweep_span(gens: list[Vector], coeff_bound: int, limit: int) -> list[Vector
     return list(span)
 
 
+def _le_masks(values: list[int], points) -> list[int]:
+    """For each x in `points`, the mask of the indices i with values[i] <= x:
+    a prefix OR over the sorted values."""
+    masks = dict.fromkeys(sorted({*values, *points}), 0)
+    for i, x in enumerate(values):
+        masks[x] |= 1 << i
+    masks = dict(zip(masks, itertools.accumulate(masks.values(), operator.or_)))
+    return [masks[x] for x in points]
+
+
 def almost_unperforated_up_to(
     pres: MonoidPresentation,
     generators: Sequence[Sequence[int]],
@@ -1076,33 +1102,45 @@ def almost_unperforated_up_to(
 
     A unit presentation's pairs are only counted, since its unit path
     decides every pair; its span stops once its square passes max_pairs,
-    at isqrt(max_pairs) + 1 vectors, which decide the count.  Otherwise the
-    span is packed in one `_Layout`, compiled once per sweep, and the sweep
-    walks the etas, deciding all the thetas of one eta together, each test
-    one list comprehension over the thetas the last one left:
-    theta <= eta coordinatewise is one guarded subtraction on the packed
-    vectors, and holds with no search.  The rest are decided on the least
-    admissible support F0 of eta alone: refuted when theta sticks out of F0,
-    one mask test, or when some invariant functional c >= 0 on F0 has
-    c.theta > c.eta: exactly the pairs `_order_separator` refutes.  F0 is
-    found once per support of eta.  Where the cone on F0 has generators
-    (`cones._cone_generators`, built once per presentation and kept on it),
-    the value of every span vector under each of them is found once, the
-    first time a theta gets past the first two tests on F0, and a functional
-    exists exactly when some generator is larger at theta than at eta: no
-    LP.  On the other supports each pair solves its separator LP
-    (`_separator_on_support`).  The thetas nothing refutes go to one search
-    tree from eta.  The least supports, the value tables, the compiled moves
-    and the trees live only until the call returns.  `coeff_bound`,
-    `mult_bound` and `max_pairs` are `int`s >= 0.
+    at isqrt(max_pairs) + 1 vectors, which decide the count.  Otherwise no
+    theta past the first T = ceil(pairs_checked / n) is ever paired, and
+    the sweep holds each set of thetas as a mask of their indices, T bits
+    wide.  Every test is a table of such masks, built by one helper
+    (`_le_masks`: the thetas whose value is at most x, a prefix OR over the
+    sorted values), and the sweep walks the etas, deciding all the thetas
+    of eta j at once:
 
-    One tree per eta counts what one search per pair would.  The search
-    from eta has the same levels whatever theta is, and it stops only at the
-    end of a level that leaves more than `budget.max_states` states visited,
-    or when the frontier runs out.  So theta is decided exactly when a new
-    state in the levels up to that stop dominates it, and `_dominate` grows
-    the shared tree to that stop unless every theta is dominated sooner.
-    No certificate is built: the sweep only counts.
+        left = range(ceil((pairs_checked - j) / n))
+               & ~AND_c below_c[eta_c] & inside(F0) & AND_r le_r[r.eta]
+
+    below_c, one table per coordinate c, is built once per sweep: the
+    thetas below eta coordinatewise hold with no search.  The rest are
+    decided on the least admissible support F0 of eta alone: refuted when
+    theta sticks out of F0, that is, off the thetas inside(F0), the AND of
+    below_c[0] over the coordinates c off F0, or when some invariant
+    functional c >= 0 on F0 has c.theta > c.eta: exactly the pairs
+    `_order_separator` refutes.  F0 and inside(F0) are found once per
+    support of eta.  Where the cone on F0 has generators
+    (`cones._cone_generators`, built once per presentation and kept on it),
+    a functional exists exactly when some generator r is larger at theta
+    than at eta, so the thetas left are those of le_r[r.eta] for every r:
+    no LP.  Those tables are built once per F0, the first time a theta gets
+    past the first two tests on it.  On the other supports each pair left
+    solves its separator LP (`_separator_on_support`).  The thetas nothing
+    refutes go to one search tree from eta (`_undominated`), which clears
+    the thetas each new state dominates, one AND of the below_c tables,
+    and returns those no state dominated.  The least supports, the tables,
+    the compiled moves and the trees live only until the call returns.
+    `coeff_bound`, `mult_bound` and `max_pairs` are `int`s >= 0.
+
+    Each mask is exactly the test it replaces, and one tree per eta counts
+    what one search per pair would.  The search from eta has the same
+    levels whatever theta is, and it stops only at the end of a level that
+    leaves more than `budget.max_states` states visited, or when the
+    frontier runs out.  So theta is decided exactly when a new state in the
+    levels up to that stop dominates it, and `_undominated` grows the
+    shared tree to that stop unless every theta is dominated sooner.  No
+    certificate is built: the sweep only counts.
 
     Multipliers n > m need no search: a pair refuted by an order separator c
     has c(n theta) = n c(theta) > m c(eta), so every scaled pair
@@ -1127,46 +1165,51 @@ def almost_unperforated_up_to(
     pairs_checked = min(n * n, max_pairs)
     unknown = 0
     if not unit:
-        layout = _compiled_moves(pres, budget.max_coord, max(map(max, span)))
-        guard = layout.guard
-        packed = [layout.pack(vec) for vec in span]
-        sides = list(zip(*pres._supports))
-        # support of eta -> its least admissible support F, and the fields
-        # off F packed at their full width
-        least: dict[int, tuple[int, int]] = {}
-        values: dict[int, list | None] = {}  # F -> the span's values under F's generators
+        top = max(map(max, span))
+        layout = _compiled_moves(pres, budget.max_coord, top)
         # pair (i, j) is the (i * n + j)-th, so the first pairs_checked pairs
-        # give eta j the thetas i < ceil((pairs_checked - j) / n)
+        # give eta j the thetas i < ceil((pairs_checked - j) / n), all among
+        # the first ceil(pairs_checked / n); a set of thetas is the mask of
+        # their indices, and below[c][x] is the set with coordinate c <= x,
+        # for x up to top
+        thetas = span[:(pairs_checked + n - 1) // n]
+        below = [_le_masks([theta[c] for theta in thetas], range(top + 1))
+                 for c in range(pres.dim)]
+        sides = list(zip(*pres._supports))
+        least: dict[int, tuple[int, int]] = {}  # support of eta -> F, the thetas inside F
+        upper: dict[int, list | None] = {}  # F -> per eta, the thetas no generator puts above it
         for j in range(min(n, pairs_checked)):
-            armed = packed[j] | guard
-            # theta <= eta coordinatewise is decided without a search
-            left = [i for i in range((pairs_checked - j + n - 1) // n)
-                    if (armed - packed[i]) & guard != guard]
+            eta = span[j]
+            # theta <= eta coordinatewise holds with no search
+            left = (1 << (pairs_checked - j + n - 1) // n) - 1 & ~reduce(
+                operator.and_, map(list.__getitem__, below, eta))
             if not left:
                 continue
-            support = _support(span[j])
+            support = _support(eta)
             if support not in least:
                 F = least_admissible_support(sides, support)
-                least[support] = F, layout.pack(
-                    [0 if F >> k & 1 else layout.mask for k in range(pres.dim)])
-            F, off = least[support]
+                least[support] = F, reduce(operator.and_, [
+                    below[c][0] for c in range(pres.dim) if not F >> c & 1], -1)
+            F, inside = least[support]
             # a theta that sticks out of F is refuted
-            left = [i for i in left if not packed[i] & off]
+            left &= inside
             if not left:
                 continue
-            if F not in values:
+            if F not in upper:
                 rays = _cone_generators(pres, F)
-                values[F] = None if rays is None else [tuple([
-                    sum(map(operator.mul, ray, vec)) for ray in rays]) for vec in span]
-            table = values[F]
+                table = None if rays is None else [-1] * n
+                for ray in rays or ():
+                    values = [sum(map(operator.mul, ray, vec)) for vec in span]
+                    table = list(map(operator.and_, table, _le_masks(values[:len(thetas)], values)))
+                upper[F] = table
+            table = upper[F]
             if table is None:
-                left = [i for i in left
-                        if _separator_on_support(pres, F, span[i], span[j]) is None]
+                left = sum(1 << i for i in range(left.bit_length()) if left >> i & 1
+                           and _separator_on_support(pres, F, span[i], eta) is None)
             else:
-                at_eta = table[j]
-                left = [i for i in left if not any(map(operator.gt, table[i], at_eta))]
+                left &= table[j]
             if left:
-                unknown += len(_dominate(_SearchTree(packed[j]), layout,
-                                         [packed[i] for i in left], budget)[1])
+                unknown += _undominated(_SearchTree(layout.pack(eta)), layout, left, below,
+                                        budget).bit_count()
     return UnperforationSweep(None, pairs_checked, unknown, n * n > pairs_checked)
 

@@ -49,6 +49,15 @@ class TestValidation:
             ts.build_action(points, generators)
         assert e.value.code == "BAD_REFERENCE"
 
+    @pytest.mark.parametrize("points,generators", [(5, []), ([1, 2], 5), ([1, 2], [5]),
+                                                   ({1, 2}, []), ([1, 2], [{1, 2}])])
+    def test_point_and_image_lists_that_are_not_lists_rejected(self, points, generators):
+        # an int raised a bare TypeError; a set would be read in hash order
+        with pytest.raises(ts.InputError) as e:
+            ts.build_action(points, generators)
+        assert e.value.code == "BAD_REFERENCE"
+        assert ts.build_action((1, 2), ([2, 1], (1, 2))).generators == ((1, 0), (0, 1))
+
     def test_closure_cap(self):
         a = three_cycle()
         with pytest.raises(ts.InputError) as e:

@@ -1268,16 +1268,17 @@ def _parent_bfs_leq(p, f, g, budget):
 def _search_alone(layout, root, f, budget):
     """A search from the packed `root` for the packed f alone, by whole
     levels: the first new state that dominates f coordinatewise, unpacked
-    to compare, or None, and whether the budget stopped the search."""
+    to compare, or None, whether the budget stopped the search, and the
+    states it visited."""
     tree = monoid._SearchTree(root)
     target = layout.unpack(f)
     while tree.frontier:
         for new in tree.expand(layout):
             if all(a >= b for a, b in zip(layout.unpack(new), target)):
-                return new, False
+                return new, False, len(tree.visited)
         if len(tree.visited) > budget.max_states:
-            return None, True
-    return None, False
+            return None, True, len(tree.visited)
+    return None, False, len(tree.visited)
 
 
 # tiny budgets put the level boundary where the searches stop
@@ -1329,10 +1330,13 @@ class TestSharedSearchLevels:
         assert seen == {ts.Verdict.EQUIV, (False, True), (True, False), (False, False)}
 
     def test_dominate_maps_each_f_to_its_first_dominating_state(self):
-        # duplicate and nested fs share one tree: each f maps to the first
-        # new state, in `expand`'s discovery order, that dominates it,
-        # exactly when a search for f alone finds one, and the fs left and
-        # the budget stop are those searches' too
+        # `_dominate` returns the first new state, in `expand`'s discovery
+        # order, that dominates its one target, and the stop, as a search
+        # for that target alone does.  `_undominated` grows one tree for
+        # duplicate and nested thetas, some below the root, which is not
+        # tested, and leaves exactly the thetas those searches leave: it
+        # stops where they stop, or at the last theta's first dominating
+        # state
         rng = random.Random(101)
         shared_hits = stops = runs_out = 0
         for dim in range(1, 4):
@@ -1346,16 +1350,29 @@ class TestSharedSearchLevels:
                     for budget in _TINY_BUDGETS:
                         layout = monoid._compiled_moves(p, budget.max_coord, max(g + sum(fs, ())))
                         root, packed = layout.pack(g), [layout.pack(f) for f in fs]
-                        found, left, stopped = monoid._dominate(
-                            monoid._SearchTree(root), layout, packed, budget)
-                        alone = {f: _search_alone(layout, root, f, budget) for f in packed}
-                        assert found == {f: new for f, (new, _) in alone.items() if new is not None}
-                        assert left == [f for f in packed if alone[f][0] is None]
-                        assert {alone[f][1] for f in left} == ({stopped} if left else set())
-                        assert not stopped or left
-                        shared_hits += len(set(found.values())) < len(found)
-                        stops += stopped
-                        runs_out += bool(left) and not stopped
+                        alone = [_search_alone(layout, root, f, budget) for f in packed]
+                        for f, (new, stopped, visited) in zip(packed, alone):
+                            tree = monoid._SearchTree(root)
+                            assert monoid._dominate(tree, layout, f, budget) == (new, stopped)
+                            assert len(tree.visited) == visited
+                        # tables end at the largest theta coordinate: a
+                        # state coordinate above it is read at the end
+                        below = [[sum(1 << i for i, f in enumerate(fs) if f[c] <= x)
+                                  for x in range(max(sum(fs, ())) + 1)] for c in range(dim)]
+                        tree = monoid._SearchTree(root)
+                        left = monoid._undominated(tree, layout, (1 << len(fs)) - 1, below, budget)
+                        assert left == sum(1 << i for i, (new, _, _) in enumerate(alone)
+                                           if new is None)
+                        if left:
+                            stopped = len(tree.visited) > budget.max_states
+                            assert {alone[i][1:] for i in range(len(fs)) if left >> i & 1} == {
+                                (stopped, len(tree.visited))}
+                            stops += stopped
+                            runs_out += not stopped
+                        else:
+                            assert len(tree.visited) == max(visited for _, _, visited in alone)
+                        found = [new for new, _, _ in alone if new is not None]
+                        shared_hits += len(set(found)) < len(found)
         assert shared_hits >= 50 and stops >= 50 and runs_out >= 50
 
     def test_budget_stop_on_the_last_level_is_not_exhaustion(self):
@@ -2276,16 +2293,19 @@ def _transient_graph_presentation(rng, n, colours=1):
 
 
 def _searched_pairs(p, gens, coeff_bound):
-    """The sweep's result and the (theta, eta) pairs it hands to the search."""
+    """The sweep's result and the (theta, eta) pairs it hands to the search,
+    each theta decoded from its bit in the mask the search is given."""
     searched = []
-    real_dominate = monoid._dominate
+    span = _span(p, gens, coeff_bound)
+    real_undominated = monoid._undominated
 
-    def recording_dominate(tree, layout, fs, budget):
-        searched.extend((layout.unpack(f), layout.unpack(tree.frontier[0])) for f in fs)
-        return real_dominate(tree, layout, fs, budget)
+    def recording_undominated(tree, layout, left, below, budget):
+        eta = layout.unpack(tree.frontier[0])
+        searched.extend((span[i], eta) for i in range(left.bit_length()) if left >> i & 1)
+        return real_undominated(tree, layout, left, below, budget)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(monoid, "_dominate", recording_dominate)
+        patch.setattr(monoid, "_undominated", recording_undominated)
         sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4)
     return sweep, searched
 
@@ -2405,6 +2425,44 @@ class TestRaySweep:
                 tuple(i for i in range(n) if F >> i & 1) for F in reached)
             several += len(supports) > 2
         assert solved == [] and several >= 10
+
+
+class TestThetaMasks:
+    def test_sweep_counts_as_the_per_pair_loop_with_fewer_thetas_than_etas(self):
+        # max_pairs between n and n(n - 1) pairs eta j with the first
+        # ceil((max_pairs - j) / n) thetas, fewer than n, so the masks index
+        # a prefix of the span; coefficients up to 4 put span coordinates
+        # far past a cap of 2, which the tables must still hold
+        rng = random.Random(139)
+        budgets = [ts.SearchBudget(30, 2), ts.SearchBudget(100, 3), ts.SearchBudget(300, 6)]
+        makers = [lambda dim: _transient_graph_presentation(rng, dim),
+                  lambda dim: _one_matrix_presentation(rng, dim),
+                  lambda dim: _non_unit_presentation(rng, dim, rng.randint(1, 4)),
+                  lambda dim: _sweep_presentations(rng, dim)[2]]
+        unknowns = refuted = uneven = 0
+        for _ in range(60):
+            dim = rng.randint(3, 6)
+            p = rng.choice(makers)(dim)
+            if p._unit is not None:
+                continue
+            gens = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(rng.randint(2, 3))]
+            coeff_bound = rng.randint(2, 4)
+            span = _span(p, gens, coeff_bound)
+            n = len(span)
+            if n < 3:
+                continue
+            max_pairs = rng.randint(n, min(n * (n - 1), 600))
+            budget = rng.choice(budgets)
+            outcomes = [ts.decide_leq(p, t, e, budget)
+                        for t, e in itertools.islice(itertools.product(span, repeat=2), max_pairs)]
+            sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, budget, max_pairs)
+            assert sweep == ts.UnperforationSweep(
+                None, max_pairs, sum(out.is_unknown for out in outcomes), True)
+            assert -(-max_pairs // n) < n
+            unknowns += sweep.unknown_pairs > 0
+            refuted += any(out.is_not_equiv for out in outcomes)
+            uneven += max_pairs % n > 0
+        assert unknowns >= 30 and refuted >= 40 and uneven >= 40
 
 
 # ---------------------------------------------------------------------------

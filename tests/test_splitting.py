@@ -104,3 +104,32 @@ def test_definite_verdicts_are_invariant_under_row_splits():
             ts.classify(split_model, budgets).verdict, (mat, v, parts)
     # the split graph has more vertices, so a few pairs stay UNKNOWN there
     assert agree > 850 and unknown < 30
+
+
+def test_states_exist_at_t_exactly_when_at_phi_t():
+    # phi is an isomorphism of the graph monoids, so a state at phi(t) over
+    # F read through phi, sigma(phi(e_w)), is a state at t over E, and a
+    # state at t over E carries over to one at phi(t)
+    rng = random.Random(151)
+    found = absent = 0
+    for _ in range(150):
+        mat, v, parts = _random_split(rng)
+        split, phi = row_split(mat, v, parts)
+        model, split_model = _model(mat), _model(split)
+        n = len(mat)
+        for _ in range(3):
+            t = tuple(rng.randint(0, 2) for _ in range(n))
+            if not any(t):
+                continue
+            state, split_state = ts.solve_state_at(model, t), ts.solve_state_at(split_model, phi(t))
+            assert (state is None) == (split_state is None), (mat, v, parts, t)
+            if split_state is None:
+                absent += 1
+                continue
+            values = split_state.values
+            pulled = tuple(values[w] + sum(values[n:]) if w == v else values[w] for w in range(n))
+            support = tuple(w for w in range(n) if pulled[w] != ts.INFINITY)
+            assert ts.verify_state_certificate(
+                model, ts.StateCertificate(pulled, t, support)), (mat, v, parts, t)
+            found += 1
+    assert found > 60 and absent > 250
