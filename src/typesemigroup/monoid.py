@@ -29,10 +29,13 @@ to packed ints of the same layout (`_compiled_moves`, `_Layout`): a move
 is tested by one guarded subtraction and applied as s - need + give, and
 certificates are unpacked only when a result is returned.
 `almost_unperforated_up_to` compiles them once per sweep on a presentation
-that is not unit and walks the right-hand sides eta: the thetas of one eta
-are bits of one int, each test a few ANDs with tables built once per sweep
-or per support, and those no separator refutes share one tree from eta
-(`_undominated`), which clears the thetas each new state dominates.
+that is not unit and has more than one theta, and walks the right-hand
+sides eta: the thetas of one eta are bits of one int, each test a few ANDs
+with tables built once per sweep or per support, and those no separator
+refutes share one search from eta (`_undominated`), which clears the
+thetas each new state dominates.  Every search of a sweep reads one table
+of successors and one of domination masks, so a state is expanded and
+tested once per sweep, however many searches reach it.
 `classify`'s per-vertex (2, 1) tests run the order's ladder (`_decide_leq`)
 over moves compiled at most once per call.
 
@@ -51,8 +54,8 @@ invariant cone has generators, for each eta the mask of the thetas no
 generator puts above it, which decides each pair with no LP; on any other
 support, one separator LP per pair.  A unit presentation's sweep decides
 no pair and builds only as much of the span as fixes the count.  The
-moves it compiles and the trees it grows live only for that call as well,
-as do each decider's compiled moves and search tree.
+moves it compiles and its successor and domination tables live only for
+that call as well, as do each decider's compiled moves and search tree.
 
 An order separator, a state (`states.solve_state_at`) and a positive
 invariant vector are the same kind of object: an additive map into [0, oo]
@@ -923,33 +926,66 @@ def _dominate(tree: _SearchTree, layout: _Layout, f: int,
     return None, False
 
 
-def _undominated(tree: _SearchTree, layout: _Layout, left: int, below: list[list[int]],
-                 budget: SearchBudget) -> int:
-    """The thetas of the mask `left` that no new state of `tree` dominates,
-    grown by whole levels to the stop `_dominate` has, or 0 as soon as every
-    theta is dominated.
+def _successors(layout: _Layout, state: int) -> list[int]:
+    """The states one move takes the packed `state` to that stay within the
+    cap, in the order `_SearchTree.expand` tries the moves."""
+    guard, over = layout.guard, layout.over
+    armed = state | guard
+    return [new for new in [state - need + give for (_, _, need, give) in layout.moves
+                            if (armed - need) & guard == guard]
+            if not (new + over) & guard]
+
+
+def _undominated(root: int, layout: _Layout, left: int, below: list[list[int]],
+                 budget: SearchBudget, succ: dict, dom: dict) -> int:
+    """The thetas of the mask `left` that no new state of a search from the
+    packed `root` dominates, grown by whole levels to the stop `_dominate`
+    has, or 0 as soon as every theta is dominated.
 
     `below[c][x]` is the mask of the thetas whose coordinate c is at most x,
     for x up to top, the last index; every theta has coordinate c at most
-    top.  So a new state s dominates exactly the thetas in the AND over c
-    of below[c][min(s_c, top)], one lookup per coordinate.  The root is not
+    top.  So a state s dominates exactly the thetas in the AND over c of
+    below[c][min(s_c, top)], one lookup per coordinate.  The root is not
     tested.  The levels do not depend on `left`, so a theta is left exactly
     when a search for it alone (`_dominate`) finds nothing.
+
+    `succ` maps a state to its `_successors` and `dom` to the mask of the
+    thetas it dominates; both are shared by the searches of one sweep, over
+    one layout and one set of tables, so a state is expanded and tested
+    once per sweep, not once per search.  A missing entry is computed and
+    kept while the dict holds fewer than `budget.max_states` states.
     """
-    mask, top = layout.mask, len(below[0]) - 1
+    mask, top, max_states = layout.mask, len(below[0]) - 1, budget.max_states
     fields = list(zip(below, range(0, layout.dim * layout.stride, layout.stride)))
-    while tree.frontier:
-        for new in tree.expand(layout):
-            hit = left
-            for table, shift in fields:
-                x = new >> shift & mask
-                hit &= table[x if x < top else top]
-            if hit:
-                left ^= hit
-                if not left:
-                    return 0
-        if len(tree.visited) > budget.max_states:
+    visited, frontier = {root}, [root]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            news = succ.get(state)
+            if news is None:
+                news = _successors(layout, state)
+                if len(succ) < max_states:
+                    succ[state] = news
+            for new in news:
+                if new in visited:
+                    continue
+                visited.add(new)
+                nxt.append(new)
+                hit = dom.get(new)
+                if hit is None:
+                    hit = -1
+                    for table, shift in fields:
+                        x = new >> shift & mask
+                        hit &= table[x if x < top else top]
+                    if len(dom) < max_states:
+                        dom[new] = hit
+                if hit & left:
+                    left &= ~hit
+                    if not left:
+                        return 0
+        if len(visited) > max_states:
             break
+        frontier = nxt
     return left
 
 
@@ -1062,14 +1098,27 @@ def kl_paradoxical(
 def _sweep_span(gens: list[Vector], coeff_bound: int, limit: int) -> list[Vector]:
     """The first `limit` distinct combinations of `gens` with coefficients
     up to `coeff_bound`, in the order `itertools.product` gives the
-    coefficients, each summed from the generators' precomputed multiples."""
-    multiples = [[tuple([c * x for x in gv]) for c in range(coeff_bound + 1)] for gv in gens]
+    coefficients.  Each combination is its prefix over the earlier
+    generators plus one precomputed multiple of the last, one addition per
+    vector; the prefixes are built lazily the same way."""
+    vectors = iter([(0,) * len(gens[0])])
+    for gv in gens:
+        multiples = [tuple([c * x for x in gv]) for c in range(1, coeff_bound + 1)]
+        vectors = _plus_multiples(vectors, multiples)
     span: dict[Vector, None] = {}
-    for parts in itertools.product(*multiples):
-        span[tuple(map(sum, zip(*parts)))] = None
+    for vec in vectors:
+        span[vec] = None
         if len(span) >= limit:
             break
     return list(span)
+
+
+def _plus_multiples(prefixes, multiples: list[Vector]):
+    """Each prefix, then that prefix plus each of the nonzero `multiples`."""
+    for prefix in prefixes:
+        yield prefix
+        for m in multiples:
+            yield tuple(map(operator.add, prefix, m))
 
 
 def _le_masks(values: list[int], points) -> list[int]:
@@ -1096,19 +1145,22 @@ def almost_unperforated_up_to(
     coefficients up to `coeff_bound`, once per pair, and counts the pairs
     left undecided.  Pairs run theta-major over the span, so eta j is paired
     with the thetas i < ceil((pairs_checked - j) / n), n the span's length.
-    Each pair is counted as `decide_leq` would count it.  The span is summed
-    from each generator's multiples (`_sweep_span`) and cut one vector past
-    max_pairs, since max_pairs + 1 vectors already give more pairs.
+    Each pair is counted as `decide_leq` would count it.  The span is built
+    from each generator's multiples, one addition per vector (`_sweep_span`),
+    and cut one vector past max_pairs, since max_pairs + 1 vectors already
+    give more pairs.
 
     A unit presentation's pairs are only counted, since its unit path
     decides every pair; its span stops once its square passes max_pairs,
     at isqrt(max_pairs) + 1 vectors, which decide the count.  Otherwise no
-    theta past the first T = ceil(pairs_checked / n) is ever paired, and
-    the sweep holds each set of thetas as a mask of their indices, T bits
-    wide.  Every test is a table of such masks, built by one helper
-    (`_le_masks`: the thetas whose value is at most x, a prefix OR over the
-    sorted values), and the sweep walks the etas, deciding all the thetas
-    of eta j at once:
+    theta past the first T = ceil(pairs_checked / n) is ever paired.  When
+    T is 1 that theta is span[0] = 0, below every eta, so every pair holds
+    and the sweep returns before it compiles a move or builds a table.
+    Otherwise the sweep holds each set of thetas as a mask of their
+    indices, T bits wide.  Every test is a table of such masks, built by
+    one helper (`_le_masks`: the thetas whose value is at most x, a prefix
+    OR over the sorted values), and the sweep walks the etas, deciding all
+    the thetas of eta j at once:
 
         left = range(ceil((pairs_checked - j) / n))
                & ~AND_c below_c[eta_c] & inside(F0) & AND_r le_r[r.eta]
@@ -1127,20 +1179,26 @@ def almost_unperforated_up_to(
     no LP.  Those tables are built once per F0, the first time a theta gets
     past the first two tests on it.  On the other supports each pair left
     solves its separator LP (`_separator_on_support`).  The thetas nothing
-    refutes go to one search tree from eta (`_undominated`), which clears
-    the thetas each new state dominates, one AND of the below_c tables,
-    and returns those no state dominated.  The least supports, the tables,
-    the compiled moves and the trees live only until the call returns.
-    `coeff_bound`, `mult_bound` and `max_pairs` are `int`s >= 0.
+    refutes go to one search from eta (`_undominated`), which clears the
+    thetas each new state dominates, one AND of the below_c tables, and
+    returns those no state dominated.  The searches of different etas reach
+    the same states, so they share two tables: a state's successors within
+    the cap, in move order, and the mask of the thetas it dominates, each
+    computed the first time a search needs it.  Each table stops taking
+    entries at `budget.max_states` states, so neither outgrows what one
+    search may visit.  The least supports, the tables and the compiled
+    moves live only until the call returns.  `coeff_bound`, `mult_bound`
+    and `max_pairs` are `int`s >= 0.
 
-    Each mask is exactly the test it replaces, and one tree per eta counts
-    what one search per pair would.  The search from eta has the same
-    levels whatever theta is, and it stops only at the end of a level that
-    leaves more than `budget.max_states` states visited, or when the
-    frontier runs out.  So theta is decided exactly when a new state in the
-    levels up to that stop dominates it, and `_undominated` grows the
-    shared tree to that stop unless every theta is dominated sooner.  No
-    certificate is built: the sweep only counts.
+    Each mask is exactly the test it replaces, and one search per eta
+    counts what one search per pair would.  The search from eta has the
+    same levels whatever theta is, and it stops only at the end of a level
+    that leaves more than `budget.max_states` states visited, or when the
+    frontier runs out.  So theta is decided exactly when a new state in
+    the levels up to that stop dominates it, and `_undominated` grows the
+    search to that stop unless every theta is dominated sooner.  A shared
+    table entry is what the search would compute itself, so sharing moves
+    no stop.  No certificate is built: the sweep only counts.
 
     Multipliers n > m need no search: a pair refuted by an order separator c
     has c(n theta) = n c(theta) > m c(eta), so every scaled pair
@@ -1164,7 +1222,8 @@ def almost_unperforated_up_to(
     n = len(span)
     pairs_checked = min(n * n, max_pairs)
     unknown = 0
-    if not unit:
+    # with at most one theta, it is span[0] = 0, below every eta
+    if not unit and pairs_checked > n:
         top = max(map(max, span))
         layout = _compiled_moves(pres, budget.max_coord, top)
         # pair (i, j) is the (i * n + j)-th, so the first pairs_checked pairs
@@ -1178,7 +1237,9 @@ def almost_unperforated_up_to(
         sides = list(zip(*pres._supports))
         least: dict[int, tuple[int, int]] = {}  # support of eta -> F, the thetas inside F
         upper: dict[int, list | None] = {}  # F -> per eta, the thetas no generator puts above it
-        for j in range(min(n, pairs_checked)):
+        succ: dict[int, list[int]] = {}  # state -> its successors, for every search
+        dom: dict[int, int] = {}  # state -> the thetas it dominates
+        for j in range(n):
             eta = span[j]
             # theta <= eta coordinatewise holds with no search
             left = (1 << (pairs_checked - j + n - 1) // n) - 1 & ~reduce(
@@ -1209,7 +1270,7 @@ def almost_unperforated_up_to(
             else:
                 left &= table[j]
             if left:
-                unknown += _undominated(_SearchTree(layout.pack(eta)), layout, left, below,
-                                        budget).bit_count()
+                unknown += _undominated(layout.pack(eta), layout, left, below, budget,
+                                        succ, dom).bit_count()
     return UnperforationSweep(None, pairs_checked, unknown, n * n > pairs_checked)
 

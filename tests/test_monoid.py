@@ -1199,23 +1199,22 @@ class TestCompiledSweep:
 
     def test_moves_compiled_once_per_sweep(self, monkeypatch):
         # moves are compiled at most once per sweep, exactly once when it
-        # searches and never for a unit presentation; one search tree is
-        # grown per right-hand side eta that has a pair left after the
-        # separators, no more
+        # searches and never for a unit presentation; one search is started
+        # per right-hand side eta that has a pair left after the separators,
+        # no more
         rng = random.Random(73)
         budget = ts.SearchBudget(300, 6)
         compiled, roots = [], []
-        real_compile, real_tree = monoid._compiled_moves, monoid._SearchTree
+        real_compile, real_undominated = monoid._compiled_moves, monoid._undominated
 
         def counting_compile(p, cap, largest):
             layout = real_compile(p, cap, largest)
             compiled.append(layout)
             return layout
 
-        class CountingTree(real_tree):
-            def __init__(self, root):
-                roots.append(root)
-                super().__init__(root)
+        def counting_undominated(root, *args):
+            roots.append(root)
+            return real_undominated(root, *args)
 
         shared = 0
         for dim in range(1, 5):
@@ -1231,7 +1230,7 @@ class TestCompiledSweep:
                 compiled.clear()
                 roots.clear()
                 monkeypatch.setattr(monoid, "_compiled_moves", counting_compile)
-                monkeypatch.setattr(monoid, "_SearchTree", CountingTree)
+                monkeypatch.setattr(monoid, "_undominated", counting_undominated)
                 ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, budget)
                 monkeypatch.undo()
                 if p._unit is not None:
@@ -1242,6 +1241,17 @@ class TestCompiledSweep:
                               for root in roots) == sorted(set(searched))
                 shared += len(searched) > len(roots)
         assert shared >= 5
+
+
+class _LookupCountingDict(dict):
+    """A dict that counts its `get` calls in `lookups`."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
 
 def _parent_bfs_leq(p, f, g, budget):
     """`_bfs_leq` with its own level loop, as it was before the sweep shared
@@ -1332,11 +1342,12 @@ class TestSharedSearchLevels:
     def test_dominate_maps_each_f_to_its_first_dominating_state(self):
         # `_dominate` returns the first new state, in `expand`'s discovery
         # order, that dominates its one target, and the stop, as a search
-        # for that target alone does.  `_undominated` grows one tree for
+        # for that target alone does.  `_undominated` grows one search for
         # duplicate and nested thetas, some below the root, which is not
         # tested, and leaves exactly the thetas those searches leave: it
         # stops where they stop, or at the last theta's first dominating
-        # state
+        # state.  It does so with empty tables and with tables other
+        # searches over the same layout and thetas have filled
         rng = random.Random(101)
         shared_hits = stops = runs_out = 0
         for dim in range(1, 4):
@@ -1359,18 +1370,28 @@ class TestSharedSearchLevels:
                         # state coordinate above it is read at the end
                         below = [[sum(1 << i for i, f in enumerate(fs) if f[c] <= x)
                                   for x in range(max(sum(fs, ())) + 1)] for c in range(dim)]
-                        tree = monoid._SearchTree(root)
-                        left = monoid._undominated(tree, layout, (1 << len(fs)) - 1, below, budget)
-                        assert left == sum(1 << i for i, (new, _, _) in enumerate(alone)
-                                           if new is None)
+                        # the searches from g, from the other targets and
+                        # from g again share one pair of tables
+                        succ, dom = {}, _LookupCountingDict()
+                        for start in [root] + packed + [root]:
+                            dom.lookups = 0
+                            left = monoid._undominated(start, layout, (1 << len(fs)) - 1,
+                                                       below, budget, succ, dom)
+                            if start != root:
+                                continue
+                            # each new state's mask is looked up once
+                            seen = 1 + dom.lookups
+                            assert left == sum(1 << i for i, (new, _, _) in enumerate(alone)
+                                               if new is None)
+                            if left:
+                                stopped = seen > budget.max_states
+                                assert {alone[i][1:] for i in range(len(fs)) if left >> i & 1} == {
+                                    (stopped, seen)}
+                            else:
+                                assert seen == max(visited for _, _, visited in alone)
                         if left:
-                            stopped = len(tree.visited) > budget.max_states
-                            assert {alone[i][1:] for i in range(len(fs)) if left >> i & 1} == {
-                                (stopped, len(tree.visited))}
                             stops += stopped
                             runs_out += not stopped
-                        else:
-                            assert len(tree.visited) == max(visited for _, _, visited in alone)
                         found = [new for new, _, _ in alone if new is not None]
                         shared_hits += len(set(found)) < len(found)
         assert shared_hits >= 50 and stops >= 50 and runs_out >= 50
@@ -2299,10 +2320,10 @@ def _searched_pairs(p, gens, coeff_bound):
     span = _span(p, gens, coeff_bound)
     real_undominated = monoid._undominated
 
-    def recording_undominated(tree, layout, left, below, budget):
-        eta = layout.unpack(tree.frontier[0])
+    def recording_undominated(root, layout, left, below, budget, succ, dom):
+        eta = layout.unpack(root)
         searched.extend((span[i], eta) for i in range(left.bit_length()) if left >> i & 1)
-        return real_undominated(tree, layout, left, below, budget)
+        return real_undominated(root, layout, left, below, budget, succ, dom)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monoid, "_undominated", recording_undominated)
@@ -2463,6 +2484,101 @@ class TestThetaMasks:
             refuted += any(out.is_not_equiv for out in outcomes)
             uneven += max_pairs % n > 0
         assert unknowns >= 30 and refuted >= 40 and uneven >= 40
+
+
+def _counted_sweep(p, gens, coeff_bound, budget=None, max_pairs=5000, shared=True):
+    """The sweep's result, the states whose successors it computed, in
+    order, and every pair of tables its searches were handed; with
+    shared=False each search gets tables of its own, as one tree per eta
+    had before the searches shared them."""
+    expanded, tables = [], []
+    real_successors, real_undominated = monoid._successors, monoid._undominated
+
+    def counting_successors(layout, state):
+        expanded.append(state)
+        return real_successors(layout, state)
+
+    def recording_undominated(root, layout, left, below, budget, succ, dom):
+        if not shared:
+            succ, dom = {}, {}
+        tables.append((succ, dom))
+        return real_undominated(root, layout, left, below, budget, succ, dom)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monoid, "_successors", counting_successors)
+        patch.setattr(monoid, "_undominated", recording_undominated)
+        sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, budget, max_pairs)
+    return sweep, expanded, tables
+
+
+class TestSharedExpansion:
+    def test_each_state_expanded_once_per_sweep(self):
+        # at classify's bounds the purely infinite model's 23 searches
+        # expand 227 states, 37 of them distinct, and the triangular
+        # model's 16 expand 44, 16 distinct; the shared tables expand each
+        # distinct state once, and every search reads the same two tables
+        for mats, searches, per_search, distinct in (([[0, 2], [2, 0]], 23, 227, 37),
+                                                     ([[1, 1], [0, 1]], 16, 44, 16)):
+            p = _kgraph_presentation(mats)
+            gens = [ts.unit_vector(2, i) for i in range(2)]
+            alone, expanded_alone, _ = _counted_sweep(p, gens, 4, shared=False)
+            sweep, expanded, tables = _counted_sweep(p, gens, 4)
+            assert sweep == alone == ts.UnperforationSweep(None, 625, 0, False)
+            assert len(tables) == searches and len({(id(a), id(b)) for a, b in tables}) == 1
+            assert len(expanded_alone) == per_search and len(set(expanded_alone)) == distinct
+            assert len(expanded) == len(set(expanded)) == distinct
+            assert set(expanded) == set(expanded_alone) == set(tables[0][0])
+
+    def test_one_theta_sweep_compiles_and_tabulates_nothing(self, monkeypatch):
+        # max_pairs up to the span's length pairs every eta with theta 0
+        # alone, below every eta: no move is compiled, no table is built,
+        # and every pair holds; one pair more needs both
+        calls = []
+        real_compile, real_masks = monoid._compiled_moves, monoid._le_masks
+        monkeypatch.setattr(monoid, "_compiled_moves",
+                            lambda *args: calls.append("compile") or real_compile(*args))
+        monkeypatch.setattr(monoid, "_le_masks",
+                            lambda *args: calls.append("masks") or real_masks(*args))
+        wide = [[int(i == j) + int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]
+        rng = random.Random(149)
+        models = [(_kgraph_presentation(wide), 1), (_kgraph_presentation([[0, 2], [2, 0]]), 4)]
+        models += [(_transient_graph_presentation(rng, rng.randint(1, 4)), 2) for _ in range(6)]
+        for p, coeff_bound in models:
+            gens = [ts.unit_vector(p.dim, i) for i in range(p.dim)]
+            span = _span(p, gens, coeff_bound)
+            assert span[0] == (0,) * p.dim
+            for max_pairs in (0, 1, len(span) // 2, len(span)):
+                calls.clear()
+                sweep = ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, None, max_pairs)
+                assert calls == []
+                assert sweep == ts.UnperforationSweep(None, max_pairs, 0, len(span) > 1)
+            calls.clear()
+            ts.almost_unperforated_up_to(p, gens, coeff_bound, 4, None, len(span) + 1)
+            assert calls[0] == "compile" and "masks" in calls
+
+    def test_tables_stop_at_the_state_budget(self):
+        # with max_states k below the states the searches reach, neither
+        # table keeps more than k states, states past it are expanded again
+        # by each search that reaches them, and the sweep still counts what
+        # `decide_leq` counts pair by pair
+        gens = [ts.unit_vector(2, i) for i in range(2)]
+        span = _span(_kgraph_presentation([[0, 2], [2, 0]]), gens, 4)
+        pairs = list(itertools.product(span, repeat=2))
+        outgrown = unknowns = 0
+        for mats in ([[0, 2], [2, 0]], [[1, 2], [2, 1]], [[0, 3], [1, 0]]):
+            p = _kgraph_presentation(mats)
+            for k in (0, 1, 2, 3, 5, 8, 13, 30):
+                budget = ts.SearchBudget(k, 64)
+                sweep, expanded, tables = _counted_sweep(p, gens, 4, budget)
+                unknown = sum(ts.decide_leq(p, t, e, budget).is_unknown for t, e in pairs)
+                assert sweep == ts.UnperforationSweep(None, len(pairs), unknown, False)
+                succ, dom = tables[0]
+                assert len(succ) <= k and len(dom) <= k
+                if len(expanded) > len(set(expanded)):
+                    assert len(succ) == k
+                    outgrown += 1
+                unknowns += unknown > 0
+        assert outgrown >= 12 and unknowns >= 6
 
 
 # ---------------------------------------------------------------------------
